@@ -33,9 +33,8 @@ Criteria (all exact integer identities, no tolerances):
                             counts and 4-cycles
 
 ``run_all`` executes everything and reports one result per criterion; the
-CLI ``suite`` command and tests/test_acceptance.py both drive it.  The
-``jobs`` knob is accepted for interface stability; checks are pure and
-order-independent, so results do not depend on it.
+CLI ``suite`` command and tests/test_acceptance.py both drive it.  The CLI
+``check`` command runs the criterion-3 checker on one input.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from random import Random
+from typing import Sequence
 
 from .activity import (
     activities,
@@ -66,6 +66,7 @@ from .core import (
 )
 from .formulas import (
     binomial,
+    ceiling_prefix,
     coefficient_report,
     coefficientwise_le,
     exterior_ceiling_check,
@@ -80,6 +81,7 @@ from .hypergraph import (
     connectivity_profile,
     count_four_cycles,
     edge_degree,
+    forest_size,
     hypertree_polymatroid,
     is_connected,
     random_hypergraph,
@@ -261,33 +263,71 @@ def check_coefficient_formulas(corpus: Corpus, rng: Random) -> str:
 # -- criterion 3: invariances -----------------------------------------------------------
 
 
+INVARIANCES = ("translation", "permutation", "duality", "divisibility", "count", "reversal")
+
+
+def invariance_violations(
+    p: Polymatroid,
+    polys: tuple[BiPoly, BiPoly, BiPoly],
+    rng: Random,
+    properties: Sequence[str] = INVARIANCES,
+) -> dict[str, str]:
+    """Check the named invariances of p, given its (T, I, X).
+
+    Translation and permutation each try five instances drawn from rng, in
+    the order the properties are listed; duality covers both T and the
+    interior/exterior pair.  Returns each violated property with its
+    witness ("" for the properties that have none).
+    """
+    t, interior, exterior = polys
+    n = p.n
+    violated: dict[str, str] = {}
+    for prop in properties:
+        witness = ""
+        if prop == "translation":
+            for _ in range(5):
+                c = tuple(rng.randint(-3, 3) for _ in range(n))
+                if tutte_direct(p.translate(c)) != t:
+                    witness = f"c={c}"
+                    break
+            ok = not witness
+        elif prop == "permutation":
+            for _ in range(5):
+                w = tuple(rng.sample(range(1, n + 1), n))
+                if tutte_direct(p.permute(w)) != t:
+                    witness = f"w={w}"
+                    break
+            ok = not witness
+        elif prop == "duality":
+            dual = p.dual()
+            ok = (
+                tutte_direct(dual) == t.swap_vars()
+                and interior_direct(dual) == exterior.swap_vars()
+            )
+        elif prop == "divisibility":
+            ok = t.divisible_by_x_plus_y_minus_1()
+        elif prop == "count":
+            ok = t.evaluate(1, 1) == len(p)
+        elif prop == "reversal":
+            ok = (
+                interior == t.substitute_one("y").reversed_in("x", n)
+                and exterior == t.substitute_one("x").reversed_in("y", n)
+            )
+        else:
+            raise ValueError(f"unknown invariance {prop!r}")
+        if not ok:
+            violated[prop] = witness
+    return violated
+
+
 def check_invariances(corpus: Corpus, rng: Random) -> str:
-    members = corpus.members()
     checked = 0
-    for p in members:
-        t = corpus.tutte(p)
-        n = p.n
-        for _ in range(5):
-            c = tuple(rng.randint(-3, 3) for _ in range(n))
-            if tutte_direct(p.translate(c)) != t:
-                raise AssertionError(f"translation {c} changed the polynomial on {p}")
-        perms = list(itertools.permutations(range(1, n + 1)))
-        for _ in range(5):
-            w = perms[rng.randrange(len(perms))]
-            if tutte_direct(p.permute(w)) != t:
-                raise AssertionError(f"permutation {w} changed the polynomial on {p}")
-        if tutte_direct(p.dual()) != t.swap_vars():
-            raise AssertionError(f"duality swap failed on {p}")
-        if not t.divisible_by_x_plus_y_minus_1():
-            raise AssertionError(f"not divisible by x+y-1 on {p}")
-        if t.evaluate(1, 1) != len(p):
-            raise AssertionError(f"value at (1,1) is not the basis count on {p}")
-        if corpus.interior(p) != t.substitute_one("y").reversed_in("x", n):
-            raise AssertionError(f"interior reversal identity failed on {p}")
-        if corpus.exterior(p) != t.substitute_one("x").reversed_in("y", n):
-            raise AssertionError(f"exterior reversal identity failed on {p}")
-        if interior_direct(p.dual()) != corpus.exterior(p).swap_vars():
-            raise AssertionError(f"interior/exterior duality failed on {p}")
+    for p in corpus.members():
+        polys = (corpus.tutte(p), corpus.interior(p), corpus.exterior(p))
+        violated = invariance_violations(p, polys, rng)
+        if violated:
+            prop, witness = next(iter(violated.items()))
+            raise AssertionError(f"{prop} invariance failed on {p} {witness}".rstrip())
         checked += 1
     return f"{checked} polymatroids x (5 translations, 5 permutations, duality, divisibility, count, reversals)"
 
@@ -304,32 +344,14 @@ def connected_multigraphs(max_edges: int = 4) -> list[RankTable]:
         pairs = [(u, v) for u in range(1, nv + 1) for v in range(u, nv + 1)]
         for ne in range(1, max_edges + 1):
             for edges in itertools.combinations_with_replacement(pairs, ne):
-                if not _spans_connected(nv, edges):
-                    continue
+                if forest_size(nv + 1, edges) != nv - 1:
+                    continue  # not connected
                 table = graphic_matroid(nv, list(edges))
                 key = (table.n, table.f)
                 if key not in seen:
                     seen.add(key)
                     out.append(table)
     return out
-
-
-def _spans_connected(nv: int, edges) -> bool:
-    parent = list(range(nv + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = nv
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
 
 
 def check_matroid_bridge(corpus: Corpus, rng: Random) -> str:
@@ -453,24 +475,13 @@ def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
 # -- criterion 7: connectivity ------------------------------------------------------------------
 
 
-def _ceiling_prefix(x: BiPoly, nv: int, n: int) -> int:
-    """Largest k in 0..n with [y^i] X = C(nv + i - 2, i) for all i <= k."""
-    best = -1
-    for k in range(n + 1):
-        if x.coeff(0, k) == binomial(nv + k - 2, k):
-            best = k
-        else:
-            break
-    return best
-
-
 def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # profile == ceiling prefix on connected hypergraphs
     for h in corpus.hypergraphs:
         p, table = hypertree_polymatroid(h)
         x = corpus.exterior(p)
         profile = connectivity_profile(h)
-        prefix = _ceiling_prefix(x, h.num_vertices, h.num_edges)
+        prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
         if profile != prefix:
             raise AssertionError(
                 f"profile {profile} != ceiling prefix {prefix} on {h}"
@@ -655,7 +666,7 @@ CRITERIA = [
 ]
 
 
-def run_all(seed: int = DEFAULT_SEED, jobs: int = 1) -> list[CriterionResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     """Run every criterion; a raised AssertionError marks it failed."""
     corpus = build_corpus(seed)
     results = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, X_PLUS_Y_MINUS_1, from_dict
+from .bipoly import BiPoly, X_PLUS_Y_MINUS_1, add_scaled_into, from_dict
 from .core import Polymatroid, RankTable, Vector
 from .errors import NotABasis
 
@@ -164,15 +164,7 @@ def tutte_direct(p: Polymatroid) -> BiPoly:
     acc: dict[tuple[int, int], int] = {}
     for a in p.bases:
         prof = activities(p, a)
-        power = xy1_power(prof.ie)
-        oi, oe = prof.oi, prof.oe
-        for (i, j), c in power._terms.items():  # noqa: SLF001 - hot path
-            e = (i + oi, j + oe)
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
+        add_scaled_into(acc, xy1_power(prof.ie), 1, prof.oi, prof.oe)
     return from_dict(acc)
 
 

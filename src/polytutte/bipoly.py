@@ -133,12 +133,7 @@ class BiPoly:
         if not other._terms:
             return self
         acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
+        add_scaled_into(acc, other, 1, 0, 0)
         return _wrap(acc)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
@@ -155,14 +150,8 @@ class BiPoly:
         if not self._terms or not other._terms:
             return _ZERO
         acc: dict[Exponents, int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
+        for (i, j), c in self._terms.items():
+            add_scaled_into(acc, other, c, i, j)
         return _wrap(acc)
 
     def __pow__(self, k: int) -> "BiPoly":

@@ -20,18 +20,16 @@ bipartite {"E", "V", "edges"} form) and can be forced with --as.  Rank
 tables and hypergraphs are converted to their polymatroids where needed.
 
 Exit codes: 0 ok; 1 a checked property/verdict failed; 2 malformed input;
-3 validation error; 4 enumeration size limit; 5 internal error.  Every
-error path prints "error: category=<Name>: <message>" on standard error.
+3 validation error; 4 enumeration size limit; 5 internal error, including
+any unexpected exception.  Every error path prints
+"error: category=<Name>: <message>" on standard error.
 
-Output is deterministic for a fixed (input, options) pair; --jobs is
-accepted for interface stability and does not influence results (all
-computations are pure and order-independent).
+Output is deterministic for a fixed (input, options) pair.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -56,6 +54,7 @@ from .errors import (
 )
 from .formulas import (
     binomial,
+    ceiling_prefix,
     coefficient_report,
     coefficientwise_le,
     search_by_tutte,
@@ -83,7 +82,6 @@ class RunConfig:
     max_bases: int = DEFAULT_MAX_BASES
     memo_capacity: int = 1 << 20
     rng_seed: int = acceptance.DEFAULT_SEED
-    jobs: int = 1
     fmt: str = "text"
 
 
@@ -100,7 +98,7 @@ def _read_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -234,47 +232,18 @@ def cmd_coeffs(args, config: RunConfig) -> int:
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
-PROPERTIES = ("translation", "permutation", "duality", "divisibility", "count", "reversal")
-
-
 def cmd_check(args, config: RunConfig) -> int:
     loaded = load_input(args.input, args.as_kind, config)
     p = loaded.polymatroid
-    wanted = args.properties.split(",") if args.properties else list(PROPERTIES)
-    unknown = set(wanted) - set(PROPERTIES)
+    known = acceptance.INVARIANCES
+    wanted = args.properties.split(",") if args.properties else list(known)
+    unknown = set(wanted) - set(known)
     if unknown:
-        raise InputError(f"unknown properties: {sorted(unknown)}; choose from {PROPERTIES}")
-    rng = Random(config.rng_seed)
-    t = tutte_dc(p)
-    outcomes: dict[str, bool] = {}
-    witness: dict[str, str] = {}
-    for prop in wanted:
-        ok = True
-        if prop == "translation":
-            for _ in range(5):
-                c = tuple(rng.randint(-3, 3) for _ in range(p.n))
-                if tutte_direct(p.translate(c)) != t:
-                    ok, witness[prop] = False, f"c={c}"
-                    break
-        elif prop == "permutation":
-            perms = list(itertools.permutations(range(1, p.n + 1)))
-            for _ in range(5):
-                w = perms[rng.randrange(len(perms))]
-                if tutte_direct(p.permute(w)) != t:
-                    ok, witness[prop] = False, f"w={w}"
-                    break
-        elif prop == "duality":
-            ok = tutte_direct(p.dual()) == t.swap_vars()
-        elif prop == "divisibility":
-            ok = t.divisible_by_x_plus_y_minus_1()
-        elif prop == "count":
-            ok = t.evaluate(1, 1) == len(p)
-        elif prop == "reversal":
-            ok = (
-                interior_dc(p) == t.substitute_one("y").reversed_in("x", p.n)
-                and exterior_dc(p) == t.substitute_one("x").reversed_in("y", p.n)
-            )
-        outcomes[prop] = ok
+        raise InputError(f"unknown properties: {sorted(unknown)}; choose from {known}")
+    polys = (tutte_dc(p), interior_dc(p), exterior_dc(p))
+    violated = acceptance.invariance_violations(p, polys, Random(config.rng_seed), wanted)
+    outcomes = {prop: prop not in violated for prop in wanted}
+    witness = {prop: w for prop, w in violated.items() if w}
     payload = {"properties": outcomes, "witness": witness}
     lines = [
         f"{prop}: {'OK' if ok else 'VIOLATED ' + witness.get(prop, '')}"
@@ -356,12 +325,7 @@ def cmd_connectivity(args, config: RunConfig) -> int:
             rows.append({"i": i, "ceiling": ceiling, "actual": actual})
             lines.append(f"y^{i}: {actual} = {ceiling}")
         payload["rows"] = rows
-        prefix = -1
-        for k in range(h.num_edges + 1):
-            if x.coeff(0, k) == binomial(h.num_vertices + k - 2, k):
-                prefix = k
-            else:
-                break
+        prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
         agreement = (k_max == prefix) if k_max >= 0 else True
         payload["profile_matches_coefficients"] = agreement
         if not agreement:
@@ -418,7 +382,7 @@ def cmd_matroid_form(args, config: RunConfig) -> int:
 
 
 def cmd_suite(args, config: RunConfig) -> int:
-    results = acceptance.run_all(seed=config.rng_seed, jobs=config.jobs)
+    results = acceptance.run_all(seed=config.rng_seed)
     payload = {"criteria": [r.to_json() for r in results]}
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
@@ -438,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized checks (default pinned for reproducibility)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget; results never depend on it")
     parser.add_argument("--max-bases", type=int, default=DEFAULT_MAX_BASES,
                         help="cap on enumerated basis vectors")
     parser.add_argument("--max-n", type=int, default=16, help="cap on ground set size")
@@ -462,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="invariance properties")
     add_input(sp)
-    sp.add_argument("--properties", help=f"comma list from {','.join(PROPERTIES)}")
+    sp.add_argument("--properties", help=f"comma list from {','.join(acceptance.INVARIANCES)}")
 
     sp = sub.add_parser("monotone", help="coefficientwise interior/exterior comparison")
     sp.add_argument("input", help="the larger polymatroid")
@@ -511,11 +473,10 @@ def main(argv: list[str] | None = None) -> int:
         max_bases=args.max_bases,
         memo_capacity=args.memo_capacity,
         rng_seed=args.seed,
-        jobs=args.jobs,
         fmt=args.format,
     )
     try:
-        for field_name in ("max_n", "max_bases", "memo_capacity", "jobs"):
+        for field_name in ("max_n", "max_bases", "memo_capacity"):
             if getattr(config, field_name) < 1:
                 raise InputError(f"--{field_name.replace('_', '-')} must be positive")
         if config.memo_capacity != 1 << 20:
@@ -532,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except PolytutteError as exc:
         print(f"error: category={exc.category}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # noqa: BLE001 - exit 1 must mean only "property violated"
+        print(f"error: category={type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

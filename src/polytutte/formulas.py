@@ -265,18 +265,22 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
+def ceiling_prefix(x: BiPoly, m: int, n: int) -> int:
+    """Largest k in 0..n with [y^i] x = C(m + i - 1, i) for every i <= k;
+    -1 when even the constant term misses."""
+    best = -1
+    for k in range(n + 1):
+        if x.coeff(0, k) != binomial(m + k - 1, k):
+            break
+        best = k
+    return best
+
+
 def exterior_ceiling_profile(p: Polymatroid, exterior: BiPoly | None = None) -> int:
     """Largest k in 0..n with the first k+1 exterior coefficients at the
     ceiling C(f([n]) + i - 1, i); the constant term always qualifies."""
     x = exterior if exterior is not None else exterior_direct(p)
-    full = p.rank_table().full_rank()
-    best = 0
-    for k in range(1, p.n + 1):
-        if x.coeff(0, k) == binomial(full + k - 1, k):
-            best = k
-        else:
-            break
-    return best
+    return ceiling_prefix(x, p.rank_table().full_rank(), p.n)
 
 
 # -- coefficientwise comparison ----------------------------------------------------------

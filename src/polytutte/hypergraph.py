@@ -111,41 +111,33 @@ class Hypergraph:
         raise ValidationError("hypergraph JSON needs 'hyperedges' or 'edges'")
 
 
-def _components_within(h: Hypergraph, edge_mask: int, include_all_vertices: bool) -> int:
-    """Components of the incidence graph restricted to the chosen hyperedges.
+def forest_size(num_nodes: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Edges in a spanning forest of the multigraph on nodes 0..num_nodes-1.
 
-    With include_all_vertices, every vertex of V participates (isolated ones
-    count); otherwise only vertices touched by the chosen hyperedges exist.
+    The graph has num_nodes minus this many components; for a cycle matroid
+    it is the rank of the edge set.  Union-find with path halving.
     """
+    parent = list(range(num_nodes))
+    merged = 0
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            merged += 1
+    return merged
+
+
+def _incidence_forest(h: Hypergraph, edge_mask: int) -> int:
+    """Spanning-forest size of the incidence graph restricted to the chosen
+    hyperedges (hyperedge k is node k, vertex v is node |E| + v)."""
     n = h.num_edges
-    nv = h.num_vertices
-    parent = list(range(n + nv))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
-    active_edges = [k for k in range(n) if edge_mask & (1 << k)]
-    touched = set()
-    comps = len(active_edges)
-    for k in active_edges:
-        for v in h.hyperedges[k]:
-            touched.add(v)
-    comps += nv if include_all_vertices else len(touched)
-    for k in active_edges:
-        for v in h.hyperedges[k]:
-            if union(k, n + v):
-                comps -= 1
-    return comps
+    pairs = [(k, n + v) for k in range(n) if edge_mask >> k & 1 for v in h.hyperedges[k]]
+    return forest_size(n + h.num_vertices, pairs)
 
 
 def hypergraph_rank(h: Hypergraph, edges: Iterable[int]) -> int:
@@ -159,13 +151,8 @@ def hypergraph_rank(h: Hypergraph, edges: Iterable[int]) -> int:
 
 
 def _rank_of_mask(h: Hypergraph, mask: int) -> int:
-    if mask == 0:
-        return 0
-    covered = set()
-    for k in range(h.num_edges):
-        if mask & (1 << k):
-            covered |= h.hyperedges[k]
-    return len(covered) - _components_within(h, mask, include_all_vertices=False)
+    # covered - components = covered - (chosen + covered - forest edges)
+    return _incidence_forest(h, mask) - bin(mask).count("1")
 
 
 def rank_table(h: Hypergraph) -> RankTable:
@@ -203,7 +190,7 @@ def is_connected(h: Hypergraph, removed_edges: Iterable[int] = ()) -> bool:
     total_nodes = bin(mask).count("1") + h.num_vertices
     if total_nodes == 0:
         return False
-    return _components_within(h, mask, include_all_vertices=True) == 1
+    return total_nodes - _incidence_forest(h, mask) == 1
 
 
 def connectivity_profile(h: Hypergraph) -> int:

@@ -1,29 +1,31 @@
 """Deletion-contraction evaluation and the classical-matroid bridge.
 
-The Tutte polynomial of a polymatroid satisfies a recursion over the slices
-of any pivot coordinate t, whose attained levels form the interval
-alpha_t..beta_t:
+The Tutte polynomial T and the interior and exterior polynomials I and X
+of a polymatroid satisfy one recursion over the slices of any pivot
+coordinate t, whose attained levels form the interval alpha_t..beta_t:
 
-  * single level (beta = alpha):   T(P) = (x + y - 1) * T(slice)
-  * several levels:                T(P) = x * T(slice at alpha)
-                                        + y * T(slice at beta)
-                                        + sum of T(slice at j) for interior j
+    F(P) = sum over levels j of w_F(j) * F(slice of P at j),   F = T, I, X
 
-with T = x + y - 1 on one element.  The slices at the interval ends are the
-deletion and contraction of t.  The same skeleton evaluates the interior and
-exterior polynomials:
+The slices at the interval ends are the deletion and contraction of t.  The
+three polynomials differ only in their weight table:
 
-    I(P) = I(slice at alpha) + x * sum over other levels
-    X(P) = X(slice at beta)  + y * sum over other levels
+    polynomial   level alpha   level beta   levels between   single level
+    T            x             y            1                x + y - 1
+    I            1             x            x                1
+    X            y             1            y                1
 
-with base case 1.  The recursion result is independent of the pivot choice;
-the implementation picks the coordinate with the widest level interval,
-purely as a performance heuristic.
+A single level (alpha = beta) takes the single-level weight alone.  The base
+case, one basis or one element, is the single-level weight to the power n.
+One engine, ``_slice_rec``, runs the recursion for any of the three tables.
+The result is independent of the pivot choice; the engine picks the
+coordinate with the widest level interval, purely as a performance
+heuristic.
 
 Results are memoized under a translation-normalized key (each coordinate
 shifted so its minimum is 0), since translating a polymatroid does not
-change these polynomials.  The caches are bounded LRU maps, safe to share
-between threads; exactness is unaffected by eviction.
+change these polynomials; each polynomial has its own cache.  The caches
+are bounded LRU maps, safe to share between threads; exactness is
+unaffected by eviction.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -41,12 +43,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .activity import xy1_power
-from .bipoly import BiPoly, X, Y, from_dict
+from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict
 from .core import Polymatroid, RankTable, Vector, validate_rank_table
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
+from .hypergraph import forest_size
 
 DEFAULT_MEMO_CAPACITY = 1 << 20
 
@@ -135,11 +138,38 @@ def _split_levels(bases: Sequence[Vector], t: int) -> dict[int, list[Vector]]:
     return out
 
 
-def _tutte_rec(bases: tuple[Vector, ...], n: int, cache: LRUCache, pivot: int | None) -> BiPoly:
-    if n == 1:
-        return xy1_power(1)
-    if len(bases) == 1:
-        return xy1_power(n)
+class _Weights(NamedTuple):
+    """Level weights of one polynomial in the slice recursion."""
+
+    lo: BiPoly                       # the lowest attained level (deletion end)
+    hi: BiPoly                       # the highest attained level (contraction end)
+    mid: BiPoly                      # every level strictly between them
+    power: Callable[[int], BiPoly]   # k-th power of the single-level weight
+
+
+def _unit_power(k: int) -> BiPoly:
+    return BiPoly.one()
+
+
+_TUTTE = _Weights(lo=X, hi=Y, mid=BiPoly.one(), power=xy1_power)
+_INTERIOR = _Weights(lo=BiPoly.one(), hi=X, mid=X, power=_unit_power)
+_EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, power=_unit_power)
+
+
+def _slice_rec(
+    bases: tuple[Vector, ...],
+    n: int,
+    weights: _Weights,
+    cache: LRUCache,
+    pivot: int | None,
+) -> BiPoly:
+    """The slice recursion for the polynomial whose level weights are given.
+
+    ``pivot`` (1-based) forces this node's pivot coordinate and bypasses the
+    memo lookup; recursive calls below use the widest-interval heuristic.
+    """
+    if n == 1 or len(bases) == 1:
+        return weights.power(n)
     key = memo_key(bases)
     if pivot is None:
         hit = cache.get(key)
@@ -151,26 +181,20 @@ def _tutte_rec(bases: tuple[Vector, ...], n: int, cache: LRUCache, pivot: int | 
         col = [v[t] for v in bases]
         lo, hi = min(col), max(col)
     levels = _split_levels(bases, t)
-    if lo == hi:
-        result = xy1_power(1) * _tutte_rec(tuple(levels[lo]), n - 1, cache, None)
-    else:
-        acc: dict[tuple[int, int], int] = {}
-        for j in range(lo, hi + 1):
-            part = _tutte_rec(tuple(levels[j]), n - 1, cache, None)
-            if j == lo:
-                shift = (1, 0)  # times x
-            elif j == hi:
-                shift = (0, 1)  # times y
-            else:
-                shift = (0, 0)
-            for (i, jj), c in part._terms.items():  # noqa: SLF001 - hot path
-                e = (i + shift[0], jj + shift[1])
-                s = acc.get(e, 0) + c
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        result = from_dict(acc)
+    acc: dict[tuple[int, int], int] = {}
+    for j in range(lo, hi + 1):
+        if lo == hi:
+            weight = weights.power(1)
+        elif j == lo:
+            weight = weights.lo
+        elif j == hi:
+            weight = weights.hi
+        else:
+            weight = weights.mid
+        part = _slice_rec(tuple(levels[j]), n - 1, weights, cache, None)
+        for (di, dj), c in weight._terms.items():  # noqa: SLF001 - hot path
+            add_scaled_into(acc, part, c, di, dj)
+    result = from_dict(acc)
     cache.put(key, result)
     return result
 
@@ -184,55 +208,17 @@ def tutte_dc(p: Polymatroid, *, pivot: int | None = None, cache: LRUCache | None
     """
     if pivot is not None and not 1 <= pivot <= p.n:
         raise ValidationError(f"pivot {pivot} outside 1..{p.n}")
-    return _tutte_rec(p.bases, p.n, cache or _tutte_cache, pivot)
-
-
-def _one_var_rec(
-    bases: tuple[Vector, ...],
-    n: int,
-    cache: LRUCache,
-    keep_end: str,
-    axis_shift: tuple[int, int],
-) -> BiPoly:
-    """Shared engine for the interior/exterior recursions.
-
-    keep_end selects which interval end enters without the variable factor:
-    'lo' (deletion end) for the interior polynomial, 'hi' (contraction end)
-    for the exterior polynomial; every other level is shifted by axis_shift.
-    """
-    if n == 1 or len(bases) == 1:
-        return BiPoly.one()
-    key = memo_key(bases)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    t, lo, hi = _widest_pivot(bases, n)
-    levels = _split_levels(bases, t)
-    plain = lo if keep_end == "lo" else hi
-    acc: dict[tuple[int, int], int] = {}
-    for j in range(lo, hi + 1):
-        part = _one_var_rec(tuple(levels[j]), n - 1, cache, keep_end, axis_shift)
-        shift = (0, 0) if j == plain else axis_shift
-        for (i, jj), c in part._terms.items():  # noqa: SLF001
-            e = (i + shift[0], jj + shift[1])
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    result = from_dict(acc)
-    cache.put(key, result)
-    return result
+    return _slice_rec(p.bases, p.n, _TUTTE, _tutte_cache if cache is None else cache, pivot)
 
 
 def interior_dc(p: Polymatroid, *, cache: LRUCache | None = None) -> BiPoly:
     """Interior polynomial by the slice recursion (deletion end unweighted)."""
-    return _one_var_rec(p.bases, p.n, cache or _interior_cache, "lo", (1, 0))
+    return _slice_rec(p.bases, p.n, _INTERIOR, _interior_cache if cache is None else cache, None)
 
 
 def exterior_dc(p: Polymatroid, *, cache: LRUCache | None = None) -> BiPoly:
     """Exterior polynomial by the slice recursion (contraction end unweighted)."""
-    return _one_var_rec(p.bases, p.n, cache or _exterior_cache, "hi", (0, 1))
+    return _slice_rec(p.bases, p.n, _EXTERIOR, _exterior_cache if cache is None else cache, None)
 
 
 # -- classical matroid bridge ---------------------------------------------------
@@ -260,14 +246,7 @@ def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
         raise DegreeExceedsN(f"polynomial does not fit degree bound {n}")
     acc: dict[tuple[int, int], int] = {}
     for (i, j), c in t.items():
-        power = _xyxy_power(n - i - j)
-        for (pi, pj), pc in power._terms.items():  # noqa: SLF001
-            e = (i + pi, j + pj)
-            s = acc.get(e, 0) + c * pc
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
+        add_scaled_into(acc, _xyxy_power(n - i - j), c, i, j)
     return from_dict(acc).shift(d - n, -d)
 
 
@@ -324,13 +303,7 @@ def classical_tutte(table: RankTable) -> BiPoly:
     acc: dict[tuple[int, int], int] = {}
     for mask in range(1 << n):
         r = f[mask]
-        term = xp[full_rank - r] * yp[bin(mask).count("1") - r]
-        for e, c in term._terms.items():  # noqa: SLF001
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
+        add_scaled_into(acc, xp[full_rank - r] * yp[bin(mask).count("1") - r], 1, 0, 0)
     return from_dict(acc)
 
 
@@ -353,24 +326,10 @@ def graphic_matroid(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Rank
     for u, v in edges:
         if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
             raise ValidationError(f"edge ({u}, {v}) outside vertex range")
-    values = []
-    for mask in range(1 << m):
-        parent = list(range(num_vertices + 1))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        comps = num_vertices
-        for i in range(m):
-            if mask & (1 << i):
-                ra, rb = find(edges[i][0]), find(edges[i][1])
-                if ra != rb:
-                    parent[ra] = rb
-                    comps -= 1
-        values.append(num_vertices - comps)
+    values = [
+        forest_size(num_vertices + 1, [edges[i] for i in range(m) if mask >> i & 1])
+        for mask in range(1 << m)
+    ]
     return RankTable(m, values, validate=False)
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from polytutte.cli import (
+    COMMANDS,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -106,6 +109,32 @@ def test_bad_shape_exit_code(files, capsys):
     assert "category=ParseError" in err
 
 
+def test_non_utf8_file_exit_code(files, capsys):
+    path = files["dir"] / "latin1.json"
+    path.write_bytes(b'{"n": 1, "bases": [[1]], "name": "\xe9"}')
+    code, _, err = run(capsys, "tutte", str(path))
+    assert code == EXIT_INPUT
+    assert "category=ParseError" in err
+
+
+def test_deeply_nested_json_exit_code(files, capsys):
+    path = files["dir"] / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "tutte", str(path))
+    assert code == EXIT_INPUT
+    assert "category=ParseError" in err
+
+
+def test_unexpected_exception_exit_code(files, capsys, monkeypatch):
+    def broken(args, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(COMMANDS, "tutte", broken)
+    code, _, err = run(capsys, "tutte", files["pair"])
+    assert code == EXIT_INTERNAL
+    assert err == "error: category=RuntimeError: boom\n"
+
+
 def test_missing_file_exit_code(files, capsys):
     code, _, err = run(capsys, "tutte", str(files["dir"] / "absent.json"))
     assert code == EXIT_INPUT
@@ -151,6 +180,20 @@ def test_check_properties(files, capsys):
     assert code == EXIT_OK
     for prop in ("translation", "permutation", "duality", "divisibility", "count", "reversal"):
         assert f"{prop}: OK" in out
+
+
+def test_check_permutation_stays_small(files, capsys):
+    # drawing permutations must not materialize all n! of them
+    path = files["dir"] / "one_basis9.json"
+    path.write_text(json.dumps({"n": 9, "bases": [[1] + [0] * 8]}))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "check", str(path), "--properties", "permutation")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and out == "permutation: OK\n"
+    assert peak < 5 * 2**20
 
 
 def test_check_unknown_property(files, capsys):
@@ -209,13 +252,11 @@ def test_matroid_form_custom_rank(files, capsys):
 # -- determinism -------------------------------------------------------------------------------
 
 
-def test_output_identical_across_jobs(files, capsys):
-    _, out1, _ = run(capsys, "--jobs", "1", "tutte", files["scaled"], "--method", "both")
-    _, out2, _ = run(capsys, "--jobs", "8", "tutte", files["scaled"], "--method", "both")
-    assert out1 == out2
-    _, out3, _ = run(capsys, "--jobs", "3", "coeffs", files["u13_rank"])
-    _, out4, _ = run(capsys, "--jobs", "1", "coeffs", files["u13_rank"])
-    assert out3 == out4
+def test_output_identical_across_runs(files, capsys):
+    for argv in (["tutte", files["scaled"], "--method", "both"], ["coeffs", files["u13_rank"]]):
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
 
 
 def test_check_deterministic_for_seed(files, capsys):

@@ -12,10 +12,12 @@ from polytutte.core import (
     enumerate_bases,
     enumerate_small_polymatroids,
 )
+from polytutte import recursion
 from polytutte.errors import DegreeExceedsN, NotAMatroid
 from polytutte.recursion import (
     LRUCache,
     classical_tutte,
+    clear_caches,
     exterior_dc,
     graphic_matroid,
     interior_dc,
@@ -133,6 +135,20 @@ def test_translated_polymatroids_share_cache():
     t2 = tutte_dc(p.translate((7, -2, 0)), cache=cache)
     assert t1 == t2
     assert len(cache) == size_after_first
+
+
+def test_empty_supplied_cache_is_used():
+    # an empty LRUCache is falsy; it must still replace the shared cache
+    clear_caches()
+    for dc, shared in (
+        (tutte_dc, recursion._tutte_cache),
+        (interior_dc, recursion._interior_cache),
+        (exterior_dc, recursion._exterior_cache),
+    ):
+        cache = LRUCache()
+        dc(U13, cache=cache)
+        assert len(cache) > 0
+        assert len(shared) == 0
 
 
 def test_lru_eviction():
