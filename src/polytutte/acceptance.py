@@ -404,8 +404,8 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         h = corpus.hypergraphs[idx % len(corpus.hypergraphs)]
         idx += 1
         sub_h = random_incidence_subgraph(rng, h)
-        p, _ = hypertree_polymatroid(h)
-        q, _ = hypertree_polymatroid(sub_h)
+        p = hypertree_polymatroid(h)
+        q = hypertree_polymatroid(sub_h)
         for poly_of in (corpus.interior, corpus.exterior):
             rep = coefficientwise_le(poly_of(q), poly_of(p))
             if not rep.holds:
@@ -478,7 +478,7 @@ def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
 def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # profile == ceiling prefix on connected hypergraphs
     for h in corpus.hypergraphs:
-        p, table = hypertree_polymatroid(h)
+        p = hypertree_polymatroid(h)
         x = corpus.exterior(p)
         profile = connectivity_profile(h)
         prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
@@ -513,7 +513,7 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
             uniform_cases += 1
     # the ceiling bound is never exceeded, connected or not
     for h in corpus.hypergraphs + corpus.hypergraphs_any:
-        p, _ = hypertree_polymatroid(h)
+        p = hypertree_polymatroid(h)
         x = corpus.exterior(p)
         for (_, j), c in x.items():
             if c > binomial(h.num_vertices + j - 2, j):
@@ -549,8 +549,9 @@ def _disjoint_proper_pairs(n: int):
                         yield a, b
 
 
-def _check_structure_one(p: Polymatroid, table: RankTable, minor_pairs) -> None:
+def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
     n = p.n
+    table = p.rank_table()
     # slice ranks against brute force over the projected bases
     for t in range(1, n + 1):
         if n == 1:
@@ -575,12 +576,12 @@ def _check_structure_one(p: Polymatroid, table: RankTable, minor_pairs) -> None:
     # tight-set lattice, activity characterization, exchange step
     size = 1 << n
     for a in p.bases:
-        family = set(tight_sets(p, table, a).masks)
+        family = set(tight_sets(p, a).masks)
         for i in family:
             for j in family:
                 if (i | j) not in family or (i & j) not in family:
                     raise AssertionError(f"tight family not a lattice for {a} on {p}")
-        if activities(p, a) != activities_from_tight_sets(p, table, a):
+        if activities(p, a) != activities_from_tight_sets(p, a):
             raise AssertionError(f"activity characterization fails for {a} on {p}")
         sums = [0] * size
         for mask in range(1, size):
@@ -613,7 +614,7 @@ def _relabel(targets, removed, n):
 
 def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
     for p in corpus.exhaustive:
-        _check_structure_one(p, p.rank_table(), _disjoint_proper_pairs(p.n))
+        _check_structure_one(p, _disjoint_proper_pairs(p.n))
     sampled = 0
     for p in corpus.randoms[::4]:
         pairs = (
@@ -621,7 +622,7 @@ def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
             if p.n <= 3
             else [random_minor_args(rng, p.n) for _ in range(5)]
         )
-        _check_structure_one(p, p.rank_table(), pairs)
+        _check_structure_one(p, pairs)
         sampled += 1
     return (
         f"exhaustive on {len(corpus.exhaustive)} small polymatroids, "
@@ -636,7 +637,7 @@ def check_four_cycles(corpus: Corpus, rng: Random) -> str:
     k22 = Hypergraph(["v1", "v2"], [["v1", "v2"], ["v1", "v2"]])
     cases = [k22] + corpus.hypergraphs
     for h in cases:
-        p, _ = hypertree_polymatroid(h)
+        p = hypertree_polymatroid(h)
         interior = corpus.interior(p)
         predicted = (
             binomial(h.incidence_count() - h.num_vertices - h.num_edges + 2, 2)

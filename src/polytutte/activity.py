@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiPoly, X_PLUS_Y_MINUS_1, add_scaled_into, from_dict
-from .core import Polymatroid, RankTable, Vector
+from .core import Polymatroid, Vector
 from .errors import NotABasis
 
 _XY1_POWERS: list[BiPoly] = [BiPoly.one()]
@@ -89,19 +89,19 @@ class TightFamily:
         return mask in set(self.masks)
 
 
-def tight_sets(p: Polymatroid, table: RankTable, a: Vector) -> TightFamily:
+def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
     """Every subset I with sum_{i in I} a_i = f(I), tested over all masks."""
     a = tuple(a)
     if a not in p:
         raise NotABasis(f"{a} is not a basis")
-    n = p.n
-    size = 1 << n
+    f = p.rank_table().f
+    size = 1 << p.n
     sums = [0] * size
     out = [0]
     for mask in range(1, size):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + a[low.bit_length() - 1]
-        if sums[mask] == table.f[mask]:
+        if sums[mask] == f[mask]:
             out.append(mask)
     return TightFamily(a, tuple(out))
 
@@ -139,13 +139,13 @@ def activities(p: Polymatroid, a: Vector) -> ActivityProfile:
     return ActivityProfile(a, frozenset(int_set), frozenset(ext_set))
 
 
-def activities_from_tight_sets(p: Polymatroid, table: RankTable, a: Vector) -> ActivityProfile:
+def activities_from_tight_sets(p: Polymatroid, a: Vector) -> ActivityProfile:
     """Activity via the tight-set characterization (independent oracle).
 
     i is externally active iff i = min(I) for some nonempty tight I, and
     internally active iff i = min([n] - J) for some tight J != [n].
     """
-    family = tight_sets(p, table, a)
+    family = tight_sets(p, a)
     n = p.n
     full = (1 << n) - 1
     int_set = set()

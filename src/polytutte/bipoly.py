@@ -107,19 +107,6 @@ class BiPoly:
             return 0
         return max(i + j for i, j in self._terms)
 
-    def max_exponent(self, axis: str) -> int:
-        """Largest exponent of the given axis ('x' or 'y'); 0 when zero."""
-        k = _axis_index(axis)
-        if not self._terms:
-            return 0
-        return max(e[k] for e in self._terms)
-
-    def min_exponent(self, axis: str) -> int:
-        k = _axis_index(axis)
-        if not self._terms:
-            return 0
-        return min(e[k] for e in self._terms)
-
     def has_negative_exponents(self) -> bool:
         return any(i < 0 or j < 0 for i, j in self._terms)
 
@@ -165,11 +152,6 @@ class BiPoly:
             base = base * base
             k >>= 1
         return out
-
-    def scale(self, c: int) -> "BiPoly":
-        if c == 0:
-            return _ZERO
-        return _wrap({e: c * v for e, v in self._terms.items()})
 
     def shift(self, di: int, dj: int) -> "BiPoly":
         """Multiply by the monomial x^di y^dj."""

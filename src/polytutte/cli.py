@@ -40,6 +40,7 @@ from .activity import exterior_direct, interior_direct, tutte_direct
 from .bipoly import BiPoly
 from .core import (
     DEFAULT_MAX_BASES,
+    MAX_GROUND_SET,
     Polymatroid,
     RankTable,
     enumerate_bases,
@@ -61,6 +62,7 @@ from .formulas import (
 )
 from .hypergraph import Hypergraph, connectivity_profile, hypertree_polymatroid
 from .recursion import (
+    DEFAULT_MEMO_CAPACITY,
     configure_caches,
     exterior_dc,
     interior_dc,
@@ -78,9 +80,9 @@ EXIT_INTERNAL = 5
 
 @dataclass
 class RunConfig:
-    max_n: int = 16
+    max_n: int = MAX_GROUND_SET
     max_bases: int = DEFAULT_MAX_BASES
-    memo_capacity: int = 1 << 20
+    memo_capacity: int = DEFAULT_MEMO_CAPACITY
     rng_seed: int = acceptance.DEFAULT_SEED
     fmt: str = "text"
 
@@ -119,24 +121,35 @@ def load_input(path: str, as_kind: str | None, config: RunConfig) -> LoadedInput
     data = _read_json(path)
     kind = as_kind or _detect_kind(data)
     if kind == "bases":
-        p = Polymatroid.from_json(data)
-        _check_size(p.n, config)
-        return LoadedInput("bases", p)
+        _check_declared_size(data, config)
+        return LoadedInput("bases", Polymatroid.from_json(data))
     if kind == "rank":
-        table = RankTable.from_json(data)
-        _check_size(table.n, config)
-        return LoadedInput("rank", enumerate_bases(table, config.max_bases))
+        _check_declared_size(data, config)
+        return LoadedInput("rank", enumerate_bases(RankTable.from_json(data), config.max_bases))
     if kind == "hypergraph":
         h = Hypergraph.from_json(data)
         _check_size(max(h.num_edges, 1), config)
-        p, _ = hypertree_polymatroid(h, config.max_bases)
-        return LoadedInput("hypergraph", p, h)
+        return LoadedInput("hypergraph", hypertree_polymatroid(h, config.max_bases), h)
     raise InputError(f"unknown input kind {kind!r}")
 
 
 def _check_size(n: int, config: RunConfig) -> None:
     if n > config.max_n:
         raise ValidationError(f"ground set size {n} exceeds --max-n {config.max_n}")
+
+
+def _check_declared_size(data: dict, config: RunConfig) -> None:
+    """Apply --max-n to the declared n before the parser checks any axiom.
+
+    A missing or malformed n, or one above MAX_GROUND_SET, is left to the
+    parser, which rejects it before any axiom check with its own category.
+    """
+    try:
+        n = int(data["n"])
+    except (KeyError, TypeError, ValueError):
+        return
+    if n <= MAX_GROUND_SET:
+        _check_size(n, config)
 
 
 def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
@@ -316,8 +329,7 @@ def cmd_connectivity(args, config: RunConfig) -> int:
     lines = [f"k_max = {k_max}" + (" (incidence graph disconnected)" if k_max < 0 else "")]
     code = EXIT_OK
     if h.num_edges >= 1:
-        p, _ = hypertree_polymatroid(h, config.max_bases)
-        x = exterior_dc(p)
+        x = exterior_dc(hypertree_polymatroid(h, config.max_bases))
         rows = []
         for i in range(max(k_max, 0) + 1):
             ceiling = binomial(h.num_vertices + i - 2, i)
@@ -404,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized checks (default pinned for reproducibility)")
     parser.add_argument("--max-bases", type=int, default=DEFAULT_MAX_BASES,
                         help="cap on enumerated basis vectors")
-    parser.add_argument("--max-n", type=int, default=16, help="cap on ground set size")
-    parser.add_argument("--memo-capacity", type=int, default=1 << 20,
+    parser.add_argument("--max-n", type=int, default=MAX_GROUND_SET,
+                        help="cap on ground set size")
+    parser.add_argument("--memo-capacity", type=int, default=DEFAULT_MEMO_CAPACITY,
                         help="bound on the recursion memo caches")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -479,8 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         for field_name in ("max_n", "max_bases", "memo_capacity"):
             if getattr(config, field_name) < 1:
                 raise InputError(f"--{field_name.replace('_', '-')} must be positive")
-        if config.memo_capacity != 1 << 20:
-            configure_caches(config.memo_capacity)
+        configure_caches(config.memo_capacity)
         return COMMANDS[args.command](args, config)
     except InputError as exc:
         print(f"error: category={exc.category}: {exc}", file=sys.stderr)

@@ -14,7 +14,16 @@ The two representations convert both ways:
 
 Every submodular table with f(empty) = 0 is attained exactly (the greedy
 vector for an order putting I first realizes f(I)), so the round trip is the
-identity in both directions.
+identity in both directions.  A polymatroid built by enumerate_bases keeps
+the table it was enumerated from as its rank_table(); only a polymatroid
+given by its bases derives the table, once, with rank_from_bases.
+
+Every minor (P - A) / B is one projection of that table,
+
+    S -> f(S + B) - f(B)   over the surviving elements [n] - A - B,
+
+followed by one enumerate_bases, so a minor carries its table as well;
+deletion and contraction are the minors with B or A empty.
 
 Validating constructors check the defining axioms (equal coordinate sums and
 the basis exchange axiom, or zero-at-empty-set and submodularity).  Functions
@@ -61,17 +70,6 @@ def _mask_of(elements: Iterable[int], n: int) -> int:
             raise ValidationError(f"element {i} outside 1..{n}")
         mask |= 1 << (i - 1)
     return mask
-
-
-def _elements_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 class RankTable:
@@ -158,9 +156,6 @@ class SliceRange:
 
     def values(self) -> range:
         return range(self.alpha, self.beta + 1)
-
-    def spread(self) -> int:
-        return self.beta - self.alpha
 
     def __contains__(self, j: int) -> bool:
         return self.alpha <= j <= self.beta
@@ -263,7 +258,8 @@ class Polymatroid:
         return sum(self.bases[0])
 
     def rank_table(self) -> RankTable:
-        """Rank function recovered as subset-wise maxima (cached)."""
+        """The table this polymatroid was enumerated from; for one given by
+        its bases, the subset-wise maxima (computed once, then cached)."""
         cached = self._rank
         if cached is None:
             cached = rank_from_bases(self)
@@ -290,41 +286,35 @@ class Polymatroid:
 
     def delete(self, elements: Iterable[int]) -> "Polymatroid":
         """Restriction to [n] - A: rank of a surviving subset is unchanged."""
-        mask = _mask_of(elements, self.n)
-        if mask == 0:
-            return self
-        if mask == (1 << self.n) - 1:
-            raise FullGroundSet("cannot delete the whole ground set")
-        table = self.rank_table()
-        sub = _project_table(table.f, self.n, mask, contract=False)
-        return enumerate_bases(RankTable(self.n - bin(mask).count("1"), sub, validate=False))
+        return self.minor(elements, ())
 
     def contract(self, elements: Iterable[int]) -> "Polymatroid":
-        """Contraction by A: rank of T becomes f(T + A) - f(A)."""
-        mask = _mask_of(elements, self.n)
-        if mask == 0:
-            return self
-        if mask == (1 << self.n) - 1:
-            raise FullGroundSet("cannot contract the whole ground set")
-        table = self.rank_table()
-        sub = _project_table(table.f, self.n, mask, contract=True)
-        return enumerate_bases(RankTable(self.n - bin(mask).count("1"), sub, validate=False))
+        """Contraction by B: rank of S becomes f(S + B) - f(B)."""
+        return self.minor((), elements)
 
     def minor(self, delete: Iterable[int], contract: Iterable[int]) -> "Polymatroid":
-        """(P - A) / B for disjoint A, B; order of operations is immaterial."""
+        """(P - A) / B for disjoint A, B, from one projection of the rank table.
+
+        The surviving elements keep their relative order and are renumbered
+        1..n - |A| - |B| (see surviving_labels).
+        """
         a = _mask_of(delete, self.n)
         b = _mask_of(contract, self.n)
         if a & b:
             raise OverlappingSets("deletion and contraction sets must be disjoint")
-        if (a | b) == (1 << self.n) - 1:
+        removed = a | b
+        if removed == (1 << self.n) - 1:
             raise FullGroundSet("minor would remove the whole ground set")
-        out = self
-        if a:
-            out = out.delete(_elements_of(a))
-        if b:
-            # relabel the contraction set into the surviving ground set of P - A
-            out = out.contract(_relabel_after_removal(b, a))
-        return out
+        if not removed:
+            return self
+        f = self.rank_table().f
+        masks = [b]  # masks[m] = B + (the surviving elements picked by the bits of m)
+        for i in range(self.n):
+            bit = 1 << i
+            if not removed & bit:
+                masks += [m | bit for m in masks]
+        values = [f[m] - f[b] for m in masks]
+        return enumerate_bases(RankTable(self.n - bin(removed).count("1"), values, validate=False))
 
     def dual(self) -> "Polymatroid":
         """Elementwise negation."""
@@ -360,9 +350,10 @@ class Polymatroid:
             rows = [tuple(int(c) for c in row) for row in data["bases"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad polymatroid JSON: {exc}") from exc
-        p = Polymatroid(rows)
+        p = Polymatroid(rows, validate=False)
         if p.n != n:
             raise ValidationError(f"declared n = {n} but vectors have length {p.n}")
+        p._validate()
         return p
 
 
@@ -455,41 +446,6 @@ def _slice_table(f: Sequence[int], n: int, t: int, j: int) -> list[int]:
     return out
 
 
-def _project_table(f: Sequence[int], n: int, removed: int, *, contract: bool) -> list[int]:
-    """Deletion or contraction table over the surviving, renumbered elements."""
-    keep_bits = [i for i in range(n) if not removed & (1 << i)]
-    base = removed if contract else 0
-    offset = f[removed] if contract else 0
-    out = [0] * (1 << len(keep_bits))
-    for m in range(len(out)):
-        orig = base
-        mm = m
-        k = 0
-        while mm:
-            if mm & 1:
-                orig |= 1 << keep_bits[k]
-            mm >>= 1
-            k += 1
-        out[m] = f[orig] - offset
-    return out
-
-
-def _relabel_after_removal(target: int, removed: int) -> tuple[int, ...]:
-    """1-based labels of the target elements inside the ground set left after
-    removing ``removed`` (order-preserving renumbering; sets are disjoint)."""
-    labels = []
-    new_index = 0
-    bit = 1
-    while target:
-        if not removed & bit:
-            new_index += 1
-            if target & bit:
-                labels.append(new_index)
-        target &= ~bit
-        bit <<= 1
-    return tuple(labels)
-
-
 def surviving_labels(n: int, removed: Iterable[int]) -> tuple[int, ...]:
     """Original labels of the surviving elements, in their new order.
 
@@ -507,8 +463,9 @@ def enumerate_bases(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Pol
     with that coordinate equal to j are exactly the bases of the slice table
     with j appended.  The result is capped at ``max_bases`` vectors.
     """
-    rows = _enumerate(tuple(table.f), table.n, max_bases)
-    return Polymatroid(rows, validate=False)
+    p = Polymatroid(_enumerate(table.f, table.n, max_bases), validate=False)
+    object.__setattr__(p, "_rank", table)
+    return p
 
 
 def _enumerate(f: tuple[int, ...], n: int, limit: int) -> list[Vector]:
@@ -608,11 +565,10 @@ def enumerate_small_polymatroids(
 
     def assign(mask: int):
         if mask == size:
-            rows = _enumerate(tuple(f), n, max_bases)
-            key = tuple(sorted(rows))
-            if key not in seen:
-                seen.add(key)
-                yield Polymatroid(rows, validate=False)
+            p = enumerate_bases(RankTable(n, f, validate=False), max_bases)
+            if p.bases not in seen:
+                seen.add(p.bases)
+                yield p
             return
         bound = max_rank
         for a, b, meet in pairs[mask]:

@@ -40,6 +40,7 @@ from .core import (
     enumerate_small_polymatroids,
 )
 from .errors import NegativeCoordinates, ValidationError
+from .recursion import tutte_dc
 
 
 def binomial(m: int, k: int) -> int:
@@ -97,42 +98,35 @@ def near_top_univariate(table: RankTable) -> tuple[int, int]:
 
 def second_band_coefficient(table: RankTable) -> tuple[int, int]:
     """([x^(n-2)] T, [y^(n-2)] T) via generalized C(., 2) terms."""
-    n = table.n
-    if n < 2:
-        raise ValidationError("second-band coefficients need n >= 2")
-    f = table.f
-    full = table.full_rank()
-    full_mask = (1 << n) - 1
-    singles = sum(f[1 << i] for i in range(n))
-    cosingles = sum(f[full_mask ^ (1 << i)] for i in range(n))
-    x_part = binomial(singles - full + 1 - n, 2)
-    y_part = binomial(cosingles - (n - 1) * full + 1 - n, 2)
-    for i, j in itertools.combinations(range(n), 2):
-        bi, bj = 1 << i, 1 << j
-        x_part -= binomial(f[bi] + f[bj] - f[bi | bj], 2)
-        y_part -= binomial(
-            f[full_mask ^ bi] + f[full_mask ^ bj] - f[full_mask ^ bi ^ bj] - full, 2
-        )
-    return x_part, y_part
+    return _second_band(table, 0)
 
 
 def second_band_univariate(table: RankTable) -> tuple[int, int]:
     """([x^(n-2)] T(x,1), [y^(n-2)] T(1,y)), same shape with +1 shifts."""
+    return _second_band(table, 1)
+
+
+def _second_band(table: RankTable, shift: int) -> tuple[int, int]:
+    """The second-band formula; shift 0 is bivariate, shift 1 one-variable.
+
+    The shift is added to every pair term; the leading term, built on the
+    near-top one-variable coefficients, moves by n * shift.
+    """
     n = table.n
     if n < 2:
         raise ValidationError("second-band coefficients need n >= 2")
     f = table.f
     full = table.full_rank()
     full_mask = (1 << n) - 1
-    singles = sum(f[1 << i] for i in range(n))
-    cosingles = sum(f[full_mask ^ (1 << i)] for i in range(n))
-    x_part = binomial(singles - full + 1, 2)
-    y_part = binomial(cosingles - (n - 1) * full + 1, 2)
+    xn1, yn1 = near_top_univariate(table)
+    lead = 1 - n + n * shift
+    x_part = binomial(xn1 + lead, 2)
+    y_part = binomial(yn1 + lead, 2)
     for i, j in itertools.combinations(range(n), 2):
         bi, bj = 1 << i, 1 << j
-        x_part -= binomial(f[bi] + f[bj] - f[bi | bj] + 1, 2)
+        x_part -= binomial(f[bi] + f[bj] - f[bi | bj] + shift, 2)
         y_part -= binomial(
-            f[full_mask ^ bi] + f[full_mask ^ bj] - f[full_mask ^ bi ^ bj] - full + 1, 2
+            f[full_mask ^ bi] + f[full_mask ^ bj] - f[full_mask ^ bi ^ bj] - full + shift, 2
         )
     return x_part, y_part
 
@@ -335,8 +329,6 @@ def search_by_tutte(
     Scans every polymatroid of a submodular table with n <= max_n and values
     in 0..max_rank.  A missing target is simply absent from the result list.
     """
-    from .recursion import tutte_dc  # local import to avoid a cycle
-
     wanted: dict[int, list[int]] = {}
     for idx, t in enumerate(targets):
         wanted.setdefault(t.total_degree(), []).append(idx)

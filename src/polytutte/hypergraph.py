@@ -67,9 +67,6 @@ class Hypergraph:
         """Number of edges of the incidence graph (sum of hyperedge sizes)."""
         return sum(len(e) for e in self.hyperedges)
 
-    def edge_names(self) -> tuple[str, ...]:
-        return tuple(f"e{k + 1}" for k in range(self.num_edges))
-
     def __repr__(self) -> str:
         edges = [sorted(self.vertices[v] for v in e) for e in self.hyperedges]
         return f"Hypergraph(V={list(self.vertices)}, E={edges})"
@@ -166,12 +163,9 @@ def rank_table(h: Hypergraph) -> RankTable:
     return table
 
 
-def hypertree_polymatroid(
-    h: Hypergraph, max_bases: int = DEFAULT_MAX_BASES
-) -> tuple[Polymatroid, RankTable]:
-    """The polymatroid of hypertrees together with its rank table."""
-    table = rank_table(h)
-    return enumerate_bases(table, max_bases), table
+def hypertree_polymatroid(h: Hypergraph, max_bases: int = DEFAULT_MAX_BASES) -> Polymatroid:
+    """The polymatroid of hypertrees; its rank_table() is ``rank_table(h)``."""
+    return enumerate_bases(rank_table(h), max_bases)
 
 
 def is_connected(h: Hypergraph, removed_edges: Iterable[int] = ()) -> bool:
@@ -214,11 +208,6 @@ def count_four_cycles(h: Hypergraph) -> int:
         shared = len(a & b)
         total += shared * (shared - 1) // 2
     return total
-
-
-def vertex_degree(h: Hypergraph, v_index: int) -> int:
-    """Number of hyperedges containing the vertex (0-based index)."""
-    return sum(1 for e in h.hyperedges if v_index in e)
 
 
 def edge_degree(h: Hypergraph, k: int) -> int:

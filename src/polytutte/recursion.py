@@ -93,8 +93,11 @@ _exterior_cache = LRUCache()
 
 
 def configure_caches(capacity: int) -> None:
-    """Replace the shared memo caches with fresh ones of the given bound."""
+    """Replace the shared memo caches with fresh ones of the given bound;
+    a no-op, keeping the memoized entries, when the bound is unchanged."""
     global _tutte_cache, _interior_cache, _exterior_cache
+    if _tutte_cache.capacity == capacity:
+        return
     _tutte_cache = LRUCache(capacity)
     _interior_cache = LRUCache(capacity)
     _exterior_cache = LRUCache(capacity)
@@ -331,8 +334,3 @@ def graphic_matroid(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Rank
         for mask in range(1 << m)
     ]
     return RankTable(m, values, validate=False)
-
-
-def is_zero_one(p: Polymatroid) -> bool:
-    """True when every basis is a 0/1 vector (matroid indicator form)."""
-    return all(all(c in (0, 1) for c in v) for v in p.bases)

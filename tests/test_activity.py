@@ -29,29 +29,27 @@ def masks_to_sets(masks):
 
 
 def test_tight_sets_first_basis():
-    fam = tight_sets(U12, U12.rank_table(), (1, 0))
+    fam = tight_sets(U12, (1, 0))
     assert masks_to_sets(fam.masks) == {frozenset(), frozenset({1}), frozenset({1, 2})}
 
 
 def test_tight_sets_second_basis():
-    fam = tight_sets(U12, U12.rank_table(), (0, 1))
+    fam = tight_sets(U12, (0, 1))
     assert masks_to_sets(fam.masks) == {frozenset(), frozenset({2}), frozenset({1, 2})}
 
 
 def test_tight_sets_contain_extremes():
     for p in (U12, U13, SCALED2):
-        f = p.rank_table()
         full = (1 << p.n) - 1
         for a in p:
-            fam = tight_sets(p, f, a)
+            fam = tight_sets(p, a)
             assert 0 in fam.masks and full in fam.masks
 
 
 def test_tight_sets_lattice_closure():
     for p in (U12, U13, SCALED2):
-        f = p.rank_table()
         for a in p:
-            masks = set(tight_sets(p, f, a).masks)
+            masks = set(tight_sets(p, a).masks)
             for i in masks:
                 for j in masks:
                     assert (i | j) in masks and (i & j) in masks
@@ -59,7 +57,7 @@ def test_tight_sets_lattice_closure():
 
 def test_tight_sets_rejects_non_basis():
     with pytest.raises(NotABasis):
-        tight_sets(U12, U12.rank_table(), (2, -1))
+        tight_sets(U12, (2, -1))
 
 
 # -- activities ----------------------------------------------------------------
@@ -110,17 +108,15 @@ def test_activities_reject_non_basis():
 
 
 def test_tight_characterization_on_pair():
-    f = U12.rank_table()
-    prof = activities_from_tight_sets(U12, f, (1, 0))
+    prof = activities_from_tight_sets(U12, (1, 0))
     assert prof.int_set == {1, 2} and prof.ext_set == {1}
 
 
 def test_tight_characterization_exhaustive_small():
     for n in (1, 2, 3):
         for p in enumerate_small_polymatroids(n, 2):
-            f = p.rank_table()
             for a in p:
-                assert activities(p, a) == activities_from_tight_sets(p, f, a)
+                assert activities(p, a) == activities_from_tight_sets(p, a)
 
 
 # -- direct Tutte polynomial ---------------------------------------------------------

@@ -7,6 +7,8 @@ import tracemalloc
 
 import pytest
 
+from polytutte import core, recursion
+from polytutte.core import Polymatroid, RankTable
 from polytutte.cli import (
     COMMANDS,
     EXIT_INPUT,
@@ -151,6 +153,36 @@ def test_max_n_guard(files, capsys):
     assert code == EXIT_VALIDATION
 
 
+def _fail_validation(*args):
+    raise AssertionError("the axioms were checked before --max-n")
+
+
+def test_max_n_checked_before_rank_validation(files, capsys, monkeypatch):
+    monkeypatch.setattr(RankTable, "validate", _fail_validation)
+    path = files["dir"] / "u12.json"
+    path.write_text(json.dumps({"n": 12, "f": [min(bin(m).count("1"), 6) for m in range(1 << 12)]}))
+    code, _, err = run(capsys, "--max-n", "4", "validate", str(path))
+    assert code == EXIT_VALIDATION
+    assert "category=ValidationError" in err and "exceeds --max-n 4" in err
+
+
+def test_max_n_checked_before_exchange_validation(files, capsys, monkeypatch):
+    monkeypatch.setattr(Polymatroid, "_validate", _fail_validation)
+    path = files["dir"] / "u13.json"
+    path.write_text(json.dumps({"n": 3, "bases": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    code, _, err = run(capsys, "--max-n", "2", "validate", str(path))
+    assert code == EXIT_VALIDATION
+    assert "exceeds --max-n 2" in err
+
+
+def test_ground_set_cap_keeps_its_category(files, capsys):
+    path = files["dir"] / "n17.json"
+    path.write_text(json.dumps({"n": 17, "f": [0]}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION
+    assert "category=GroundSetTooLarge" in err
+
+
 # -- other commands -----------------------------------------------------------------------
 
 
@@ -257,6 +289,32 @@ def test_output_identical_across_runs(files, capsys):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def test_memo_capacity_does_not_leak_into_later_calls(files, capsys):
+    run(capsys, "--memo-capacity", "5", "tutte", files["pair"])
+    assert recursion._tutte_cache.capacity == 5
+    code, out, _ = run(capsys, "tutte", files["pair"])
+    assert code == EXIT_OK and out.strip() == "x^2 + 2*x*y + y^2 - x - y"
+    for cache in (recursion._tutte_cache, recursion._interior_cache, recursion._exterior_cache):
+        assert cache.capacity == recursion.DEFAULT_MEMO_CAPACITY
+
+
+def test_default_memo_capacity_keeps_memo(files, capsys):
+    run(capsys, "tutte", files["scaled"])
+    cache = recursion._tutte_cache
+    filled = len(cache)
+    run(capsys, "tutte", files["pair"])
+    assert recursion._tutte_cache is cache and len(cache) >= filled
+
+
+def test_coeffs_on_hypergraph_reads_the_enumerated_table(files, capsys, monkeypatch):
+    calls = []
+    real = core.rank_from_bases
+    monkeypatch.setattr(core, "rank_from_bases", lambda p: calls.append(p) or real(p))
+    code, out, _ = run(capsys, "coeffs", files["k22"])
+    assert code == EXIT_OK and "MISMATCH" not in out
+    assert calls == []
 
 
 def test_check_deterministic_for_seed(files, capsys):

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polytutte import core
 from polytutte.core import (
     Polymatroid,
     RankTable,
@@ -298,6 +299,23 @@ def test_minor_order_independence_exhaustive_small():
             left = p.minor(a, b)
             assert left == p.delete(a).contract(relabel(b, a, n))
             assert left == p.contract(b).delete(relabel(a, b, n))
+
+
+def test_minors_reuse_the_enumerated_table(monkeypatch):
+    f = RankTable(4, [min(2 * bin(m).count("1"), 3) for m in range(1 << 4)])
+    p = enumerate_bases(f)
+    calls = []
+    real = core.rank_from_bases
+    monkeypatch.setattr(core, "rank_from_bases", lambda q: calls.append(q) or real(q))
+    assert p.rank_table() is f
+    minors = [p.minor([1], [3]), p.delete([2]), p.contract([1, 4]), p.minor([2, 3], [])]
+    family = list(enumerate_small_polymatroids(2, 2))
+    tables = [q.rank_table() for q in minors + family]
+    assert calls == []
+    monkeypatch.undo()
+    # the carried tables are the ones the bases give back
+    assert tables == [rank_from_bases(q) for q in minors + family]
+    assert tables[0].f == tuple(f.f[m | 0b0100] - f.f[0b0100] for m in (0, 0b0010, 0b1000, 0b1010))
 
 
 def test_surviving_labels():

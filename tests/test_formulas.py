@@ -180,7 +180,7 @@ def test_ceiling_check_scaled_pair():
 
 def test_ceiling_check_pendant_vertex_fails_both_sides():
     h = Hypergraph(["v1", "v2", "v3"], [["v1", "v2"], ["v1", "v2", "v3"]])
-    p, _ = hypertree_polymatroid(h)
+    p = hypertree_polymatroid(h)
     chk = exterior_ceiling_check(p, 1)
     assert not chk.rank_side and not chk.coefficient_side
     assert chk.match
@@ -194,7 +194,7 @@ def test_ceiling_check_rejects_negative_bases():
 def test_ceiling_profile():
     assert exterior_ceiling_profile(U13) == 2
     h = Hypergraph(["v1", "v2"], [["v1", "v2"], ["v1", "v2"]])
-    p, _ = hypertree_polymatroid(h)
+    p = hypertree_polymatroid(h)
     assert exterior_ceiling_profile(p) == 1
 
 

@@ -89,26 +89,26 @@ def test_rank_table_submodular_on_samples():
 
 
 def test_hypertrees_of_k22():
-    p, table = hypertree_polymatroid(K22)
+    p = hypertree_polymatroid(K22)
     assert p == Polymatroid([(1, 0), (0, 1)])
-    assert table.full_rank() == 1
+    assert p.rank_table().full_rank() == 1
 
 
 def test_hypertrees_single_edge():
-    p, _ = hypertree_polymatroid(TRIPLE)
+    p = hypertree_polymatroid(TRIPLE)
     assert p == Polymatroid([(2,)])
 
 
 def test_hypertrees_three_parallel_edges():
     h = Hypergraph(["v1", "v2"], [["v1", "v2"]] * 3)
-    p, _ = hypertree_polymatroid(h)
+    p = hypertree_polymatroid(h)
     assert p == Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_hypertrees_are_spanning_tree_degree_vectors():
     # for K22 (a 4-cycle) the spanning trees drop one of 4 edges; the E-side
     # degree vectors, shifted down by one, are exactly the hypertrees
-    p, _ = hypertree_polymatroid(K22)
+    p = hypertree_polymatroid(K22)
     assert set(p.bases) == {(1, 0), (0, 1)}
 
 
