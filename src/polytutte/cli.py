@@ -144,11 +144,8 @@ def _check_declared_size(data: dict, config: RunConfig) -> None:
     A missing or malformed n, or one above MAX_GROUND_SET, is left to the
     parser, which rejects it before any axiom check with its own category.
     """
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        return
-    if n <= MAX_GROUND_SET:
+    n = data.get("n")
+    if type(n) is int and n <= MAX_GROUND_SET:
         _check_size(n, config)
 
 

@@ -26,7 +26,7 @@ import itertools
 from random import Random
 from typing import Iterable, Sequence
 
-from .core import Polymatroid, RankTable, enumerate_bases, DEFAULT_MAX_BASES
+from .core import DEFAULT_MAX_BASES, Polymatroid, RankTable, enumerate_bases, json_list
 from .errors import ValidationError
 
 
@@ -89,23 +89,33 @@ class Hypergraph:
 
     @staticmethod
     def from_json(data: dict) -> "Hypergraph":
+        """Names are JSON strings or integers; every collection is a list."""
         if "hyperedges" in data:
-            try:
-                return Hypergraph(data["vertices"], data["hyperedges"])
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"bad hypergraph JSON: {exc}") from exc
+            edges = json_list(data["hyperedges"], "'hyperedges'")
+            return Hypergraph(
+                _json_names(data.get("vertices"), "'vertices'"),
+                [_json_names(e, "a hyperedge") for e in edges],
+            )
         if "edges" in data:
             # explicit bipartite form: {"E": [...], "V": [...], "edges": [[e, v], ...]}
-            try:
-                e_names = [str(e) for e in data["E"]]
-                v_names = [str(v) for v in data["V"]]
-                incident: dict[str, list[str]] = {e: [] for e in e_names}
-                for e, v in data["edges"]:
-                    incident[str(e)].append(str(v))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad bipartite JSON: {exc}") from exc
+            e_names = _json_names(data.get("E"), "'E'")
+            v_names = _json_names(data.get("V"), "'V'")
+            incident: dict[str, list[str]] = {e: [] for e in e_names}
+            for pair in json_list(data["edges"], "'edges'"):
+                pair = _json_names(pair, "an incidence")
+                if len(pair) != 2 or pair[0] not in incident:
+                    raise ValidationError(f"bad incidence {pair}: expected [hyperedge in 'E', vertex]")
+                incident[pair[0]].append(pair[1])
             return Hypergraph(v_names, [incident[e] for e in e_names])
         raise ValidationError("hypergraph JSON needs 'hyperedges' or 'edges'")
+
+
+def _json_names(value, what: str) -> list[str]:
+    names = json_list(value, what)
+    for v in names:
+        if not isinstance(v, str) and type(v) is not int:
+            raise ValidationError(f"names in {what} must be JSON strings or integers, got {v!r}")
+    return [str(v) for v in names]
 
 
 def forest_size(num_nodes: int, edges: Iterable[tuple[int, int]]) -> int:

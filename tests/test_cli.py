@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -183,6 +184,70 @@ def test_ground_set_cap_keeps_its_category(files, capsys):
     assert "category=GroundSetTooLarge" in err
 
 
+NON_INTEGER_INPUTS = {
+    "float_rank": {"n": 2, "f": [0, 1.5, 1, 1]},
+    "bool_rank": {"n": 2, "f": [0, True, 1, 1]},
+    "string_rank": {"n": 2, "f": [0, "1", 1, 1]},
+    "float_n_rank": {"n": 2.7, "f": [0, 1, 1, 1]},
+    "float_coordinate": {"n": 2, "bases": [[1.9, 0], [0, 1]]},
+    "bool_coordinates": {"n": 2, "bases": [[True, False], [False, True]]},
+    "float_n_bases": {"n": 2.7, "bases": [[1, 0], [0, 1]]},
+    "string_hyperedges": {"vertices": ["a"], "hyperedges": "a"},
+    "string_hyperedge": {"vertices": ["ab", "a", "b"], "hyperedges": ["ab"]},
+    "float_vertex": {"vertices": [1.5], "hyperedges": [[1.5]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_INPUTS))
+def test_non_integer_json_is_rejected(files, capsys, case):
+    path = files["dir"] / f"{case}.json"
+    path.write_text(json.dumps(NON_INTEGER_INPUTS[case]))
+    code, out, err = run(capsys, "tutte", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: category=ValidationError: ")
+
+
+def test_exchange_failure_far_apart_is_quick(files, capsys):
+    # the rank-table round trip stops at the first basis past the given count
+    path = files["dir"] / "far.json"
+    path.write_text(json.dumps({"n": 2, "bases": [[0, 0], [100000, -100000]]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
+    assert time.perf_counter() - start < 2.0
+    code, _, err = run(capsys, "--max-bases", "1", "validate", str(path))
+    assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
+
+
+def test_max_bases_does_not_change_basis_validation(files, capsys):
+    path = files["dir"] / "gap.json"
+    path.write_text(json.dumps({"n": 2, "bases": [[2, 0], [0, 2]]}))
+    for cap in ("1", "2", "1000"):
+        code, out, _ = run(capsys, "--max-bases", cap, "validate", files["scaled"])
+        assert code == EXIT_OK and "bases: 3" in out
+        code, _, err = run(capsys, "--max-bases", cap, "validate", str(path))
+        assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
+
+
+def test_validate_hypergraph_at_ground_set_cap(files, capsys):
+    # the 16-cycle as a hypergraph: E = 16, one hypertree per spanning tree
+    path = files["dir"] / "c16.json"
+    names = [f"v{k}" for k in range(16)]
+    edges = [[names[k], names[(k + 1) % 16]] for k in range(16)]
+    path.write_text(json.dumps({"vertices": names, "hyperedges": edges}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == EXIT_OK
+    assert "ground set: 16 elements" in out and "bases: 16 (coordinate sum 15)" in out
+
+
+def test_validate_rank_table_at_ground_set_cap(files, capsys):
+    path = files["dir"] / "u8_16.json"
+    path.write_text(json.dumps({"n": 16, "f": [min(bin(m).count("1"), 8) for m in range(1 << 16)]}))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == EXIT_OK
+    assert "ground set: 16 elements" in out and "bases: 12870 (coordinate sum 8)" in out
+
+
 # -- other commands -----------------------------------------------------------------------
 
 
@@ -315,6 +380,17 @@ def test_coeffs_on_hypergraph_reads_the_enumerated_table(files, capsys, monkeypa
     code, out, _ = run(capsys, "coeffs", files["k22"])
     assert code == EXIT_OK and "MISMATCH" not in out
     assert calls == []
+
+
+def test_basis_input_derives_its_table_once(files, capsys, monkeypatch):
+    calls = []
+    real = core.rank_from_bases
+    monkeypatch.setattr(core, "rank_from_bases", lambda p: calls.append(p) or real(p))
+    for argv in (["coeffs", files["scaled"]], ["check", files["scaled"]]):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and "MISMATCH" not in out and "VIOLATED" not in out
+        assert len(calls) == 1
 
 
 def test_check_deterministic_for_seed(files, capsys):

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import submodularity_failure
 from polytutte import core
 from polytutte.core import (
     Polymatroid,
@@ -318,6 +319,19 @@ def test_minors_reuse_the_enumerated_table(monkeypatch):
     assert tables[0].f == tuple(f.f[m | 0b0100] - f.f[0b0100] for m in (0, 0b0010, 0b1000, 0b1010))
 
 
+def test_basis_validation_keeps_its_rank_table(monkeypatch):
+    data = {"n": 3, "bases": [[2, 0, 1], [1, 1, 1], [0, 2, 1], [1, 0, 2], [0, 1, 2]]}
+    loaded = Polymatroid.from_json(data)
+    built = validate_basis_set(data["bases"])
+    calls = []
+    real = core.rank_from_bases
+    monkeypatch.setattr(core, "rank_from_bases", lambda q: calls.append(q) or real(q))
+    tables = [loaded.rank_table(), built.rank_table()]
+    assert calls == []
+    monkeypatch.undo()
+    assert tables == [rank_from_bases(Polymatroid(data["bases"], validate=False))] * 2
+
+
 def test_surviving_labels():
     assert surviving_labels(5, [2, 4]) == (1, 3, 5)
 
@@ -354,18 +368,9 @@ def test_enumerate_small_no_duplicates():
 
 def all_small_tables(n, max_rank):
     """Every submodular table with values in 0..max_rank, brute force."""
-    size = 1 << n
-    for values in itertools.product(range(max_rank + 1), repeat=size - 1):
+    for values in itertools.product(range(max_rank + 1), repeat=(1 << n) - 1):
         f = (0,) + values
-        ok = True
-        for a in range(size):
-            for b in range(a + 1, size):
-                if f[a | b] + f[a & b] > f[a] + f[b]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if submodularity_failure(f) is None:
             yield RankTable(n, f, validate=False)
 
 
