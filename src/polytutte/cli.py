@@ -17,7 +17,9 @@ Commands:
 Inputs are JSON files; the kind is auto-detected from the shape
 ({"n", "bases"}, {"n", "f"}, {"vertices", "hyperedges"}, or the explicit
 bipartite {"E", "V", "edges"} form) and can be forced with --as.  Rank
-tables and hypergraphs are converted to their polymatroids where needed.
+tables and hypergraphs are enumerated to their basis sets only by the
+commands that read bases (validate, --method direct|both, check, monotone);
+the others run on the rank table, so --max-bases caps only that enumeration.
 
 Exit codes: 0 ok; 1 a checked property/verdict failed; 2 malformed input;
 3 validation error; 4 enumeration size limit; 5 internal error, including
@@ -60,7 +62,7 @@ from .formulas import (
     coefficientwise_le,
     search_by_tutte,
 )
-from .hypergraph import Hypergraph, connectivity_profile, hypertree_polymatroid
+from .hypergraph import Hypergraph, connectivity_profile, rank_table
 from .recursion import (
     DEFAULT_MEMO_CAPACITY,
     configure_caches,
@@ -89,9 +91,20 @@ class RunConfig:
 
 @dataclass
 class LoadedInput:
+    """A parsed input: its rank table, and its basis set on first access."""
+
     kind: str                      # "bases" | "rank" | "hypergraph"
-    polymatroid: Polymatroid
+    table: RankTable
+    max_bases: int
     hypergraph: Hypergraph | None = None
+    bases: Polymatroid | None = None   # given by a basis file, else enumerated
+
+    @property
+    def polymatroid(self) -> Polymatroid:
+        """The basis set, enumerated from the table with the --max-bases cap."""
+        if self.bases is None:
+            self.bases = enumerate_bases(self.table, self.max_bases)
+        return self.bases
 
 
 def _read_json(path: str) -> dict:
@@ -122,14 +135,15 @@ def load_input(path: str, as_kind: str | None, config: RunConfig) -> LoadedInput
     kind = as_kind or _detect_kind(data)
     if kind == "bases":
         _check_declared_size(data, config)
-        return LoadedInput("bases", Polymatroid.from_json(data))
+        p = Polymatroid.from_json(data)
+        return LoadedInput("bases", p.rank_table(), config.max_bases, bases=p)
     if kind == "rank":
         _check_declared_size(data, config)
-        return LoadedInput("rank", enumerate_bases(RankTable.from_json(data), config.max_bases))
+        return LoadedInput("rank", RankTable.from_json(data), config.max_bases)
     if kind == "hypergraph":
         h = Hypergraph.from_json(data)
         _check_size(max(h.num_edges, 1), config)
-        return LoadedInput("hypergraph", hypertree_polymatroid(h, config.max_bases), h)
+        return LoadedInput("hypergraph", rank_table(h), config.max_bases, hypergraph=h)
     raise InputError(f"unknown input kind {kind!r}")
 
 
@@ -186,18 +200,13 @@ def cmd_validate(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_methods(p: Polymatroid, method: str, direct_fn, dc_fn):
-    out = {}
-    if method in ("direct", "both"):
-        out["direct"] = direct_fn(p)
-    if method in ("dc", "both"):
-        out["dc"] = dc_fn(p)
-    return out
-
-
 def _polynomial_command(args, config: RunConfig, direct_fn, dc_fn, name: str) -> int:
     loaded = load_input(args.input, args.as_kind, config)
-    results = _run_methods(loaded.polymatroid, args.method, direct_fn, dc_fn)
+    results = {}
+    if args.method in ("direct", "both"):
+        results["direct"] = direct_fn(loaded.polymatroid)
+    if args.method in ("dc", "both"):
+        results["dc"] = dc_fn(loaded.table)
     payload: dict = {name: {k: _poly_json(v) for k, v in results.items()}}
     lines = []
     for k in ("direct", "dc"):
@@ -228,9 +237,8 @@ def cmd_exterior(args, config: RunConfig) -> int:
 
 
 def cmd_coeffs(args, config: RunConfig) -> int:
-    loaded = load_input(args.input, args.as_kind, config)
-    p = loaded.polymatroid
-    rows = coefficient_report(p, tutte_dc(p))
+    table = load_input(args.input, args.as_kind, config).table
+    rows = coefficient_report(table, tutte_dc(table))
     payload = {"rows": [r.to_json() for r in rows]}
     lines = []
     for r in rows:
@@ -326,7 +334,7 @@ def cmd_connectivity(args, config: RunConfig) -> int:
     lines = [f"k_max = {k_max}" + (" (incidence graph disconnected)" if k_max < 0 else "")]
     code = EXIT_OK
     if h.num_edges >= 1:
-        x = exterior_dc(hypertree_polymatroid(h, config.max_bases))
+        x = exterior_dc(rank_table(h))
         rows = []
         for i in range(max(k_max, 0) + 1):
             ceiling = binomial(h.num_vertices + i - 2, i)
@@ -378,10 +386,9 @@ def cmd_search(args, config: RunConfig) -> int:
 
 
 def cmd_matroid_form(args, config: RunConfig) -> int:
-    loaded = load_input(args.input, args.as_kind, config)
-    p = loaded.polymatroid
-    d = args.rank if args.rank is not None else p.total()
-    result = matroid_form(p, d)
+    table = load_input(args.input, args.as_kind, config).table
+    d = args.rank if args.rank is not None else table.full_rank()
+    result = matroid_form(table, d)
     _emit(
         config,
         {"matroid_form": _poly_json(result), "rank": d},
@@ -412,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for randomized checks (default pinned for reproducibility)")
     parser.add_argument("--max-bases", type=int, default=DEFAULT_MAX_BASES,
-                        help="cap on enumerated basis vectors")
+                        help="cap on basis vectors enumerated from a rank table or "
+                             "hypergraph (only commands that read bases enumerate)")
     parser.add_argument("--max-n", type=int, default=MAX_GROUND_SET,
                         help="cap on ground set size")
     parser.add_argument("--memo-capacity", type=int, default=DEFAULT_MEMO_CAPACITY,

@@ -47,6 +47,7 @@ to share.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from operator import ge, sub
 from typing import Iterable, Iterator, Sequence
@@ -98,7 +99,7 @@ class RankTable:
         f = tuple(values)
         if len(f) != 1 << n:
             raise ValidationError(f"expected {1 << n} rank values, got {len(f)}")
-        if not all(isinstance(v, int) for v in f):
+        if not all(type(v) is int for v in f):
             raise ValidationError("rank values must be integers")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "f", f)
@@ -144,6 +145,11 @@ class RankTable:
     def full_rank(self) -> int:
         return self.f[(1 << self.n) - 1]
 
+    def rank_table(self) -> "RankTable":
+        """The table itself, so that code reading ``p.n`` and
+        ``p.rank_table()`` takes a table as well as a polymatroid."""
+        return self
+
     def __eq__(self, other) -> bool:
         return isinstance(other, RankTable) and self.n == other.n and self.f == other.f
 
@@ -166,9 +172,11 @@ class RankTable:
         return RankTable(json_int(n, "n"), values)
 
 
+@lru_cache(maxsize=None)
 def _bit_selectors(m: int, k: int) -> tuple[bytes, bytes]:
     """Selectors over the masks 0..2^m - 1, for itertools.compress: the
-    masks without bit k, and the masks with it, in the same order."""
+    masks without bit k, and the masks with it, in the same order (cached:
+    at most 2 * 16 * 2^16 bytes for the largest ground set)."""
     half = 1 << k
     reps = 1 << (m - k - 1)
     return (b"\1" * half + b"\0" * half) * reps, (b"\0" * half + b"\1" * half) * reps
@@ -231,7 +239,7 @@ class Polymatroid:
         for v in rows:
             if len(v) != n:
                 raise ValidationError(f"mixed vector lengths: {len(v)} vs {n}")
-            if not all(isinstance(c, int) for c in v):
+            if not all(type(c) is int for c in v):
                 raise ValidationError(f"non-integer coordinates in {v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", tuple(rows))
@@ -377,7 +385,7 @@ class Polymatroid:
     def translate(self, c: Sequence[int]) -> "Polymatroid":
         """Add the integer vector c to every basis."""
         c = tuple(c)
-        if len(c) != self.n or not all(isinstance(v, int) for v in c):
+        if len(c) != self.n or not all(type(v) is int for v in c):
             raise ValidationError(f"translation vector must be {self.n} integers")
         return Polymatroid(
             [tuple(a + d for a, d in zip(v, c)) for v in self.bases], validate=False
@@ -513,16 +521,23 @@ def slice_rank(table: RankTable, t: int, j: int) -> RankTable:
 
 
 def _slice_table(f: Sequence[int], n: int, t: int, j: int) -> list[int]:
-    """min(f(I), f(I + {t}) - j) with masks renumbered to n-1 bits."""
+    """min(f(I), f(I + {t}) - j) with masks renumbered to n-1 bits.
+
+    The gain f(I + {t}) - f(I) of a submodular f lies in alpha_t..beta_t, so
+    at the deletion end the slice is f(I) and at the contraction end it is
+    f(I + {t}) - j; only the levels between need the minimum.
+    """
     tbit = 1 << (t - 1)
-    low = tbit - 1
-    out = [0] * (1 << (n - 1))
-    for m in range(1 << (n - 1)):
-        orig = (m & low) | ((m & ~low) << 1)
-        a = f[orig]
-        b = f[orig | tbit] - j
-        out[m] = a if a < b else b
-    return out
+    if t == n:  # the masks without t come first, those with it after them
+        without, with_ = f[:tbit], f[tbit:]
+    else:
+        pick_without, pick_with = _bit_selectors(n, t - 1)
+        without, with_ = compress(f, pick_without), compress(f, pick_with)
+    if j <= f[-1] - f[-1 - tbit]:
+        return list(without)
+    if j >= f[tbit]:
+        return [b - j for b in with_]
+    return [a if a < b - j else b - j for a, b in zip(without, with_)]
 
 
 def surviving_labels(n: int, removed: Iterable[int]) -> tuple[int, ...]:
@@ -547,18 +562,18 @@ def enumerate_bases(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Pol
     return p
 
 
-def _enumerate(f: tuple[int, ...], n: int, limit: int) -> list[Vector]:
+def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
     if n == 1:
         return [(f[1],)]
-    full = (1 << n) - 1
+    if n == 2:  # (a, f(E) - a) for a from alpha_1 = f(E) - f({2}) to beta_1 = f({1})
+        acc = [(a, f[3] - a) for a in range(f[3] - f[2], f[1] + 1)]
+        if len(acc) > limit:
+            raise SizeLimitExceeded(limit)
+        return acc
     tbit = 1 << (n - 1)
-    alpha = f[full] - f[full ^ tbit]
-    beta = f[tbit]
-    acc: list[Vector] = []
-    for j in range(alpha, beta + 1):
-        sub = _slice_table(f, n, n, j)
-        for v in _enumerate(tuple(sub), n - 1, limit):
-            acc.append(v + (j,))
+    acc = []
+    for j in range(f[-1] - f[-1 - tbit], f[tbit] + 1):
+        acc += [v + (j,) for v in _enumerate(_slice_table(f, n, n, j), n - 1, limit)]
         if len(acc) > limit:
             raise SizeLimitExceeded(limit)
     return acc

@@ -155,8 +155,9 @@ class CoefficientRow:
         }
 
 
-def coefficient_report(p: Polymatroid, tutte: BiPoly) -> list[CoefficientRow]:
-    """Every applicable identity evaluated against the actual coefficients."""
+def coefficient_report(p: Polymatroid | RankTable, tutte: BiPoly) -> list[CoefficientRow]:
+    """Every applicable identity evaluated against the actual coefficients;
+    reads only n and the rank table, so ``p`` may be the table itself."""
     n = p.n
     table = p.rank_table()
     at_y1 = tutte.substitute_one("y")

@@ -163,11 +163,34 @@ def _rank_of_mask(h: Hypergraph, mask: int) -> int:
 
 
 def rank_table(h: Hypergraph) -> RankTable:
-    """Dense rank table over hyperedge subsets (validated submodular)."""
+    """Dense rank table over hyperedge subsets (validated submodular).
+
+    One pass over the masks in increasing order: the incidence components of
+    a mask, as vertex bitmasks, are those of the mask without its lowest
+    hyperedge, with the ones that hyperedge touches merged into it.  A
+    component with vertex set C contributes |C| - 1 to the rank.
+    """
     n = h.num_edges
     if n < 1:
         raise ValidationError("need at least one hyperedge for a polymatroid")
-    values = [_rank_of_mask(h, mask) for mask in range(1 << n)]
+    edge_bits = [sum(1 << v for v in e) for e in h.hyperedges]
+    components: list[tuple[int, ...]] = [()]
+    values = [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        merged = edge_bits[low.bit_length() - 1]
+        kept = []
+        value = values[rest]
+        for c in components[rest]:
+            if c & merged:
+                merged |= c
+                value -= c.bit_count() - 1
+            else:
+                kept.append(c)
+        kept.append(merged)
+        components.append(tuple(kept))
+        values.append(value + merged.bit_count() - 1)
     table = RankTable(n, values, validate=False)
     table.validate()  # submodularity of the rank is asserted, not assumed
     return table

@@ -17,15 +17,25 @@ three polynomials differ only in their weight table:
 A single level (alpha = beta) takes the single-level weight alone.  The base
 case, one basis or one element, is the single-level weight to the power n.
 One engine, ``_slice_rec``, runs the recursion for any of the three tables.
-The result is independent of the pivot choice; the engine picks the
-coordinate with the widest level interval, purely as a performance
-heuristic.
 
-Results are memoized under a translation-normalized key (each coordinate
-shifted so its minimum is 0), since translating a polymatroid does not
-change these polynomials; each polynomial has its own cache.  The caches
+The engine works on rank tables, never on basis lists.  With f the rank
+function, alpha_t = f(E) - f(E - t), beta_t = f({t}), and the slice at level
+j has the rank function min(f(I), f(I + t) - j) on E - t (``core._slice_table``,
+the helper ``enumerate_bases`` uses too).  Every table is normalized first:
+subtracting alpha_t per element, f(S) - sum of alpha_t over S, translates the
+polymatroid so that every alpha_t is 0 and the levels of t are 0..f({t}).
+So the pivot, the coordinate with the widest level interval (the lowest on
+ties, purely a performance heuristic; the result does not depend on it), is
+an argmax over the n singleton values, and a table whose singletons are all
+0 has a single basis.  Each node costs O(2^n) list work, however many bases
+the polymatroid has.
+
+Results are memoized under the normalized table (``memo_key``), so
+translates of a polymatroid share entries, exactly as their translation-
+normalized basis sets would; each polynomial has its own cache.  The caches
 are bounded LRU maps, safe to share between threads; exactness is
-unaffected by eviction.
+unaffected by eviction.  The direct evaluation in ``activity`` stays on
+basis activities, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -43,11 +53,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from .activity import xy1_power
 from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict
-from .core import Polymatroid, RankTable, Vector, validate_rank_table
+from .core import Polymatroid, RankTable, _slice_table, validate_rank_table
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import forest_size
 
@@ -109,36 +120,23 @@ def clear_caches() -> None:
     _exterior_cache.clear()
 
 
-def memo_key(bases: Sequence[Vector]) -> tuple[Vector, ...]:
-    """Translation-normalized key: shift every coordinate's minimum to 0.
-
-    Lexicographic order is preserved by per-coordinate shifts, so the sorted
-    input stays sorted and two translates of the same polymatroid share keys.
-    """
-    mins = [min(col) for col in zip(*bases)]
-    if not any(mins):
-        return tuple(bases)
-    return tuple(tuple(c - m for c, m in zip(v, mins)) for v in bases)
+def memo_key(table: RankTable) -> tuple[int, ...]:
+    """Translation-normalized key: f(S) minus the sum of alpha_t = f(E) -
+    f(E - t) over S, the table of the translate whose every coordinate has
+    minimum 0, so two translates of the same polymatroid share keys."""
+    return _normalized(table.f, table.n)
 
 
-def _widest_pivot(bases: Sequence[Vector], n: int) -> tuple[int, int, int]:
-    """Pivot coordinate with the widest attained interval, and its extremes."""
-    best = (0, 0, 0)
-    width = -1
-    for t in range(n):
-        col = [v[t] for v in bases]
-        lo, hi = min(col), max(col)
-        if hi - lo > width:
-            width = hi - lo
-            best = (t, lo, hi)
-    return best
-
-
-def _split_levels(bases: Sequence[Vector], t: int) -> dict[int, list[Vector]]:
-    out: dict[int, list[Vector]] = {}
-    for v in bases:
-        out.setdefault(v[t], []).append(v[:t] + v[t + 1 :])
-    return out
+def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
+    full = (1 << n) - 1
+    top = f[full]
+    alphas = [top - f[full ^ (1 << t)] for t in range(n)]
+    if not any(alphas):
+        return tuple(f)
+    shift = [0]  # shift[S] = sum of alpha_t over t in S
+    for a in alphas:
+        shift += [s + a for s in shift]
+    return tuple(map(sub, f, shift))
 
 
 class _Weights(NamedTuple):
@@ -160,68 +158,80 @@ _EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, power=_unit_power)
 
 
 def _slice_rec(
-    bases: tuple[Vector, ...],
+    f: tuple[int, ...],
     n: int,
     weights: _Weights,
     cache: LRUCache,
     pivot: int | None,
 ) -> BiPoly:
-    """The slice recursion for the polynomial whose level weights are given.
+    """The slice recursion, on a normalized table, for the polynomial whose
+    level weights are given.
 
-    ``pivot`` (1-based) forces this node's pivot coordinate and bypasses the
-    memo lookup; recursive calls below use the widest-interval heuristic.
+    Every alpha_t of ``f`` is 0, so the levels of coordinate t are
+    0..f({t}).  ``pivot`` (1-based) forces this node's pivot coordinate and
+    bypasses the memo lookup; recursive calls below use the widest level
+    interval, the lowest coordinate on ties.
     """
-    if n == 1 or len(bases) == 1:
+    if n == 1:
+        return weights.power(1)
+    widths = [f[1 << t] for t in range(n)]
+    width = max(widths)
+    if not width:  # a single basis
         return weights.power(n)
-    key = memo_key(bases)
     if pivot is None:
-        hit = cache.get(key)
+        hit = cache.get(f)
         if hit is not None:
             return hit
-        t, lo, hi = _widest_pivot(bases, n)
+        t = widths.index(width) + 1
     else:
-        t = pivot - 1
-        col = [v[t] for v in bases]
-        lo, hi = min(col), max(col)
-    levels = _split_levels(bases, t)
+        t = pivot
+        width = widths[t - 1]
     acc: dict[tuple[int, int], int] = {}
-    for j in range(lo, hi + 1):
-        if lo == hi:
+    for j in range(width + 1):
+        if not width:
             weight = weights.power(1)
-        elif j == lo:
+        elif j == 0:
             weight = weights.lo
-        elif j == hi:
+        elif j == width:
             weight = weights.hi
         else:
             weight = weights.mid
-        part = _slice_rec(tuple(levels[j]), n - 1, weights, cache, None)
+        part = _slice_rec(_normalized(_slice_table(f, n, t, j), n - 1), n - 1, weights, cache, None)
         for (di, dj), c in weight._terms.items():  # noqa: SLF001 - hot path
             add_scaled_into(acc, part, c, di, dj)
     result = from_dict(acc)
-    cache.put(key, result)
+    cache.put(f, result)
     return result
 
 
-def tutte_dc(p: Polymatroid, *, pivot: int | None = None, cache: LRUCache | None = None) -> BiPoly:
-    """Tutte polynomial by the slice recursion.
+def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache, pivot: int | None) -> BiPoly:
+    table = p.rank_table()
+    return _slice_rec(memo_key(table), table.n, weights, cache, pivot)
 
-    ``pivot`` forces the first-level pivot coordinate (recursive calls below
-    use the heuristic); the result does not depend on it.  ``cache`` may
-    supply an isolated memo table, e.g. for pivot-independence checks.
+
+def tutte_dc(
+    p: Polymatroid | RankTable, *, pivot: int | None = None, cache: LRUCache | None = None
+) -> BiPoly:
+    """Tutte polynomial by the slice recursion on the rank table.
+
+    ``p`` is a polymatroid or its rank table.  ``pivot`` forces the
+    first-level pivot coordinate (recursive calls below use the heuristic);
+    the result does not depend on it.  ``cache`` may supply an isolated memo
+    table, e.g. for pivot-independence checks.
     """
     if pivot is not None and not 1 <= pivot <= p.n:
         raise ValidationError(f"pivot {pivot} outside 1..{p.n}")
-    return _slice_rec(p.bases, p.n, _TUTTE, _tutte_cache if cache is None else cache, pivot)
+    return _dc(p, _TUTTE, _tutte_cache if cache is None else cache, pivot)
 
 
-def interior_dc(p: Polymatroid, *, cache: LRUCache | None = None) -> BiPoly:
+def interior_dc(p: Polymatroid | RankTable, *, cache: LRUCache | None = None) -> BiPoly:
     """Interior polynomial by the slice recursion (deletion end unweighted)."""
-    return _slice_rec(p.bases, p.n, _INTERIOR, _interior_cache if cache is None else cache, None)
+    return _dc(p, _INTERIOR, _interior_cache if cache is None else cache, None)
 
 
-def exterior_dc(p: Polymatroid, *, cache: LRUCache | None = None) -> BiPoly:
+def exterior_dc(p: Polymatroid | RankTable, *, cache: LRUCache | None = None) -> BiPoly:
     """Exterior polynomial by the slice recursion (contraction end unweighted)."""
-    return _slice_rec(p.bases, p.n, _EXTERIOR, _exterior_cache if cache is None else cache, None)
+    return _dc(p, _EXTERIOR, _exterior_cache if cache is None else cache, None)
 
 
 # -- classical matroid bridge ---------------------------------------------------
@@ -253,15 +263,15 @@ def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
     return from_dict(acc).shift(d - n, -d)
 
 
-def matroid_form(p: Polymatroid, d: int | None = None) -> BiPoly:
-    """Matroid-form Tutte polynomial of a polymatroid.
+def matroid_form(p: Polymatroid | RankTable, d: int | None = None) -> BiPoly:
+    """Matroid-form Tutte polynomial of a polymatroid or its rank table.
 
     ``d`` defaults to the full rank (the common coordinate sum).  For the
     0/1 indicator polymatroid of a matroid this reproduces the classical
     Tutte polynomial exactly.
     """
     if d is None:
-        d = p.total()
+        d = p.rank_table().full_rank()
     return tutte_to_matroid_form(tutte_dc(p), p.n, d)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 import tracemalloc
 
@@ -144,9 +145,20 @@ def test_missing_file_exit_code(files, capsys):
 
 
 def test_size_limit_exit_code(files, capsys):
-    code, _, err = run(capsys, "--max-bases", "1", "tutte", files["u13_rank"])
-    assert code == EXIT_LIMIT
-    assert "category=SizeLimitExceeded" in err
+    # only the commands that read bases enumerate, so only they meet the cap
+    for argv in (["tutte", "--method", "both"], ["validate"]):
+        code, _, err = run(capsys, "--max-bases", "1", *argv, files["u13_rank"])
+        assert code == EXIT_LIMIT
+        assert "category=SizeLimitExceeded" in err
+
+
+def test_max_bases_does_not_cap_the_recursion(files, capsys):
+    for command in ("tutte", "interior", "exterior"):
+        code, uncapped, _ = run(capsys, command, files["u13_rank"])
+        assert code == EXIT_OK
+        code, capped, err = run(capsys, "--max-bases", "1", command, files["u13_rank"])
+        assert code == EXIT_OK and err == ""
+        assert capped == uncapped
 
 
 def test_max_n_guard(files, capsys):
@@ -397,3 +409,40 @@ def test_check_deterministic_for_seed(files, capsys):
     _, out1, _ = run(capsys, "--seed", "7", "check", files["scaled"])
     _, out2, _ = run(capsys, "--seed", "7", "check", files["scaled"])
     assert out1 == out2
+
+
+def _count_enumerations(monkeypatch) -> list:
+    """Count core.enumerate_bases calls, under every name a module bound it to."""
+    calls = []
+    real = core.enumerate_bases
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "polytutte" or name.startswith("polytutte."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_table_commands_enumerate_no_bases(files, capsys, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    for argv in (
+        ["tutte", files["u13_rank"]],
+        ["interior", files["u13_rank"]],
+        ["exterior", files["u13_rank"]],
+        ["coeffs", files["u13_rank"]],
+        ["matroid-form", files["u13_rank"]],
+        ["connectivity", files["k22"]],
+        ["interior", files["k22"]],
+        ["coeffs", files["k22"]],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out and "MISMATCH" not in out
+    assert calls == []
+    # the commands that read bases still enumerate
+    code, _, _ = run(capsys, "validate", files["u13_rank"])
+    assert code == EXIT_OK and len(calls) == 1

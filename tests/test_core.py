@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,9 @@ from polytutte.errors import (
     SizeLimitExceeded,
     SubmodularityFailure,
     UnequalSums,
+    ValidationError,
 )
+from polytutte.formulas import random_rank_table
 
 
 def table(n, values):
@@ -57,6 +60,11 @@ SCALED2 = Polymatroid([(2, 0), (1, 1), (0, 2)])
 def test_valid_two_element_exchange():
     p = validate_basis_set([(1, 0), (0, 1)])
     assert p.bases == ((0, 1), (1, 0))
+
+
+def test_basis_set_rejects_bools():
+    with pytest.raises(ValidationError):
+        Polymatroid([(True, False), (False, True)])
 
 
 def test_unequal_sums_rejected():
@@ -103,6 +111,11 @@ def test_uniform_rank_table_valid():
 def test_nonzero_empty_set_rejected():
     with pytest.raises(NonzeroEmptySet):
         validate_rank_table(2, [1, 1, 1, 1])
+
+
+def test_rank_table_rejects_bools():
+    with pytest.raises(ValidationError):
+        RankTable(1, [False, True])
 
 
 def test_submodularity_failure_witness():
@@ -204,6 +217,24 @@ def test_slice_rank_matches_sliced_bases():
         for t in range(1, p.n + 1):
             for j in p.slice_range(t).values():
                 assert slice_rank(f, t, j) == p.slice(t, j).rank_table()
+
+
+def test_slice_table_matches_its_definition():
+    # the deletion and contraction ends skip the minimum; every level must
+    # still equal min(f(I), f(I + t) - j)
+    rng = Random(3)
+    for _ in range(30):
+        f = random_rank_table(rng, rng.randint(2, 6))
+        n = f.n
+        for t in range(1, n + 1):
+            tbit = 1 << (t - 1)
+            full = (1 << n) - 1
+            for j in range(f.f[full] - f.f[full ^ tbit], f.f[tbit] + 1):
+                expected = [
+                    min(f.f[m], f.f[m | tbit] - j)
+                    for m in range(1 << n) if not m & tbit
+                ]
+                assert core._slice_table(f.f, n, t, j) == expected
 
 
 def test_slice_completeness():

@@ -1,0 +1,97 @@
+"""Differential tier: independent routes agree on inputs larger than the corpus.
+
+The slice recursion (``*_dc``, on rank tables) and the basis-activity
+definition (``*_direct``, on enumerated bases) must give the same T, I and X
+on seeded random tables with up to a few thousand bases and on hypertrees of
+seeded random hypergraphs.  The matroid form of a graphic matroid must equal
+networkx's deletion-contraction Tutte polynomial of the graph.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+
+from polytutte.activity import exterior_direct, interior_direct, tutte_direct
+from polytutte.bipoly import from_dict
+from polytutte.core import enumerate_bases
+from polytutte.errors import SizeLimitExceeded
+from polytutte.formulas import random_rank_table
+from polytutte.hypergraph import hypertree_polymatroid, random_hypergraph
+from polytutte.recursion import (
+    LRUCache,
+    exterior_dc,
+    graphic_matroid,
+    interior_dc,
+    matroid_form,
+    tutte_dc,
+)
+
+MAX_BASES = 3000
+
+
+def _assert_routes_agree(table, p):
+    assert tutte_dc(table, cache=LRUCache()) == tutte_direct(p)
+    assert interior_dc(table, cache=LRUCache()) == interior_direct(p)
+    assert exterior_dc(table, cache=LRUCache()) == exterior_direct(p)
+
+
+def test_direct_equals_dc_on_random_tables():
+    rng = Random(2024)
+    largest = {}
+    for n in range(6, 11):
+        # every draw that fits the cap is checked, until one per n has at
+        # least 300 bases; translated draws have negative coordinates
+        while largest.get(n, 0) < 300:
+            table = random_rank_table(rng, n, size_budget=10**7)
+            try:
+                p = enumerate_bases(table, MAX_BASES)
+            except SizeLimitExceeded:
+                continue
+            _assert_routes_agree(table, p)
+            largest[n] = max(largest.get(n, 0), len(p))
+    assert max(largest.values()) > 1000
+
+
+def test_direct_equals_dc_on_hypertrees():
+    rng = Random(99)
+    sizes = []
+    while len(sizes) < 20:
+        h = random_hypergraph(rng, max_vertices=7, max_edges=10)
+        p = hypertree_polymatroid(h, MAX_BASES)
+        _assert_routes_agree(p.rank_table(), p)
+        sizes.append(len(p))
+    assert max(sizes) > 100
+
+
+def _networkx_tutte(num_vertices, edges):
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(1, num_vertices + 1))
+    g.add_edges_from(edges)
+    x, y = sympy.symbols("x y")
+    poly = sympy.Poly(nx.tutte_polynomial(g), x, y)
+    return from_dict({(int(i), int(j)): int(c) for (i, j), c in poly.terms()})
+
+
+def _graphs():
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    c6 = [(i, i % 6 + 1) for i in range(1, 7)]
+    # the Petersen graph induced on its outer 5-cycle and two inner vertices,
+    # which are not adjacent to each other
+    petersen7 = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (2, 7)]
+    cases = [(4, k4), (6, c6), (7, petersen7), (2, [(1, 2), (1, 2), (2, 2)])]
+    rng = Random(7)
+    for _ in range(8):
+        nv = rng.randint(2, 6)
+        m = rng.randint(nv - 1, 10)
+        cases.append((nv, [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(m)]))
+    return cases
+
+
+def test_matroid_form_equals_networkx_tutte():
+    for num_vertices, edges in _graphs():
+        expected = _networkx_tutte(num_vertices, edges)
+        assert matroid_form(graphic_matroid(num_vertices, edges)) == expected

@@ -85,6 +85,21 @@ def test_rank_table_submodular_on_samples():
         validate_rank_table(t.n, t.f)
 
 
+def test_rank_table_matches_the_incidence_forest():
+    # the one-pass table against one union-find per mask, on every mask
+    rng = Random(11)
+    cases = [random_hypergraph(rng, 6, 8, connected=False) for _ in range(30)]
+    names = [f"v{i}" for i in range(16)]
+    cases.append(Hypergraph(names, [[names[i], names[(i + 1) % 16]] for i in range(16)]))
+    for h in cases:
+        n = h.num_edges
+        expected = [
+            hypergraph_rank(h, [k + 1 for k in range(n) if mask >> k & 1])
+            for mask in range(1 << n)
+        ]
+        assert list(rank_table(h).f) == expected
+
+
 # -- hypertrees ------------------------------------------------------------------------
 
 
