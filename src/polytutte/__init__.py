@@ -15,7 +15,6 @@ from .core import (
     SliceRange,
     enumerate_bases,
     enumerate_small_polymatroids,
-    greedy_basis,
     rank_from_bases,
     slice_rank,
     validate_basis_set,
@@ -86,7 +85,6 @@ __all__ = [
     "exterior_ceiling_check",
     "exterior_dc",
     "exterior_direct",
-    "greedy_basis",
     "hypergraph_rank",
     "hypertree_polymatroid",
     "interior_dc",

@@ -11,20 +11,30 @@ and the direct Tutte polynomial is the sum of these contributions over all
 bases.  The one-variable interior and exterior polynomials count bases by
 n - |Int(a)| and n - |Ext(a)| respectively.
 
-Activity is decided by O(n^2) membership tests per basis against the stored
-basis set.  An independent characterization through tight sets (subsets
-whose coordinate sum meets the rank) is provided as a cross-check oracle:
-i is externally active iff some tight set has minimum i, and internally
-active iff some tight set's complement has minimum i.
+The *_direct functions decide activity for all bases in one pass, by
+membership in the basis set itself, never through the rank table that the
+slice recursion reads, so the two routes stay independent.  Each basis is
+one integer key, one set intersection per pair j < i and side finds every
+basis with that transfer, and the bases are summed in groups of equal
+activity counts, not one by one.
 
-All functions are pure; summation order over bases is the lexicographic
-basis order, so intermediate states are reproducible and any parallel
-regrouping of the (exact) sum would give the identical term map.
+activities(p, a) answers the same question for one basis with O(n^2)
+membership tests.  An independent characterization through tight sets
+(subsets whose coordinate sum meets the rank) is provided as a cross-check
+oracle: i is externally active iff some tight set has minimum i, and
+internally active iff some tight set's complement has minimum i.
+
+All functions are pure, and the results are exact term maps, independent
+of the order in which bases or groups are summed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
+from typing import Iterator
 
 from .bipoly import BiPoly, X_PLUS_Y_MINUS_1, add_scaled_into, from_dict
 from .core import Polymatroid, Vector
@@ -159,29 +169,97 @@ def activities_from_tight_sets(p: Polymatroid, a: Vector) -> ActivityProfile:
     return ActivityProfile(tuple(a), frozenset(int_set), frozenset(ext_set))
 
 
+def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int], int]:
+    """One integer key per basis, in basis order, the weight w_i of each
+    coordinate, and a bound above every key.  Digit i is a_i - min_i + 1 in
+    radix max_i - min_i + 3, so a key +-(w_i - w_j) is the key of
+    a +-(e_i - e_j), carry-free."""
+    weights = []
+    offset = 0
+    w = 1
+    for col in zip(*p.bases):
+        lo = min(col)
+        weights.append(w)
+        offset += (1 - lo) * w
+        w *= max(col) - lo + 3
+    return [sum(map(mul, v, weights), offset) for v in p.bases], weights, w
+
+
+def _inactive_by_index(
+    keys: list[int], weights: list[int], internal: bool = True, external: bool = True
+) -> Iterator[tuple[set[int], set[int]]]:
+    """For i = 2..n, the keys of the bases internally and externally
+    inactive at i (a side not asked for stays empty).
+
+    K & (keys + w_i - w_j) holds the bases b with b - e_i + e_j in P, and
+    K & (keys - w_i + w_j) those with b + e_i - e_j in P.
+    """
+    member = frozenset(keys)
+    total = len(member)
+    for i in range(1, len(weights)):
+        wi = weights[i]
+        ins: set[int] = set()
+        ext: set[int] = set()
+        for wj in weights[:i]:
+            d = wi - wj
+            scan_int = internal and len(ins) < total
+            scan_ext = external and len(ext) < total
+            if not (scan_int or scan_ext):
+                break
+            if scan_int:
+                ins |= member.intersection(map(d.__add__, keys))
+            if scan_ext:
+                ext |= member.intersection(map((-d).__add__, keys))
+        yield ins, ext
+
+
+def _inactive_counts(
+    p: Polymatroid, internal: bool, external: bool
+) -> tuple[Iterator[int], Iterator[int], Iterator[int]]:
+    """Per basis, in basis order: how many indices are internally inactive,
+    externally inactive, and both (three iterators).
+
+    One tally counts all three: a key k stands for its internal count, k +
+    bound for its external count and k + 2 * bound for both.
+    """
+    keys, weights, bound = _packed_keys(p)
+    marks: list[int] = []
+    for ins, ext in _inactive_by_index(keys, weights, internal, external):
+        marks += ins
+        if external:
+            marks += map(bound.__add__, ext)
+            if internal:
+                marks += map((2 * bound).__add__, ins & ext)
+    get = Counter(marks).get
+    zeros = repeat(0)
+    return (
+        map(get, keys, zeros),
+        map(get, map(bound.__add__, keys), zeros),
+        map(get, map((2 * bound).__add__, keys), zeros),
+    )
+
+
 def tutte_direct(p: Polymatroid) -> BiPoly:
-    """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly."""
+    """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly.
+
+    With ci, ce, cb the inactive counts (internal, external, both) of a
+    basis: oi = ce - cb, oe = ci - cb and ie = n - (ci + ce - cb).
+    """
+    n = p.n
     acc: dict[tuple[int, int], int] = {}
-    for a in p.bases:
-        prof = activities(p, a)
-        add_scaled_into(acc, xy1_power(prof.ie), 1, prof.oi, prof.oe)
+    for (ci, ce, cb), count in Counter(zip(*_inactive_counts(p, True, True))).items():
+        add_scaled_into(acc, xy1_power(n - ci - ce + cb), count, ce - cb, ci - cb)
     return from_dict(acc)
 
 
 def interior_direct(p: Polymatroid) -> BiPoly:
-    """One monomial x^(n - |Int(a)|) per basis; coefficients are nonnegative
+    """x^(n - |Int(a)|) summed over the bases; coefficients are nonnegative
     and the constant term is 1."""
-    acc: dict[tuple[int, int], int] = {}
-    for a in p.bases:
-        e = (activities(p, a).iota_bar, 0)
-        acc[e] = acc.get(e, 0) + 1
-    return from_dict(acc)
+    iota_bar = _inactive_counts(p, True, False)[0]
+    return from_dict({(e, 0): c for e, c in Counter(iota_bar).items()})
 
 
 def exterior_direct(p: Polymatroid) -> BiPoly:
-    """One monomial y^(n - |Ext(a)|) per basis."""
-    acc: dict[tuple[int, int], int] = {}
-    for a in p.bases:
-        e = (0, activities(p, a).eps_bar)
-        acc[e] = acc.get(e, 0) + 1
-    return from_dict(acc)
+    """y^(n - |Ext(a)|) summed over the bases."""
+    eps_bar = _inactive_counts(p, False, True)[1]
+    return from_dict({(0, e): c for e, c in Counter(eps_bar).items()})

@@ -32,6 +32,7 @@ Output is deterministic for a fixed (input, options) pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -410,7 +411,10 @@ def cmd_suite(args, config: RunConfig) -> int:
 # -- argument parsing ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change
+    it, so every in-process call of main shares it)."""
     parser = argparse.ArgumentParser(
         prog="polytutte",
         description="Exact Tutte-type invariants of integer polymatroids",

@@ -40,16 +40,28 @@ Validating constructors check the defining axioms in O(2^n n^2) time:
 
 A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
-exchange.  Functions that produce polymatroids from already-valid inputs use
-a trusted fast path.  All values are immutable after construction and safe
-to share.
+exchange.
+
+The public constructors check types and lengths even with validate=False.
+What the package computes itself from a polymatroid or table it already
+holds (enumerate_bases and so every minor, slice, dual, translate, permute,
+rank_from_bases, slice_rank and enumerate_small_polymatroids) is built by
+Polymatroid._trusted and RankTable._trusted instead, which sort the basis
+rows but check nothing.  dual, translate and permute carry a known rank
+table through the transform,
+
+    f*(S) = f([n] - S) - f([n]),   f(S) + c(S),   S -> f(w(S)),
+
+and leave an unknown one unknown, so a polymatroid given by its bases pays
+rank_from_bases only when a table is read.  All values are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -105,6 +117,14 @@ class RankTable:
         object.__setattr__(self, "f", f)
         if validate:
             self.validate()
+
+    @classmethod
+    def _trusted(cls, n: int, f: tuple[int, ...]) -> "RankTable":
+        """A table the package computed itself: 2^n integers, not checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "n", n)
+        object.__setattr__(table, "f", f)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("RankTable is immutable")
@@ -241,13 +261,26 @@ class Polymatroid:
                 raise ValidationError(f"mixed vector lengths: {len(v)} vs {n}")
             if not all(type(c) is int for c in v):
                 raise ValidationError(f"non-integer coordinates in {v}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", tuple(rows))
-        object.__setattr__(self, "_set", frozenset(rows))
-        object.__setattr__(self, "_rank", None)
-        object.__setattr__(self, "_hash", None)
+        self._init(n, rows, None)
         if validate:
             self._validate()
+
+    @classmethod
+    def _trusted(cls, rows: list[Vector], n: int, table: RankTable | None) -> "Polymatroid":
+        """Distinct integer vectors of length n >= 1 that the package made
+        itself from a valid polymatroid, with its rank table if known: the
+        rows are sorted, nothing is checked."""
+        rows.sort()
+        p = object.__new__(cls)
+        p._init(n, rows, table)
+        return p
+
+    def _init(self, n: int, rows: list[Vector], table: RankTable | None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bases", tuple(rows))
+        object.__setattr__(self, "_set", None)  # built by the first membership test
+        object.__setattr__(self, "_rank", table)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polymatroid is immutable")
@@ -278,7 +311,7 @@ class Polymatroid:
         if count == len(rows):
             object.__setattr__(self, "_rank", g)
             return
-        witness = _exchange_witness(rows, self._set)
+        witness = _exchange_witness(rows, frozenset(rows))
         if witness is None:
             raise RuntimeError(
                 "the rank-table round trip rejected a basis set that passes the exchange search"
@@ -288,7 +321,11 @@ class Polymatroid:
     # -- queries -------------------------------------------------------------
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self._set
+        members = self._set
+        if members is None:
+            members = frozenset(self.bases)
+            object.__setattr__(self, "_set", members)
+        return tuple(v) in members
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -342,9 +379,10 @@ class Polymatroid:
         rng = self.slice_range(t)
         if j not in rng:
             raise EmptySlice(f"level {j} outside {rng.alpha}..{rng.beta} for element {t}")
+        _check_ground_size(self.n - 1)
         k = t - 1
         picked = [v[:k] + v[k + 1 :] for v in self.bases if v[k] == j]
-        return Polymatroid(picked, validate=False)
+        return Polymatroid._trusted(picked, self.n - 1, None)
 
     def delete(self, elements: Iterable[int]) -> "Polymatroid":
         """Restriction to [n] - A: rank of a surviving subset is unchanged."""
@@ -375,30 +413,47 @@ class Polymatroid:
             bit = 1 << i
             if not removed & bit:
                 masks += [m | bit for m in masks]
-        values = [f[m] - f[b] for m in masks]
-        return enumerate_bases(RankTable(self.n - bin(removed).count("1"), values, validate=False))
+        fb = f[b]
+        values = tuple([f[m] - fb for m in masks])
+        return enumerate_bases(RankTable._trusted(self.n - bin(removed).count("1"), values))
 
     def dual(self) -> "Polymatroid":
-        """Elementwise negation."""
-        return Polymatroid([tuple(-c for c in v) for v in self.bases], validate=False)
+        """Elementwise negation; a known table becomes f*(S) = f(E - S) - f(E)."""
+        table = self._rank
+        if table is not None:
+            fe = table.f[-1]
+            table = RankTable._trusted(self.n, tuple([v - fe for v in reversed(table.f)]))
+        rows = [tuple([-c for c in v]) for v in self.bases]
+        return Polymatroid._trusted(rows, self.n, table)
 
     def translate(self, c: Sequence[int]) -> "Polymatroid":
-        """Add the integer vector c to every basis."""
+        """Add the integer vector c to every basis; a known table becomes
+        f(S) + c(S)."""
         c = tuple(c)
         if len(c) != self.n or not all(type(v) is int for v in c):
             raise ValidationError(f"translation vector must be {self.n} integers")
-        return Polymatroid(
-            [tuple(a + d for a, d in zip(v, c)) for v in self.bases], validate=False
-        )
+        table = self._rank
+        if table is not None:
+            table = RankTable._trusted(self.n, tuple(map(add, table.f, _subset_sums(c))))
+        rows = [tuple(map(add, v, c)) for v in self.bases]
+        return Polymatroid._trusted(rows, self.n, table)
 
     def permute(self, w: Sequence[int]) -> "Polymatroid":
-        """Coordinate permutation: position k of the image reads a_{w(k)}."""
+        """Coordinate permutation: position k of the image reads a_{w(k)}; a
+        known table is read at the image masks, g(S) = f(w(S))."""
         w = tuple(w)
         if sorted(w) != list(range(1, self.n + 1)):
             raise ValidationError(f"{w} is not a permutation of 1..{self.n}")
-        return Polymatroid(
-            [tuple(v[wk - 1] for wk in w) for v in self.bases], validate=False
-        )
+        table = self._rank
+        if table is not None:
+            images = [0]  # images[S] = the mask of w(S)
+            for wk in w:
+                bit = 1 << (wk - 1)
+                images += [m | bit for m in images]
+            table = RankTable._trusted(self.n, tuple(map(table.f.__getitem__, images)))
+        picks = [wk - 1 for wk in w]
+        rows = [tuple([v[k] for k in picks]) for v in self.bases]
+        return Polymatroid._trusted(rows, self.n, table)
 
     # -- serialization -----------------------------------------------------------
 
@@ -472,32 +527,17 @@ def rank_from_bases(p: Polymatroid) -> RankTable:
     """f(I) = max over bases of the I-coordinate sum, for every mask."""
     best = None
     for v in p.bases:
-        sums = [0]  # sums[mask] over the coordinates seen so far
-        for c in v:
-            sums += [s + c for s in sums]
+        sums = _subset_sums(v)
         best = sums if best is None else [a if a > b else b for a, b in zip(best, sums)]
-    return RankTable(p.n, best, validate=False)
+    return RankTable._trusted(p.n, tuple(best))
 
 
-def greedy_basis(table: RankTable, order: Sequence[int]) -> Vector:
-    """Telescoping basis for an element order: each step takes the rank gain.
-
-    The result always lies in the polymatroid of the table and attains f(I)
-    for every prefix I of the order.
-    """
-    n = table.n
-    order = tuple(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValidationError(f"{order} is not a permutation of 1..{n}")
-    out = [0] * n
-    mask = 0
-    prev = 0
-    for t in order:
-        mask |= 1 << (t - 1)
-        cur = table.f[mask]
-        out[t - 1] = cur - prev
-        prev = cur
-    return tuple(out)
+def _subset_sums(v: Sequence[int]) -> list[int]:
+    """sums[mask] = the sum of v over the mask, built by doubling."""
+    sums = [0]
+    for c in v:
+        sums += [s + c for s in sums]
+    return sums
 
 
 def slice_rank(table: RankTable, t: int, j: int) -> RankTable:
@@ -516,8 +556,7 @@ def slice_rank(table: RankTable, t: int, j: int) -> RankTable:
     beta = table.f[tbit]
     if not alpha <= j <= beta:
         raise OutOfRange(f"level {j} outside {alpha}..{beta} for element {t}")
-    values = _slice_table(table.f, n, t, j)
-    return RankTable(n - 1, values, validate=False)
+    return RankTable._trusted(n - 1, tuple(_slice_table(table.f, n, t, j)))
 
 
 def _slice_table(f: Sequence[int], n: int, t: int, j: int) -> list[int]:
@@ -557,9 +596,10 @@ def enumerate_bases(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Pol
     with that coordinate equal to j are exactly the bases of the slice table
     with j appended.  The result is capped at ``max_bases`` vectors.
     """
-    p = Polymatroid(_enumerate(table.f, table.n, max_bases), validate=False)
-    object.__setattr__(p, "_rank", table)
-    return p
+    rows = _enumerate(table.f, table.n, max_bases)
+    if not rows:  # only a table that was built unvalidated and is not submodular
+        raise EmptyBasisSet(f"{table} has no bases")
+    return Polymatroid._trusted(rows, table.n, table)
 
 
 def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
@@ -577,51 +617,6 @@ def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
         if len(acc) > limit:
             raise SizeLimitExceeded(limit)
     return acc
-
-
-def in_polytope(table: RankTable, v: Sequence[int]) -> bool:
-    """Membership test against the table: all subset sums within rank, total
-    sum equal to the full rank."""
-    n = table.n
-    if len(v) != n:
-        return False
-    size = 1 << n
-    sums = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        s = sums[mask ^ low] + v[low.bit_length() - 1]
-        if s > table.f[mask]:
-            return False
-        sums[mask] = s
-    return sums[size - 1] == table.f[size - 1]
-
-
-def exchange_closure(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Polymatroid:
-    """Independent enumeration oracle: breadth-first closure of the greedy
-    vertex under single-unit transfer moves a - e_i + e_j that stay inside
-    the polytope.  Used to cross-check ``enumerate_bases``."""
-    n = table.n
-    start = greedy_basis(table, tuple(range(1, n + 1)))
-    seen = {start}
-    queue = [start]
-    while queue:
-        a = queue.pop()
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                b = list(a)
-                b[i] -= 1
-                b[j] += 1
-                bt = tuple(b)
-                if bt in seen:
-                    continue
-                if in_polytope(table, bt):
-                    seen.add(bt)
-                    queue.append(bt)
-                    if len(seen) > max_bases:
-                        raise SizeLimitExceeded(max_bases)
-    return Polymatroid(seen, validate=False)
 
 
 # -- exhaustive small-case generator -----------------------------------------------
@@ -659,7 +654,7 @@ def enumerate_small_polymatroids(
 
     def assign(mask: int):
         if mask == size:
-            p = enumerate_bases(RankTable(n, f, validate=False), max_bases)
+            p = enumerate_bases(RankTable._trusted(n, tuple(f)), max_bases)
             if p.bases not in seen:
                 seen.add(p.bases)
                 yield p

@@ -36,7 +36,6 @@ from .bipoly import BiPoly
 from .core import (
     Polymatroid,
     RankTable,
-    enumerate_bases,
     enumerate_small_polymatroids,
 )
 from .errors import NegativeCoordinates, ValidationError
@@ -271,13 +270,6 @@ def ceiling_prefix(x: BiPoly, m: int, n: int) -> int:
     return best
 
 
-def exterior_ceiling_profile(p: Polymatroid, exterior: BiPoly | None = None) -> int:
-    """Largest k in 0..n with the first k+1 exterior coefficients at the
-    ceiling C(f([n]) + i - 1, i); the constant term always qualifies."""
-    x = exterior if exterior is not None else exterior_direct(p)
-    return ceiling_prefix(x, p.rank_table().full_rank(), p.n)
-
-
 # -- coefficientwise comparison ----------------------------------------------------------
 
 
@@ -400,10 +392,6 @@ def random_rank_table(
             table.validate()  # construction guarantees this; assert anyway
             return table
     raise ValidationError("could not draw a table within the size budget")
-
-
-def random_polymatroid(rng: Random, n: int, **kw) -> Polymatroid:
-    return enumerate_bases(random_rank_table(rng, n, **kw))
 
 
 def random_subpolymatroid(rng: Random, p: Polymatroid) -> Polymatroid:

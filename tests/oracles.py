@@ -1,4 +1,5 @@
-"""Independent checks the validators of polytutte.core are compared with.
+"""Independent checks that tests compare polytutte.core with: the axioms of
+rank tables and basis sets, and basis enumeration by an exchange closure.
 
 These are the definitions themselves, with no shortcut, so they cost what
 the definitions cost; tests run them on small inputs only.
@@ -6,7 +7,16 @@ the definitions cost; tests run them on small inputs only.
 
 from __future__ import annotations
 
-from polytutte.core import _exchange_witness
+from typing import Sequence
+
+from polytutte.core import (
+    DEFAULT_MAX_BASES,
+    Polymatroid,
+    RankTable,
+    Vector,
+    _exchange_witness,
+)
+from polytutte.errors import SizeLimitExceeded, ValidationError
 
 
 def submodularity_failure(f) -> tuple[int, int] | None:
@@ -34,3 +44,69 @@ def basis_set_category(rows) -> str | None:
     if len({sum(v) for v in rows}) > 1:
         return "UnequalSums"
     return None if _exchange_witness(rows, frozenset(rows)) is None else "ExchangeFailure"
+
+
+def greedy_basis(table: RankTable, order: Sequence[int]) -> Vector:
+    """Telescoping basis for an element order: each step takes the rank gain.
+
+    The result always lies in the polymatroid of the table and attains f(I)
+    for every prefix I of the order.
+    """
+    n = table.n
+    order = tuple(order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValidationError(f"{order} is not a permutation of 1..{n}")
+    out = [0] * n
+    mask = 0
+    prev = 0
+    for t in order:
+        mask |= 1 << (t - 1)
+        cur = table.f[mask]
+        out[t - 1] = cur - prev
+        prev = cur
+    return tuple(out)
+
+
+def in_polytope(table: RankTable, v: Sequence[int]) -> bool:
+    """Membership test against the table: all subset sums within rank, total
+    sum equal to the full rank."""
+    n = table.n
+    if len(v) != n:
+        return False
+    size = 1 << n
+    sums = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        s = sums[mask ^ low] + v[low.bit_length() - 1]
+        if s > table.f[mask]:
+            return False
+        sums[mask] = s
+    return sums[size - 1] == table.f[size - 1]
+
+
+def exchange_closure(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Polymatroid:
+    """Independent enumeration oracle: breadth-first closure of the greedy
+    vertex under single-unit transfer moves a - e_i + e_j that stay inside
+    the polytope.  Used to cross-check ``enumerate_bases``."""
+    n = table.n
+    start = greedy_basis(table, tuple(range(1, n + 1)))
+    seen = {start}
+    queue = [start]
+    while queue:
+        a = queue.pop()
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                b = list(a)
+                b[i] -= 1
+                b[j] += 1
+                bt = tuple(b)
+                if bt in seen:
+                    continue
+                if in_polytope(table, bt):
+                    seen.add(bt)
+                    queue.append(bt)
+                    if len(seen) > max_bases:
+                        raise SizeLimitExceeded(max_bases)
+    return Polymatroid(seen, validate=False)

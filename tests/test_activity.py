@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
+from polytutte.acceptance import build_corpus
 from polytutte.activity import (
+    _inactive_by_index,
+    _packed_keys,
     activities,
     activities_from_tight_sets,
     exterior_direct,
@@ -13,8 +18,9 @@ from polytutte.activity import (
     tutte_direct,
 )
 from polytutte.bipoly import parse
-from polytutte.core import Polymatroid, enumerate_small_polymatroids
+from polytutte.core import Polymatroid, enumerate_bases, enumerate_small_polymatroids
 from polytutte.errors import NotABasis
+from polytutte.formulas import random_rank_table
 
 U12 = Polymatroid([(1, 0), (0, 1)])
 U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -214,3 +220,37 @@ def test_constant_terms_are_one_small():
     for p in small_corpus():
         assert interior_direct(p).coeff(0, 0) == 1
         assert exterior_direct(p).coeff(0, 0) == 1
+
+
+# -- the bulk pass of the *_direct functions -----------------------------------
+
+
+def bulk_activity_sets(p):
+    """(Int(a), Ext(a)) of every basis in basis order, read off the packed-key
+    pass that the *_direct functions count."""
+    keys, weights, _ = _packed_keys(p)
+    int_sets = {k: {1} for k in keys}
+    ext_sets = {k: {1} for k in keys}
+    for i, (ins, ext) in enumerate(_inactive_by_index(keys, weights), start=2):
+        for k in keys:
+            if k not in ins:
+                int_sets[k].add(i)
+            if k not in ext:
+                ext_sets[k].add(i)
+    return [(frozenset(int_sets[k]), frozenset(ext_sets[k])) for k in keys]
+
+
+def test_bulk_activity_matches_the_per_basis_definition():
+    rng = Random(11)
+    family = []
+    for p in build_corpus().members():
+        shift = tuple(rng.randint(-3, 3) for _ in range(p.n))
+        family += [p, p.dual(), p.translate(shift)]
+    # n = 9, 2,122 bases, negative coordinates
+    large = enumerate_bases(random_rank_table(Random(1), 9, size_budget=10**7))
+    assert len(large) > 2000
+    family.append(large)
+    for p in family:
+        per_basis = [activities(p, a) for a in p.bases]
+        assert bulk_activity_sets(p) == [(a.int_set, a.ext_set) for a in per_basis], p
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from polytutte import core, recursion
+from polytutte import cli, core, recursion
 from polytutte.core import Polymatroid, RankTable
 from polytutte.cli import (
     COMMANDS,
@@ -446,3 +447,33 @@ def test_table_commands_enumerate_no_bases(files, capsys, monkeypatch):
     # the commands that read bases still enumerate
     code, _, _ = run(capsys, "validate", files["u13_rank"])
     assert code == EXIT_OK and len(calls) == 1
+
+
+def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers",
+        lambda self, **kw: built.append(self) or real(self, **kw),
+    )
+    assert run(capsys, "tutte", files["pair"])[0] == EXIT_OK
+    assert run(capsys, "--format", "json", "interior", files["pair"])[0] == EXIT_OK
+    assert len(built) == 1
+
+    def exits(parse, argv):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        captured = capsys.readouterr()
+        return e.value.code, captured.out, captured.err
+
+    # help and argument errors print what a freshly built parser prints
+    cases = [["--help"], ["tutte", "--help"], ["tutte", "--method", "nope", files["pair"]], []]
+    cached = [exits(main, argv) for argv in cases + cases]
+    fresh = cli.build_parser.__wrapped__()
+    assert cached == [exits(fresh.parse_args, argv) for argv in cases] * 2
+    assert [code for code, _, _ in cached[:4]] == [0, 0, 2, 2]
+    assert cached[0][1].startswith("usage: polytutte")
+    assert "invalid choice: 'nope'" in cached[2][2]
+    assert len(built) == 2  # the fresh parser only
+

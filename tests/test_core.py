@@ -8,16 +8,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import submodularity_failure
+from oracles import exchange_closure, greedy_basis, in_polytope, submodularity_failure
 from polytutte import core
 from polytutte.core import (
     Polymatroid,
     RankTable,
     enumerate_bases,
     enumerate_small_polymatroids,
-    exchange_closure,
-    greedy_basis,
-    in_polytope,
     rank_from_bases,
     slice_rank,
     surviving_labels,
@@ -340,7 +337,8 @@ def test_minors_reuse_the_enumerated_table(monkeypatch):
     real = core.rank_from_bases
     monkeypatch.setattr(core, "rank_from_bases", lambda q: calls.append(q) or real(q))
     assert p.rank_table() is f
-    minors = [p.minor([1], [3]), p.delete([2]), p.contract([1, 4]), p.minor([2, 3], [])]
+    minors = [p.minor([1], [3]), p.delete([2]), p.contract([1, 4]), p.minor([2, 3], []),
+              p.dual().contract([1])]
     family = list(enumerate_small_polymatroids(2, 2))
     tables = [q.rank_table() for q in minors + family]
     assert calls == []
@@ -348,6 +346,48 @@ def test_minors_reuse_the_enumerated_table(monkeypatch):
     # the carried tables are the ones the bases give back
     assert tables == [rank_from_bases(q) for q in minors + family]
     assert tables[0].f == tuple(f.f[m | 0b0100] - f.f[0b0100] for m in (0, 0b0010, 0b1000, 0b1010))
+
+
+def test_transforms_carry_their_tables():
+    rng = Random(5)
+    for n in range(1, 9):
+        for _ in range(3):
+            p = enumerate_bases(random_rank_table(rng, n))
+            shifts = [tuple(rng.randint(-3, 3) for _ in range(n)), (-2,) * n]
+            w = tuple(rng.sample(range(1, n + 1), n))
+            images = [p.dual(), p.permute(w), p.dual().permute(w).translate(shifts[0])]
+            images += [p.translate(c) for c in shifts]
+            for q in images:
+                assert q._rank is not None
+                assert q.rank_table() == rank_from_bases(q)
+
+
+def test_transforms_of_a_tableless_polymatroid_compute_no_table(monkeypatch):
+    p = Polymatroid([(2, 0, 1), (1, 1, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)], validate=False)
+    calls = []
+    monkeypatch.setattr(core, "rank_from_bases", lambda q: calls.append(q))
+    images = [p.dual(), p.translate((1, -1, 0)), p.permute((3, 1, 2))]
+    assert calls == []
+    assert [q._rank for q in images] == [None] * 3
+
+
+def test_unvalidated_constructors_keep_their_checks():
+    with pytest.raises(ValidationError):
+        Polymatroid([(True, False), (False, True)], validate=False)
+    with pytest.raises(ValidationError, match="mixed vector lengths"):
+        Polymatroid([(1, 0), (1, 0, 0)], validate=False)
+    with pytest.raises(ValidationError):
+        Polymatroid([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValidationError):
+        RankTable(1, [0, True], validate=False)
+    with pytest.raises(ValidationError):
+        RankTable(2, [0, 1, 1], validate=False)
+
+
+def test_slice_of_a_one_element_polymatroid_is_rejected():
+    with pytest.raises(ValidationError, match="at least one element") as e:
+        Polymatroid([(2,)]).slice(1, 2)
+    assert e.value.category == "ValidationError"
 
 
 def test_basis_validation_keeps_its_rank_table(monkeypatch):

@@ -10,6 +10,7 @@ from polytutte.activity import exterior_direct, interior_direct, tutte_direct
 from polytutte.bipoly import parse
 from polytutte.core import (
     Polymatroid,
+    enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
 )
@@ -18,13 +19,12 @@ from polytutte.formulas import (
     CoefficientRow,
     binomial,
     coefficient_report,
+    ceiling_prefix,
     coefficientwise_le,
     exterior_ceiling_check,
-    exterior_ceiling_profile,
     near_top_coefficient,
     near_top_univariate,
     random_minor_args,
-    random_polymatroid,
     random_rank_table,
     random_subpolymatroid,
     search_by_tutte,
@@ -33,6 +33,16 @@ from polytutte.formulas import (
     top_coefficient,
 )
 from polytutte.hypergraph import Hypergraph, hypertree_polymatroid
+
+
+def exterior_ceiling_profile(p: Polymatroid) -> int:
+    """Largest k in 0..n with the first k+1 exterior coefficients at the
+    ceiling C(f([n]) + i - 1, i); the constant term always qualifies."""
+    return ceiling_prefix(exterior_direct(p), p.rank_table().full_rank(), p.n)
+
+
+def random_polymatroid(rng: Random, n: int) -> Polymatroid:
+    return enumerate_bases(random_rank_table(rng, n))
 
 U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 UNIQUE11 = Polymatroid([(1, 1)])
