@@ -12,13 +12,10 @@ from .bipoly import BiPoly, X, X_PLUS_Y_MINUS_1, Y
 from .core import (
     Polymatroid,
     RankTable,
-    SliceRange,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
     slice_rank,
-    validate_basis_set,
-    validate_rank_table,
 )
 from .activity import (
     ActivityProfile,
@@ -28,6 +25,7 @@ from .activity import (
     exterior_direct,
     interior_direct,
     tight_sets,
+    transfers,
     tutte_direct,
 )
 from .recursion import (
@@ -67,7 +65,6 @@ __all__ = [
     "Hypergraph",
     "Polymatroid",
     "RankTable",
-    "SliceRange",
     "TightFamily",
     "X",
     "X_PLUS_Y_MINUS_1",
@@ -98,11 +95,10 @@ __all__ = [
     "second_band_univariate",
     "slice_rank",
     "tight_sets",
+    "transfers",
     "top_coefficient",
     "tutte_dc",
     "tutte_direct",
     "tutte_to_matroid_form",
     "uniform_matroid",
-    "validate_basis_set",
-    "validate_rank_table",
 ]

@@ -42,16 +42,17 @@ from __future__ import annotations
 import itertools
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
 from .activity import (
-    activities,
+    ActivityProfile,
     activities_from_tight_sets,
     exterior_direct,
     interior_direct,
     tight_sets,
+    transfers,
     tutte_direct,
 )
 from .bipoly import BiPoly, parse
@@ -71,6 +72,7 @@ from .formulas import (
     coefficientwise_le,
     exterior_ceiling_check,
     near_top_coefficient,
+    near_top_univariate,
     random_minor_args,
     random_rank_table,
     random_subpolymatroid,
@@ -132,40 +134,20 @@ class CriterionResult:
 
 @dataclass
 class Corpus:
-    """Shared deterministic test corpus, built once per seed."""
+    """Shared deterministic test corpus, built once per seed.
+
+    It holds inputs only; the criteria read polynomials from ``tutte_dc``,
+    ``interior_dc`` and ``exterior_dc``, whose memo keeps them.
+    """
 
     seed: int
     exhaustive: list[Polymatroid]
     randoms: list[Polymatroid]
     hypergraphs: list[Hypergraph]         # connected incidence graphs
     hypergraphs_any: list[Hypergraph]     # no connectivity constraint
-    _tutte: dict[Polymatroid, BiPoly] = field(default_factory=dict)
-    _interior: dict[Polymatroid, BiPoly] = field(default_factory=dict)
-    _exterior: dict[Polymatroid, BiPoly] = field(default_factory=dict)
 
     def members(self) -> list[Polymatroid]:
         return self.exhaustive + self.randoms
-
-    def tutte(self, p: Polymatroid) -> BiPoly:
-        out = self._tutte.get(p)
-        if out is None:
-            out = tutte_dc(p)
-            self._tutte[p] = out
-        return out
-
-    def interior(self, p: Polymatroid) -> BiPoly:
-        out = self._interior.get(p)
-        if out is None:
-            out = interior_dc(p)
-            self._interior[p] = out
-        return out
-
-    def exterior(self, p: Polymatroid) -> BiPoly:
-        out = self._exterior.get(p)
-        if out is None:
-            out = exterior_dc(p)
-            self._exterior[p] = out
-        return out
 
 
 _CORPUS_CACHE: dict[int, Corpus] = {}
@@ -211,19 +193,12 @@ def build_corpus(seed: int = DEFAULT_SEED) -> Corpus:
 def check_method_equivalence(corpus: Corpus, rng: Random) -> str:
     checked = 0
     for p in corpus.members():
-        direct = tutte_direct(p)
-        recursive = tutte_dc(p)
-        if direct != recursive:
+        if tutte_direct(p) != tutte_dc(p):
             raise AssertionError(f"tutte mismatch on {p}")
-        corpus._tutte[p] = direct
-        i_direct, i_rec = interior_direct(p), interior_dc(p)
-        if i_direct != i_rec:
+        if interior_direct(p) != interior_dc(p):
             raise AssertionError(f"interior mismatch on {p}")
-        corpus._interior[p] = i_direct
-        x_direct, x_rec = exterior_direct(p), exterior_dc(p)
-        if x_direct != x_rec:
+        if exterior_direct(p) != exterior_dc(p):
             raise AssertionError(f"exterior mismatch on {p}")
-        corpus._exterior[p] = x_direct
         checked += 1
     return (
         f"{checked} polymatroids ({len(corpus.exhaustive)} exhaustive n<="
@@ -238,7 +213,7 @@ def check_method_equivalence(corpus: Corpus, rng: Random) -> str:
 def check_coefficient_formulas(corpus: Corpus, rng: Random) -> str:
     rows = 0
     for p in corpus.members():
-        for row in coefficient_report(p, corpus.tutte(p)):
+        for row in coefficient_report(p, tutte_dc(p)):
             if not row.match:
                 raise AssertionError(
                     f"{row.formula} on {p}: predicted {row.predicted}, "
@@ -248,13 +223,10 @@ def check_coefficient_formulas(corpus: Corpus, rng: Random) -> str:
         # the band formula at k=1 and k=n collapses to the singleton and
         # co-singleton expressions
         table = p.rank_table()
-        n, full = p.n, table.full_rank()
-        full_mask = (1 << n) - 1
-        singles = sum(table.f[1 << i] for i in range(n))
-        cosingles = sum(table.f[full_mask ^ (1 << i)] for i in range(n))
-        if near_top_coefficient(table, 1) != singles - full - n:
+        xn1, yn1 = near_top_univariate(table)
+        if near_top_coefficient(table, 1) != xn1 - p.n:
             raise AssertionError(f"band formula at k=1 deviates on {p}")
-        if near_top_coefficient(table, n) != cosingles - (n - 1) * full - n:
+        if near_top_coefficient(table, p.n) != yn1 - p.n:
             raise AssertionError(f"band formula at k=n deviates on {p}")
         rows += 2
     return f"{rows} formula instances, zero mismatches"
@@ -323,7 +295,7 @@ def invariance_violations(
 def check_invariances(corpus: Corpus, rng: Random) -> str:
     checked = 0
     for p in corpus.members():
-        polys = (corpus.tutte(p), corpus.interior(p), corpus.exterior(p))
+        polys = (tutte_dc(p), interior_dc(p), exterior_dc(p))
         violated = invariance_violations(p, polys, rng)
         if violated:
             prop, witness = next(iter(violated.items()))
@@ -377,7 +349,7 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         n = rng.randint(2, RANDOM_MAX_N)
         p = enumerate_bases(random_rank_table(rng, n))
         sub = random_subpolymatroid(rng, p)
-        for poly_of in (corpus.interior, corpus.exterior):
+        for poly_of in (interior_dc, exterior_dc):
             rep = coefficientwise_le(poly_of(sub), poly_of(p))
             if not rep.holds:
                 raise AssertionError(
@@ -390,7 +362,7 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         p = enumerate_bases(random_rank_table(rng, n))
         a, b = random_minor_args(rng, n)
         minor = p.minor(a, b)
-        for poly_of in (corpus.interior, corpus.exterior):
+        for poly_of in (interior_dc, exterior_dc):
             rep = coefficientwise_le(poly_of(minor), poly_of(p))
             if not rep.holds:
                 raise AssertionError(
@@ -406,7 +378,7 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         sub_h = random_incidence_subgraph(rng, h)
         p = hypertree_polymatroid(h)
         q = hypertree_polymatroid(sub_h)
-        for poly_of in (corpus.interior, corpus.exterior):
+        for poly_of in (interior_dc, exterior_dc):
             rep = coefficientwise_le(poly_of(q), poly_of(p))
             if not rep.holds:
                 raise AssertionError(
@@ -452,7 +424,7 @@ def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
     for p in corpus.exhaustive:
         if p.n != 2 or len(p) < 2:
             continue
-        tp = corpus.tutte(p)
+        tp = tutte_dc(p)
         for a in p.bases:
             single = Polymatroid([a], validate=False)
             ts = tutte_dc(single)
@@ -479,7 +451,7 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # profile == ceiling prefix on connected hypergraphs
     for h in corpus.hypergraphs:
         p = hypertree_polymatroid(h)
-        x = corpus.exterior(p)
+        x = exterior_dc(p)
         profile = connectivity_profile(h)
         prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
         if profile != prefix:
@@ -514,7 +486,7 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # the ceiling bound is never exceeded, connected or not
     for h in corpus.hypergraphs + corpus.hypergraphs_any:
         p = hypertree_polymatroid(h)
-        x = corpus.exterior(p)
+        x = exterior_dc(p)
         for (_, j), c in x.items():
             if c > binomial(h.num_vertices + j - 2, j):
                 raise AssertionError(f"ceiling exceeded at y^{j} on {h}")
@@ -556,7 +528,7 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
     for t in range(1, n + 1):
         if n == 1:
             break
-        for j in p.slice_range(t).values():
+        for j in p.slice_range(t):
             if slice_rank(table, t, j) != rank_from_bases(p.slice(t, j)):
                 raise AssertionError(f"slice rank mismatch at t={t}, j={j} on {p}")
     # dual/deletion/contraction exchange, and minor commutation
@@ -573,38 +545,32 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
                 raise AssertionError(f"dual(delete) != contract(dual) for {a} on {p}")
             if p.contract(a).dual() != dual.delete(a):
                 raise AssertionError(f"dual(contract) != delete(dual) for {a} on {p}")
-    # tight-set lattice, activity characterization, exchange step
-    size = 1 << n
+    # tight-set lattice, activity characterization, and S tight exactly when
+    # no transfer a + e_j - e_k moves mass into S (j in S, k outside)
+    full_mask = (1 << n) - 1
     for a in p.bases:
-        family = set(tight_sets(p, a).masks)
-        for i in family:
-            for j in family:
-                if (i | j) not in family or (i & j) not in family:
+        family = tight_sets(p, a)
+        tight = set(family.masks)
+        for i in tight:
+            for j in tight:
+                if (i | j) not in tight or (i & j) not in tight:
                     raise AssertionError(f"tight family not a lattice for {a} on {p}")
-        if activities(p, a) != activities_from_tight_sets(p, a):
+        moves = transfers(p, a)
+        if ActivityProfile.from_transfers(a, moves) != activities_from_tight_sets(family):
             raise AssertionError(f"activity characterization fails for {a} on {p}")
-        sums = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + a[low.bit_length() - 1]
-        for mask in range(1, size - 1):
-            if mask in family:
-                continue
-            inside = [i for i in range(n) if mask & (1 << i)]
-            outside = [k for k in range(n) if not mask & (1 << k)]
-            if not any(
-                _transfer_in(p, a, j, k) for j in inside for k in outside
-            ):
+        entered = {
+            mask
+            for j, k in moves
+            for mask in range(1, full_mask)
+            if mask >> j & 1 and not mask >> k & 1
+        }
+        for mask in range(1, full_mask):
+            if mask in tight and mask in entered:
+                raise AssertionError(f"exchange step into tight {mask:b} for {a} on {p}")
+            if mask not in tight and mask not in entered:
                 raise AssertionError(
                     f"no exchange step into non-tight {mask:b} for {a} on {p}"
                 )
-
-
-def _transfer_in(p: Polymatroid, a, j: int, k: int) -> bool:
-    v = list(a)
-    v[k] -= 1
-    v[j] += 1
-    return tuple(v) in p
 
 
 def _relabel(targets, removed, n):
@@ -638,7 +604,7 @@ def check_four_cycles(corpus: Corpus, rng: Random) -> str:
     cases = [k22] + corpus.hypergraphs
     for h in cases:
         p = hypertree_polymatroid(h)
-        interior = corpus.interior(p)
+        interior = interior_dc(p)
         predicted = (
             binomial(h.incidence_count() - h.num_vertices - h.num_edges + 2, 2)
             - count_four_cycles(h)
@@ -673,7 +639,7 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     results = []
     for offset, (ident, label, fn) in enumerate(CRITERIA):
         rng = Random(seed * 1000 + offset)
-        start = time.time()
+        start = time.perf_counter()
         try:
             details = fn(corpus, rng)
             passed = True
@@ -685,5 +651,5 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
                 limit=2
             ).replace("\n", " ")
             passed = False
-        results.append(CriterionResult(ident, label, passed, details, time.time() - start))
+        results.append(CriterionResult(ident, label, passed, details, time.perf_counter() - start))
     return results

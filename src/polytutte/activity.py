@@ -18,11 +18,13 @@ one integer key, one set intersection per pair j < i and side finds every
 basis with that transfer, and the bases are summed in groups of equal
 activity counts, not one by one.
 
-activities(p, a) answers the same question for one basis with O(n^2)
-membership tests.  An independent characterization through tight sets
-(subsets whose coordinate sum meets the rank) is provided as a cross-check
-oracle: i is externally active iff some tight set has minimum i, and
-internally active iff some tight set's complement has minimum i.
+transfers(p, a) lists every pair (j, k) with a + e_j - e_k in P, and
+activities(p, a) reads the activities of one basis off that list.  An
+independent characterization through tight sets (subsets whose coordinate
+sum meets the rank) is provided as a cross-check oracle: i is externally
+active iff some tight set has minimum i, and internally active iff some
+tight set's complement has minimum i.  A proper nonempty set S is tight
+exactly when no transfer moves mass into it, from outside S to inside.
 
 All functions are pure, and the results are exact term maps, independent
 of the order in which bases or groups are summed.
@@ -83,6 +85,20 @@ class ActivityProfile:
     def eps_bar(self) -> int:
         return len(self.basis) - len(self.ext_set)
 
+    @classmethod
+    def from_transfers(cls, basis: Vector, moves: list[tuple[int, int]]) -> "ActivityProfile":
+        """The profile of a basis given its transfers (see ``transfers``):
+        i is internally inactive when some (j, i) with j < i is a transfer,
+        externally inactive when some (i, j) with j < i is."""
+        int_inactive = {k for j, k in moves if j < k}
+        ext_inactive = {j for j, k in moves if k < j}
+        labels = range(len(basis))
+        return cls(
+            basis,
+            frozenset(i + 1 for i in labels if i not in int_inactive),
+            frozenset(i + 1 for i in labels if i not in ext_inactive),
+        )
+
 
 @dataclass(frozen=True)
 class TightFamily:
@@ -94,9 +110,6 @@ class TightFamily:
 
     basis: Vector
     masks: tuple[int, ...]
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
 
 
 def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
@@ -116,48 +129,39 @@ def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
     return TightFamily(a, tuple(out))
 
 
-def activities(p: Polymatroid, a: Vector) -> ActivityProfile:
-    """Internal/external activity by direct membership tests."""
+def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:
+    """Every 0-based pair (j, k), j != k, with a + e_j - e_k in P, ordered by
+    j and then k."""
     a = tuple(a)
     if a not in p:
         raise NotABasis(f"{a} is not a basis")
-    n = p.n
-    int_set = set()
-    ext_set = set()
-    for i in range(n):
-        internal = True
-        external = True
-        for j in range(i):
-            if not internal and not external:
-                break
-            if internal:
-                v = list(a)
-                v[i] -= 1
-                v[j] += 1
+    v = list(a)
+    out = []
+    for j in range(len(v)):
+        v[j] += 1
+        for k in range(len(v)):
+            if k != j:
+                v[k] -= 1
                 if tuple(v) in p:
-                    internal = False
-            if external:
-                v = list(a)
-                v[i] += 1
-                v[j] -= 1
-                if tuple(v) in p:
-                    external = False
-        if internal:
-            int_set.add(i + 1)
-        if external:
-            ext_set.add(i + 1)
-    return ActivityProfile(a, frozenset(int_set), frozenset(ext_set))
+                    out.append((j, k))
+                v[k] += 1
+        v[j] -= 1
+    return out
 
 
-def activities_from_tight_sets(p: Polymatroid, a: Vector) -> ActivityProfile:
+def activities(p: Polymatroid, a: Vector) -> ActivityProfile:
+    """Internal/external activity of a basis, from its transfers."""
+    a = tuple(a)
+    return ActivityProfile.from_transfers(a, transfers(p, a))
+
+
+def activities_from_tight_sets(family: TightFamily) -> ActivityProfile:
     """Activity via the tight-set characterization (independent oracle).
 
     i is externally active iff i = min(I) for some nonempty tight I, and
     internally active iff i = min([n] - J) for some tight J != [n].
     """
-    family = tight_sets(p, a)
-    n = p.n
-    full = (1 << n) - 1
+    full = (1 << len(family.basis)) - 1
     int_set = set()
     ext_set = set()
     for mask in family.masks:
@@ -166,7 +170,7 @@ def activities_from_tight_sets(p: Polymatroid, a: Vector) -> ActivityProfile:
         comp = full ^ mask
         if comp:
             int_set.add((comp & -comp).bit_length())
-    return ActivityProfile(tuple(a), frozenset(int_set), frozenset(ext_set))
+    return ActivityProfile(family.basis, frozenset(int_set), frozenset(ext_set))
 
 
 def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int], int]:

@@ -49,13 +49,7 @@ from .core import (
     enumerate_bases,
     surviving_labels,
 )
-from .errors import (
-    InputError,
-    ParseError,
-    PolytutteError,
-    SizeLimitExceeded,
-    ValidationError,
-)
+from .errors import InputError, ParseError, SizeLimitExceeded, ValidationError
 from .formulas import (
     binomial,
     ceiling_prefix,
@@ -64,14 +58,7 @@ from .formulas import (
     search_by_tutte,
 )
 from .hypergraph import Hypergraph, connectivity_profile, rank_table
-from .recursion import (
-    DEFAULT_MEMO_CAPACITY,
-    configure_caches,
-    exterior_dc,
-    interior_dc,
-    matroid_form,
-    tutte_dc,
-)
+from .recursion import exterior_dc, interior_dc, matroid_form, tutte_dc
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -80,12 +67,18 @@ EXIT_VALIDATION = 3
 EXIT_LIMIT = 4
 EXIT_INTERNAL = 5
 
+# The exit code of each error class; any other exception exits EXIT_INTERNAL.
+EXIT_CODES = (
+    (InputError, EXIT_INPUT),
+    (ValidationError, EXIT_VALIDATION),
+    (SizeLimitExceeded, EXIT_LIMIT),
+)
+
 
 @dataclass
 class RunConfig:
     max_n: int = MAX_GROUND_SET
     max_bases: int = DEFAULT_MAX_BASES
-    memo_capacity: int = DEFAULT_MEMO_CAPACITY
     rng_seed: int = acceptance.DEFAULT_SEED
     fmt: str = "text"
 
@@ -427,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "hypergraph (only commands that read bases enumerate)")
     parser.add_argument("--max-n", type=int, default=MAX_GROUND_SET,
                         help="cap on ground set size")
-    parser.add_argument("--memo-capacity", type=int, default=DEFAULT_MEMO_CAPACITY,
-                        help="bound on the recursion memo caches")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(sp, with_method=False):
@@ -493,31 +484,18 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(
         max_n=args.max_n,
         max_bases=args.max_bases,
-        memo_capacity=args.memo_capacity,
         rng_seed=args.seed,
         fmt=args.format,
     )
     try:
-        for field_name in ("max_n", "max_bases", "memo_capacity"):
+        for field_name in ("max_n", "max_bases"):
             if getattr(config, field_name) < 1:
                 raise InputError(f"--{field_name.replace('_', '-')} must be positive")
-        configure_caches(config.memo_capacity)
         return COMMANDS[args.command](args, config)
-    except InputError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SizeLimitExceeded as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except ValidationError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PolytutteError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - exit 1 must mean only "property violated"
+        # a PolytutteError's category is its class name too
         print(f"error: category={type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,9 @@ Every minor (P - A) / B is one projection of that table,
 followed by one enumerate_bases, so a minor carries its table as well;
 deletion and contraction are the minors with B or A empty.
 
-Validating constructors check the defining axioms in O(2^n n^2) time:
+The public constructors, Polymatroid(vectors) and RankTable(n, values), are
+the validating entry points; they check the defining axioms in O(2^n n^2)
+time:
 
   * a rank table needs f(empty) = 0 and local submodularity,
     f(S + i) + f(S + j) >= f(S + i + j) + f(S) for every S and i < j outside
@@ -215,36 +217,6 @@ def json_list(value, what: str) -> list:
     return value
 
 
-class SliceRange:
-    """Attained value range of one coordinate: alpha_t..beta_t.
-
-    alpha_t = f([n]) - f([n] - {t}) is the minimum of coordinate t over the
-    bases, beta_t = f({t}) is its maximum, and every value in between is
-    attained (slices are nonempty exactly on this interval).
-    """
-
-    __slots__ = ("t", "alpha", "beta")
-
-    def __init__(self, t: int, alpha: int, beta: int):
-        if alpha > beta:
-            raise ValidationError(f"empty slice range for element {t}: {alpha}..{beta}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SliceRange is immutable")
-
-    def values(self) -> range:
-        return range(self.alpha, self.beta + 1)
-
-    def __contains__(self, j: int) -> bool:
-        return self.alpha <= j <= self.beta
-
-    def __repr__(self) -> str:
-        return f"SliceRange(t={self.t}, alpha={self.alpha}, beta={self.beta})"
-
-
 class Polymatroid:
     """Finite set of integer basis vectors over [n], in lexicographic order."""
 
@@ -365,12 +337,15 @@ class Polymatroid:
             object.__setattr__(self, "_rank", cached)
         return cached
 
-    def slice_range(self, t: int) -> SliceRange:
-        """Attained range of coordinate t, directly from the bases."""
+    def slice_range(self, t: int) -> range:
+        """Attained values alpha_t..beta_t of coordinate t, directly from the
+        bases.  alpha_t = f([n]) - f([n] - {t}) is the minimum of coordinate t,
+        beta_t = f({t}) its maximum, and every value in between is attained
+        (slices are nonempty exactly on this interval)."""
         if not 1 <= t <= self.n:
             raise ValidationError(f"element {t} outside 1..{self.n}")
         col = [v[t - 1] for v in self.bases]
-        return SliceRange(t, min(col), max(col))
+        return range(min(col), max(col) + 1)
 
     # -- structural operators --------------------------------------------------
 
@@ -378,7 +353,7 @@ class Polymatroid:
         """Bases with coordinate t pinned to j, with that coordinate dropped."""
         rng = self.slice_range(t)
         if j not in rng:
-            raise EmptySlice(f"level {j} outside {rng.alpha}..{rng.beta} for element {t}")
+            raise EmptySlice(f"level {j} outside {rng[0]}..{rng[-1]} for element {t}")
         _check_ground_size(self.n - 1)
         k = t - 1
         picked = [v[:k] + v[k + 1 :] for v in self.bases if v[k] == j]
@@ -505,19 +480,6 @@ def _exchange_witness(rows: Sequence[Vector], member: frozenset) -> tuple | None
                 else:
                     return a, b, i + 1
     return None
-
-
-# -- validating entry points ---------------------------------------------------
-
-
-def validate_basis_set(vectors: Iterable[Sequence[int]]) -> Polymatroid:
-    """Check equal coordinate sums and the exchange axiom; return the result."""
-    return Polymatroid(vectors, validate=True)
-
-
-def validate_rank_table(n: int, values: Sequence[int]) -> RankTable:
-    """Check f(empty) = 0 and submodularity; return the table."""
-    return RankTable(n, values, validate=True)
 
 
 # -- conversions between representations -----------------------------------------

@@ -33,8 +33,8 @@ the polymatroid has.
 Results are memoized under the normalized table (``memo_key``), so
 translates of a polymatroid share entries, exactly as their translation-
 normalized basis sets would; each polynomial has its own cache.  The caches
-are bounded LRU maps, safe to share between threads; exactness is
-unaffected by eviction.  The direct evaluation in ``activity`` stays on
+are LRU maps bounded at ``DEFAULT_MEMO_CAPACITY`` entries each, safe to
+share between threads; exactness is unaffected by eviction.  The direct evaluation in ``activity`` stays on
 basis activities, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .activity import xy1_power
 from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict
-from .core import Polymatroid, RankTable, _slice_table, validate_rank_table
+from .core import Polymatroid, RankTable, _slice_table
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import forest_size
 
@@ -101,17 +101,6 @@ class LRUCache:
 _tutte_cache = LRUCache()
 _interior_cache = LRUCache()
 _exterior_cache = LRUCache()
-
-
-def configure_caches(capacity: int) -> None:
-    """Replace the shared memo caches with fresh ones of the given bound;
-    a no-op, keeping the memoized entries, when the bound is unchanged."""
-    global _tutte_cache, _interior_cache, _exterior_cache
-    if _tutte_cache.capacity == capacity:
-        return
-    _tutte_cache = LRUCache(capacity)
-    _interior_cache = LRUCache(capacity)
-    _exterior_cache = LRUCache(capacity)
 
 
 def clear_caches() -> None:
@@ -290,7 +279,7 @@ def validate_matroid_rank(table: RankTable) -> RankTable:
             if gain not in (0, 1):
                 raise NotAMatroid(f"non-unit increment at mask {mask}, element {i + 1}")
     try:
-        validate_rank_table(n, f)
+        table.validate()
     except ValidationError as exc:
         raise NotAMatroid(f"rank table is not submodular: {exc}") from exc
     return table

@@ -9,6 +9,8 @@ from __future__ import annotations
 import pytest
 
 from polytutte import acceptance
+from polytutte.activity import TightFamily
+from polytutte.core import Polymatroid
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +58,44 @@ def test_criterion_8_structure_oracles(results):
 
 def test_criterion_9_four_cycle_count(results):
     _require(results, "9")
+
+
+# -- criterion 8 catches a fault on either side -----------------------------------
+
+U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def _patch_transfers(monkeypatch, basis, change):
+    real = acceptance.transfers
+    monkeypatch.setattr(
+        acceptance, "transfers", lambda p, a: change(real(p, a)) if a == basis else real(p, a)
+    )
+
+
+def test_structure_check_catches_a_dropped_transfer(monkeypatch):
+    # (0, 0, 1) -> (0, 1, 0) is the only step into {2}; (0, 0, 1) -> (1, 0, 0)
+    # keeps index 3 internally inactive, so only the tight-set side can notice
+    _patch_transfers(monkeypatch, (0, 0, 1), lambda moves: [m for m in moves if m != (1, 2)])
+    with pytest.raises(AssertionError, match="no exchange step into non-tight 10 "):
+        acceptance._check_structure_one(U13, ())
+
+
+def test_structure_check_catches_a_transfer_into_a_tight_set(monkeypatch):
+    # a claimed step (0, 1, 0) -> (-1, 1, 1) enters the tight set {2, 3};
+    # index 3 is externally inactive already, so the activities agree
+    _patch_transfers(monkeypatch, (0, 1, 0), lambda moves: moves + [(2, 0)])
+    with pytest.raises(AssertionError, match="exchange step into tight 110 "):
+        acceptance._check_structure_one(U13, ())
+
+
+def test_structure_check_catches_a_dropped_tight_set(monkeypatch):
+    real = acceptance.tight_sets
+
+    def drop_one(p, a):
+        family = real(p, a)
+        return TightFamily(family.basis, family.masks[:1] + family.masks[2:])
+
+    acceptance._check_structure_one(U13, ())
+    monkeypatch.setattr(acceptance, "tight_sets", drop_one)
+    with pytest.raises(AssertionError):
+        acceptance._check_structure_one(U13, ())

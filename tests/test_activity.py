@@ -15,6 +15,7 @@ from polytutte.activity import (
     exterior_direct,
     interior_direct,
     tight_sets,
+    transfers,
     tutte_direct,
 )
 from polytutte.bipoly import parse
@@ -110,11 +111,22 @@ def test_activities_reject_non_basis():
         activities(U12, (1, 1))
 
 
+def test_transfers_pair():
+    assert transfers(U12, (1, 0)) == [(1, 0)]
+    assert transfers(U12, (0, 1)) == [(0, 1)]
+    assert transfers(SCALED2, (1, 1)) == [(0, 1), (1, 0)]
+
+
+def test_transfers_reject_non_basis():
+    with pytest.raises(NotABasis):
+        transfers(U12, (1, 1))
+
+
 # -- tight-set characterization agrees with the definition ------------------------
 
 
 def test_tight_characterization_on_pair():
-    prof = activities_from_tight_sets(U12, (1, 0))
+    prof = activities_from_tight_sets(tight_sets(U12, (1, 0)))
     assert prof.int_set == {1, 2} and prof.ext_set == {1}
 
 
@@ -122,7 +134,7 @@ def test_tight_characterization_exhaustive_small():
     for n in (1, 2, 3):
         for p in enumerate_small_polymatroids(n, 2):
             for a in p:
-                assert activities(p, a) == activities_from_tight_sets(p, a)
+                assert activities(p, a) == activities_from_tight_sets(tight_sets(p, a))
 
 
 # -- direct Tutte polynomial ---------------------------------------------------------

@@ -12,6 +12,13 @@ import pytest
 
 from polytutte import cli, core, recursion
 from polytutte.core import Polymatroid, RankTable
+from polytutte.errors import (
+    InputError,
+    ParseError,
+    PolytutteError,
+    SizeLimitExceeded,
+    ValidationError,
+)
 from polytutte.cli import (
     COMMANDS,
     EXIT_INPUT,
@@ -138,6 +145,36 @@ def test_unexpected_exception_exit_code(files, capsys, monkeypatch):
     code, _, err = run(capsys, "tutte", files["pair"])
     assert code == EXIT_INTERNAL
     assert err == "error: category=RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (InputError, EXIT_INPUT),
+        (ParseError, EXIT_INPUT),
+        (ValidationError, EXIT_VALIDATION),
+        (SizeLimitExceeded, EXIT_LIMIT),
+        (PolytutteError, EXIT_INTERNAL),
+        (RuntimeError, EXIT_INTERNAL),
+    ],
+)
+def test_error_class_exit_codes(files, capsys, monkeypatch, error, expected):
+    exc = SizeLimitExceeded(7) if error is SizeLimitExceeded else error("boom")
+
+    def broken(args, config):
+        raise exc
+
+    monkeypatch.setitem(COMMANDS, "tutte", broken)
+    code, out, err = run(capsys, "tutte", files["pair"])
+    assert code == expected and out == ""
+    assert err == f"error: category={error.__name__}: {exc}\n"
+
+
+def test_memo_capacity_is_not_an_option(files, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--memo-capacity", "5", "tutte", files["pair"]])
+    assert e.value.code == 2  # argparse's usage error
+    assert "--memo-capacity" not in cli.build_parser().format_help()
 
 
 def test_missing_file_exit_code(files, capsys):
@@ -367,15 +404,6 @@ def test_output_identical_across_runs(files, capsys):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
-
-
-def test_memo_capacity_does_not_leak_into_later_calls(files, capsys):
-    run(capsys, "--memo-capacity", "5", "tutte", files["pair"])
-    assert recursion._tutte_cache.capacity == 5
-    code, out, _ = run(capsys, "tutte", files["pair"])
-    assert code == EXIT_OK and out.strip() == "x^2 + 2*x*y + y^2 - x - y"
-    for cache in (recursion._tutte_cache, recursion._interior_cache, recursion._exterior_cache):
-        assert cache.capacity == recursion.DEFAULT_MEMO_CAPACITY
 
 
 def test_default_memo_capacity_keeps_memo(files, capsys):

@@ -18,8 +18,6 @@ from polytutte.core import (
     rank_from_bases,
     slice_rank,
     surviving_labels,
-    validate_basis_set,
-    validate_rank_table,
 )
 from polytutte.errors import (
     EmptyBasisSet,
@@ -55,7 +53,7 @@ SCALED2 = Polymatroid([(2, 0), (1, 1), (0, 2)])
 
 
 def test_valid_two_element_exchange():
-    p = validate_basis_set([(1, 0), (0, 1)])
+    p = Polymatroid([(1, 0), (0, 1)])
     assert p.bases == ((0, 1), (1, 0))
 
 
@@ -66,18 +64,18 @@ def test_basis_set_rejects_bools():
 
 def test_unequal_sums_rejected():
     with pytest.raises(UnequalSums):
-        validate_basis_set([(1, 0), (0, 2)])
+        Polymatroid([(1, 0), (0, 2)])
 
 
 def test_exchange_failure_requires_midpoint():
     with pytest.raises(ExchangeFailure):
-        validate_basis_set([(2, 0), (0, 2)])
-    validate_basis_set([(2, 0), (1, 1), (0, 2)])
+        Polymatroid([(2, 0), (0, 2)])
+    Polymatroid([(2, 0), (1, 1), (0, 2)])
 
 
 def test_empty_set_rejected():
     with pytest.raises(EmptyBasisSet):
-        validate_basis_set([])
+        Polymatroid([])
 
 
 # -- rank recovery ----------------------------------------------------------------
@@ -102,12 +100,12 @@ def test_rank_from_bases_scaled():
 
 
 def test_uniform_rank_table_valid():
-    validate_rank_table(3, uniform_rank_one(3).f)
+    RankTable(3, uniform_rank_one(3).f)
 
 
 def test_nonzero_empty_set_rejected():
     with pytest.raises(NonzeroEmptySet):
-        validate_rank_table(2, [1, 1, 1, 1])
+        RankTable(2, [1, 1, 1, 1])
 
 
 def test_rank_table_rejects_bools():
@@ -117,7 +115,7 @@ def test_rank_table_rejects_bools():
 
 def test_submodularity_failure_witness():
     with pytest.raises(SubmodularityFailure) as e:
-        validate_rank_table(2, [0, 0, 0, 1])
+        RankTable(2, [0, 0, 0, 1])
     assert {e.value.i_mask, e.value.j_mask} == {1, 2}
 
 
@@ -184,8 +182,8 @@ def test_slice_range_matches_rank_table():
         full = (1 << p.n) - 1
         for t in range(1, p.n + 1):
             rng = p.slice_range(t)
-            assert rng.alpha == f.f[full] - f.f[full ^ (1 << (t - 1))]
-            assert rng.beta == f.f[1 << (t - 1)]
+            assert rng[0] == f.f[full] - f.f[full ^ (1 << (t - 1))]
+            assert rng[-1] == f.f[1 << (t - 1)]
 
 
 def test_slice_rank_deletion_end():
@@ -212,7 +210,7 @@ def test_slice_rank_matches_sliced_bases():
     for p in (U12, U13, SCALED2):
         f = p.rank_table()
         for t in range(1, p.n + 1):
-            for j in p.slice_range(t).values():
+            for j in p.slice_range(t):
                 assert slice_rank(f, t, j) == p.slice(t, j).rank_table()
 
 
@@ -238,7 +236,7 @@ def test_slice_completeness():
     for p in (U12, U13, SCALED2):
         for t in range(1, p.n + 1):
             rebuilt = []
-            for j in p.slice_range(t).values():
+            for j in p.slice_range(t):
                 for v in p.slice(t, j):
                     rebuilt.append(v[: t - 1] + (j,) + v[t - 1 :])
             assert sorted(rebuilt) == list(p.bases)
@@ -268,8 +266,8 @@ def test_single_element_cases_agree_with_slices():
     for p in (U12, U13, SCALED2):
         for t in range(1, p.n + 1):
             rng = p.slice_range(t)
-            assert p.delete([t]) == p.slice(t, rng.alpha)
-            assert p.contract([t]) == p.slice(t, rng.beta)
+            assert p.delete([t]) == p.slice(t, rng[0])
+            assert p.contract([t]) == p.slice(t, rng[-1])
 
 
 def test_dual():
@@ -393,7 +391,7 @@ def test_slice_of_a_one_element_polymatroid_is_rejected():
 def test_basis_validation_keeps_its_rank_table(monkeypatch):
     data = {"n": 3, "bases": [[2, 0, 1], [1, 1, 1], [0, 2, 1], [1, 0, 2], [0, 1, 2]]}
     loaded = Polymatroid.from_json(data)
-    built = validate_basis_set(data["bases"])
+    built = Polymatroid(data["bases"])
     calls = []
     real = core.rank_from_bases
     monkeypatch.setattr(core, "rank_from_bases", lambda q: calls.append(q) or real(q))
@@ -426,7 +424,7 @@ def test_enumerate_small_contains_uniform():
 def test_enumerate_small_all_pass_validation():
     for n in (1, 2, 3):
         for p in small_family(n, 2):
-            validate_basis_set(p.bases)
+            Polymatroid(p.bases)
 
 
 def test_enumerate_small_no_duplicates():
@@ -522,7 +520,7 @@ def test_slice_rank_matches_brute_force_random(f):
         if p.n == 1:
             continue
         rebuilt = []
-        for j in p.slice_range(t).values():
+        for j in p.slice_range(t):
             sliced = p.slice(t, j)
             assert slice_rank(f, t, j) == rank_from_bases(sliced)
             rebuilt.extend(v[: t - 1] + (j,) + v[t - 1 :] for v in sliced)

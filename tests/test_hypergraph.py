@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from polytutte.core import Polymatroid, validate_rank_table
+from polytutte.core import Polymatroid, RankTable
 from polytutte.errors import ValidationError
 from polytutte.hypergraph import (
     Hypergraph,
@@ -82,7 +82,7 @@ def test_rank_table_submodular_on_samples():
     for _ in range(25):
         h = random_hypergraph(rng, 5, 4, connected=False)
         t = rank_table(h)
-        validate_rank_table(t.n, t.f)
+        RankTable(t.n, t.f)
 
 
 def test_rank_table_matches_the_incidence_forest():

@@ -105,7 +105,7 @@ def test_unprojected_slice_differs_by_one_factor():
     xy1 = parse("x + y - 1")
     for p in (U13, SCALED2):
         for t in range(1, p.n + 1):
-            for j in p.slice_range(t).values():
+            for j in p.slice_range(t):
                 pinned = Polymatroid(
                     [v for v in p.bases if v[t - 1] == j], validate=False
                 )
