@@ -22,6 +22,7 @@ from .activity import (
     TightFamily,
     activities,
     activities_from_tight_sets,
+    direct_polynomials,
     exterior_direct,
     interior_direct,
     tight_sets,
@@ -77,6 +78,7 @@ __all__ = [
     "coefficientwise_le",
     "connectivity_profile",
     "count_four_cycles",
+    "direct_polynomials",
     "enumerate_bases",
     "enumerate_small_polymatroids",
     "exterior_ceiling_check",

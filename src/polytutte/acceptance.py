@@ -12,7 +12,10 @@ Criteria (all exact integer identities, no tolerances):
                             two-variable polynomial and both one-variable ones
   2 coefficient-formulas    every closed-form coefficient identity matches
                             the extracted coefficients
-  3 invariances             translation, permutation, duality swap,
+  3 invariances             translation (through the translate's rank
+                            table: the direct route keys bases relative to
+                            each coordinate's minimum, so it cannot see a
+                            translation), permutation, duality swap,
                             divisibility by x+y-1, basis count at (1,1),
                             reversal identities
   4 matroid-bridge          matroid-form transform == classical corank-
@@ -49,8 +52,7 @@ from typing import Sequence
 from .activity import (
     ActivityProfile,
     activities_from_tight_sets,
-    exterior_direct,
-    interior_direct,
+    direct_polynomials,
     tight_sets,
     transfers,
     tutte_direct,
@@ -193,11 +195,12 @@ def build_corpus(seed: int = DEFAULT_SEED) -> Corpus:
 def check_method_equivalence(corpus: Corpus, rng: Random) -> str:
     checked = 0
     for p in corpus.members():
-        if tutte_direct(p) != tutte_dc(p):
+        t, interior, exterior = direct_polynomials(p)
+        if t != tutte_dc(p):
             raise AssertionError(f"tutte mismatch on {p}")
-        if interior_direct(p) != interior_dc(p):
+        if interior != interior_dc(p):
             raise AssertionError(f"interior mismatch on {p}")
-        if exterior_direct(p) != exterior_dc(p):
+        if exterior != exterior_dc(p):
             raise AssertionError(f"exterior mismatch on {p}")
         checked += 1
     return (
@@ -246,10 +249,14 @@ def invariance_violations(
 ) -> dict[str, str]:
     """Check the named invariances of p, given its (T, I, X).
 
-    Translation and permutation each try five instances drawn from rng, in
-    the order the properties are listed; duality covers both T and the
-    interior/exterior pair.  Returns each violated property with its
-    witness ("" for the properties that have none).
+    Translation and permutation each draw five instances from rng, in the
+    order the properties are listed; a permutation drawn twice is checked
+    once.  A translate is compared through the table it carries
+    (``tutte_dc``), because the direct route cannot see a translation: it
+    keys bases relative to each coordinate's minimum.  A permutation goes
+    through the direct route.  Duality covers T and both the interior and
+    exterior polynomials.  Returns each violated property with its witness
+    ("" for the properties that have none).
     """
     t, interior, exterior = polys
     n = p.n
@@ -259,22 +266,27 @@ def invariance_violations(
         if prop == "translation":
             for _ in range(5):
                 c = tuple(rng.randint(-3, 3) for _ in range(n))
-                if tutte_direct(p.translate(c)) != t:
+                if tutte_dc(p.translate(c)) != t:
                     witness = f"c={c}"
                     break
             ok = not witness
         elif prop == "permutation":
+            tried = set()
             for _ in range(5):
                 w = tuple(rng.sample(range(1, n + 1), n))
+                if w in tried:
+                    continue
+                tried.add(w)
                 if tutte_direct(p.permute(w)) != t:
                     witness = f"w={w}"
                     break
             ok = not witness
         elif prop == "duality":
-            dual = p.dual()
+            dual_t, dual_interior, dual_exterior = direct_polynomials(p.dual())
             ok = (
-                tutte_direct(dual) == t.swap_vars()
-                and interior_direct(dual) == exterior.swap_vars()
+                dual_t == t.swap_vars()
+                and dual_interior == exterior.swap_vars()
+                and dual_exterior == interior.swap_vars()
             )
         elif prop == "divisibility":
             ok = t.divisible_by_x_plus_y_minus_1()
@@ -521,6 +533,18 @@ def _disjoint_proper_pairs(n: int):
                         yield a, b
 
 
+class _Minors(dict):
+    """p.minor(A, B) under the key (A, B), built on first use."""
+
+    def __init__(self, p: Polymatroid):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> Polymatroid:
+        m = self[key] = self.p.minor(*key)
+        return m
+
+
 def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
     n = p.n
     table = p.rank_table()
@@ -531,19 +555,19 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
         for j in p.slice_range(t):
             if slice_rank(table, t, j) != rank_from_bases(p.slice(t, j)):
                 raise AssertionError(f"slice rank mismatch at t={t}, j={j} on {p}")
-    # dual/deletion/contraction exchange, and minor commutation
-    dual = p.dual()
+    # minor commutation, and dual/deletion/contraction exchange.  Each minor
+    # of p is built once; the other side of every comparison is built from
+    # another polymatroid (a contraction of p, or the dual).
+    minors = _Minors(p)
     for a, b in minor_pairs:
-        left = p.minor(a, b)
-        right = p.contract(b).delete(_relabel(a, b, n))
-        if left != right:
+        if minors[a, b] != minors[(), b].delete(_relabel(a, b, n)):
             raise AssertionError(f"minor order dependence for A={a}, B={b} on {p}")
-    full = set(range(1, n + 1))
+    dual = p.dual()
     for size in range(1, n):
-        for a in itertools.combinations(sorted(full), size):
-            if p.delete(a).dual() != dual.contract(a):
+        for a in itertools.combinations(range(1, n + 1), size):
+            if minors[a, ()].dual() != dual.contract(a):
                 raise AssertionError(f"dual(delete) != contract(dual) for {a} on {p}")
-            if p.contract(a).dual() != dual.delete(a):
+            if minors[(), a].dual() != dual.delete(a):
                 raise AssertionError(f"dual(contract) != delete(dual) for {a} on {p}")
     # tight-set lattice, activity characterization, and S tight exactly when
     # no transfer a + e_j - e_k moves mass into S (j in S, k outside)

@@ -16,7 +16,8 @@ membership in the basis set itself, never through the rank table that the
 slice recursion reads, so the two routes stay independent.  Each basis is
 one integer key, one set intersection per pair j < i and side finds every
 basis with that transfer, and the bases are summed in groups of equal
-activity counts, not one by one.
+activity counts, not one by one.  direct_polynomials returns all three
+from the one pass that tutte_direct makes.
 
 transfers(p, a) lists every pair (j, k) with a + e_j - e_k in P, and
 activities(p, a) reads the activities of one basis off that list.  An
@@ -243,17 +244,25 @@ def _inactive_counts(
     )
 
 
-def tutte_direct(p: Polymatroid) -> BiPoly:
-    """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly.
+def _activity_groups(p: Polymatroid) -> Counter:
+    """How many bases share each triple (ci, ce, cb) of inactive counts
+    (internal, external, both), from one pass over both sides."""
+    return Counter(zip(*_inactive_counts(p, True, True)))
 
-    With ci, ce, cb the inactive counts (internal, external, both) of a
-    basis: oi = ce - cb, oe = ci - cb and ie = n - (ci + ce - cb).
-    """
-    n = p.n
+
+def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:
+    """Sum of x^oi y^oe (x+y-1)^ie over the groups: with ci, ce, cb the
+    inactive counts of a basis, oi = ce - cb, oe = ci - cb and
+    ie = n - (ci + ce - cb)."""
     acc: dict[tuple[int, int], int] = {}
-    for (ci, ce, cb), count in Counter(zip(*_inactive_counts(p, True, True))).items():
+    for (ci, ce, cb), count in groups.items():
         add_scaled_into(acc, xy1_power(n - ci - ce + cb), count, ce - cb, ci - cb)
     return from_dict(acc)
+
+
+def tutte_direct(p: Polymatroid) -> BiPoly:
+    """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly."""
+    return _tutte_of_groups(_activity_groups(p), p.n)
 
 
 def interior_direct(p: Polymatroid) -> BiPoly:
@@ -267,3 +276,20 @@ def exterior_direct(p: Polymatroid) -> BiPoly:
     """y^(n - |Ext(a)|) summed over the bases."""
     eps_bar = _inactive_counts(p, False, True)[1]
     return from_dict({(0, e): c for e, c in Counter(eps_bar).items()})
+
+
+def direct_polynomials(p: Polymatroid) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(tutte_direct(p), interior_direct(p), exterior_direct(p)) from one
+    pass: n - |Int(a)| and n - |Ext(a)| are the internal and external
+    inactive counts that the Tutte groups already hold."""
+    groups = _activity_groups(p)
+    interior: Counter = Counter()
+    exterior: Counter = Counter()
+    for (ci, ce, _), count in groups.items():
+        interior[ci] += count
+        exterior[ce] += count
+    return (
+        _tutte_of_groups(groups, p.n),
+        from_dict({(e, 0): c for e, c in interior.items()}),
+        from_dict({(0, e): c for e, c in exterior.items()}),
+    )

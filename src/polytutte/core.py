@@ -600,11 +600,13 @@ def enumerate_small_polymatroids(
     n: int, max_rank: int, max_bases: int = DEFAULT_MAX_BASES
 ) -> Iterator[Polymatroid]:
     """Yield every polymatroid arising from a submodular table with values in
-    0..max_rank, deduplicated by basis set.
+    0..max_rank, each once.
 
     Candidate tables are built mask by mask in increasing numeric order;
     submodularity is enforced incrementally through the pairs whose union is
-    the mask being assigned, which prunes the search exactly.
+    the mask being assigned, which prunes the search exactly.  Only
+    submodular tables are completed, and the round trip makes
+    enumerate_bases injective on those, so no two yield the same basis set.
     """
     _check_ground_size(n)
     if max_rank < 0:
@@ -612,14 +614,10 @@ def enumerate_small_polymatroids(
     size = 1 << n
     pairs = _union_pairs(n)
     f = [0] * size
-    seen: set[tuple[Vector, ...]] = set()
 
     def assign(mask: int):
         if mask == size:
-            p = enumerate_bases(RankTable._trusted(n, tuple(f)), max_bases)
-            if p.bases not in seen:
-                seen.add(p.bases)
-                yield p
+            yield enumerate_bases(RankTable._trusted(n, tuple(f)), max_bases)
             return
         bound = max_rank
         for a, b, meet in pairs[mask]:

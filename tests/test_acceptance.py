@@ -6,11 +6,15 @@ there are no numeric tolerances to calibrate.  Run with -s to see the lines.
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from polytutte import acceptance
 from polytutte.activity import TightFamily
-from polytutte.core import Polymatroid
+from polytutte.core import Polymatroid, RankTable, enumerate_bases
+from polytutte.formulas import random_rank_table
+from polytutte.recursion import exterior_dc, interior_dc, tutte_dc
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +103,64 @@ def test_structure_check_catches_a_dropped_tight_set(monkeypatch):
     monkeypatch.setattr(acceptance, "tight_sets", drop_one)
     with pytest.raises(AssertionError):
         acceptance._check_structure_one(U13, ())
+
+
+# -- criterion 8 compares minors built by different paths ----------------------------
+
+# n = 3, 30 bases; no permutation of the coordinates but the identity fixes
+# it, so a mislabeled minor cannot pass for the right one
+SKEWED = enumerate_bases(RankTable(3, [0, 2, 3, 2, 3, 3, 3, 0]))
+
+
+def test_structure_check_catches_a_wrong_relabel(monkeypatch):
+    real = acceptance._relabel
+
+    def mirrored(targets, removed, n):
+        m = n - len(removed)
+        return tuple(m + 1 - t for t in real(targets, removed, n))
+
+    pairs = list(acceptance._disjoint_proper_pairs(SKEWED.n))
+    acceptance._check_structure_one(SKEWED, pairs)
+    monkeypatch.setattr(acceptance, "_relabel", mirrored)
+    with pytest.raises(AssertionError, match="minor order dependence"):
+        acceptance._check_structure_one(SKEWED, pairs)
+
+
+def test_structure_check_catches_a_lossy_dual_of_a_minor(monkeypatch):
+    real = Polymatroid.dual
+
+    def lossy(self):
+        d = real(self)
+        if self.n < SKEWED.n and len(d) > 1:
+            return Polymatroid._trusted(list(d.bases[1:]), d.n, None)
+        return d
+
+    monkeypatch.setattr(Polymatroid, "dual", lossy)
+    with pytest.raises(AssertionError, match=r"dual\(delete\) != contract\(dual\)"):
+        acceptance._check_structure_one(SKEWED, ())
+
+
+# -- criterion 3 reads the translate's own table -------------------------------------
+
+
+def test_translation_check_catches_a_wrong_carried_table(monkeypatch):
+    real = Polymatroid.translate
+
+    def bumped(self, c):
+        # the right bases, but f({1}) one too high: for n >= 2 no translation
+        # vector adds that to a table
+        q = real(self, c)
+        f = list(q.rank_table().f)
+        f[1] += 1
+        return Polymatroid._trusted(list(q.bases), q.n, RankTable._trusted(q.n, tuple(f)))
+
+    rng = Random(5)
+    for n in (2, 3, 4, 5):
+        p = enumerate_bases(random_rank_table(rng, n))
+        polys = (tutte_dc(p), interior_dc(p), exterior_dc(p))
+        assert acceptance.invariance_violations(p, polys, Random(n), ["translation"]) == {}
+        with monkeypatch.context() as m:
+            m.setattr(Polymatroid, "translate", bumped)
+            violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
+        assert list(violated) == ["translation"], p
+        assert violated["translation"].startswith("c=(")

@@ -12,6 +12,7 @@ from polytutte.activity import (
     _packed_keys,
     activities,
     activities_from_tight_sets,
+    direct_polynomials,
     exterior_direct,
     interior_direct,
     tight_sets,
@@ -265,4 +266,5 @@ def test_bulk_activity_matches_the_per_basis_definition():
     for p in family:
         per_basis = [activities(p, a) for a in p.bases]
         assert bulk_activity_sets(p) == [(a.int_set, a.ext_set) for a in per_basis], p
+        assert direct_polynomials(p) == (tutte_direct(p), interior_direct(p), exterior_direct(p)), p
 
