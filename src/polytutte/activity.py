@@ -39,18 +39,9 @@ from itertools import repeat
 from operator import mul
 from typing import Iterator
 
-from .bipoly import BiPoly, X_PLUS_Y_MINUS_1, add_scaled_into, from_dict
+from .bipoly import BiPoly, add_scaled_into, from_dict, xy1_power
 from .core import Polymatroid, Vector
 from .errors import NotABasis
-
-_XY1_POWERS: list[BiPoly] = [BiPoly.one()]
-
-
-def xy1_power(k: int) -> BiPoly:
-    """(x + y - 1)^k, cached."""
-    while len(_XY1_POWERS) <= k:
-        _XY1_POWERS.append(_XY1_POWERS[-1] * X_PLUS_Y_MINUS_1)
-    return _XY1_POWERS[k]
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,14 @@ _Y = BiPoly({(0, 1): 1})
 X = _X
 Y = _Y
 X_PLUS_Y_MINUS_1 = BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+_XY1_POWERS: list[BiPoly] = [_ONE]
+
+
+def xy1_power(k: int) -> BiPoly:
+    """(x + y - 1)^k, cached."""
+    while len(_XY1_POWERS) <= k:
+        _XY1_POWERS.append(_XY1_POWERS[-1] * X_PLUS_Y_MINUS_1)
+    return _XY1_POWERS[k]
 
 
 def add_scaled_into(acc: dict[Exponents, int], p: BiPoly, c: int, di: int, dj: int) -> None:

@@ -76,14 +76,6 @@ EXIT_CODES = (
 
 
 @dataclass
-class RunConfig:
-    max_n: int = MAX_GROUND_SET
-    max_bases: int = DEFAULT_MAX_BASES
-    rng_seed: int = acceptance.DEFAULT_SEED
-    fmt: str = "text"
-
-
-@dataclass
 class LoadedInput:
     """A parsed input: its rank table, and its basis set on first access."""
 
@@ -124,29 +116,30 @@ def _detect_kind(data: dict) -> str:
     raise ParseError("unrecognized input shape: need 'bases', 'f', 'hyperedges' or 'edges'")
 
 
-def load_input(path: str, as_kind: str | None, config: RunConfig) -> LoadedInput:
+def load_input(path: str, args: argparse.Namespace) -> LoadedInput:
+    """Read ``path`` under the parsed options --as, --max-n and --max-bases."""
     data = _read_json(path)
-    kind = as_kind or _detect_kind(data)
+    kind = args.as_kind or _detect_kind(data)
     if kind == "bases":
-        _check_declared_size(data, config)
+        _check_declared_size(data, args.max_n)
         p = Polymatroid.from_json(data)
-        return LoadedInput("bases", p.rank_table(), config.max_bases, bases=p)
+        return LoadedInput("bases", p.rank_table(), args.max_bases, bases=p)
     if kind == "rank":
-        _check_declared_size(data, config)
-        return LoadedInput("rank", RankTable.from_json(data), config.max_bases)
+        _check_declared_size(data, args.max_n)
+        return LoadedInput("rank", RankTable.from_json(data), args.max_bases)
     if kind == "hypergraph":
         h = Hypergraph.from_json(data)
-        _check_size(max(h.num_edges, 1), config)
-        return LoadedInput("hypergraph", rank_table(h), config.max_bases, hypergraph=h)
+        _check_size(max(h.num_edges, 1), args.max_n)
+        return LoadedInput("hypergraph", rank_table(h), args.max_bases, hypergraph=h)
     raise InputError(f"unknown input kind {kind!r}")
 
 
-def _check_size(n: int, config: RunConfig) -> None:
-    if n > config.max_n:
-        raise ValidationError(f"ground set size {n} exceeds --max-n {config.max_n}")
+def _check_size(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ValidationError(f"ground set size {n} exceeds --max-n {max_n}")
 
 
-def _check_declared_size(data: dict, config: RunConfig) -> None:
+def _check_declared_size(data: dict, max_n: int) -> None:
     """Apply --max-n to the declared n before the parser checks any axiom.
 
     A missing or malformed n, or one above MAX_GROUND_SET, is left to the
@@ -154,11 +147,11 @@ def _check_declared_size(data: dict, config: RunConfig) -> None:
     """
     n = data.get("n")
     if type(n) is int and n <= MAX_GROUND_SET:
-        _check_size(n, config)
+        _check_size(n, max_n)
 
 
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -172,8 +165,8 @@ def _poly_json(p: BiPoly) -> dict:
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_validate(args, config: RunConfig) -> int:
-    loaded = load_input(args.input, args.as_kind, config)
+def cmd_validate(args) -> int:
+    loaded = load_input(args.input, args)
     p = loaded.polymatroid
     payload = {
         "kind": loaded.kind,
@@ -190,12 +183,12 @@ def cmd_validate(args, config: RunConfig) -> int:
         h = loaded.hypergraph
         payload.update(vertices=h.num_vertices, hyperedges=h.num_edges)
         lines.append(f"hypergraph: {h.num_vertices} vertices, {h.num_edges} hyperedges")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _polynomial_command(args, config: RunConfig, direct_fn, dc_fn, name: str) -> int:
-    loaded = load_input(args.input, args.as_kind, config)
+def _polynomial_command(args, direct_fn, dc_fn, name: str) -> int:
+    loaded = load_input(args.input, args)
     results = {}
     if args.method in ("direct", "both"):
         results["direct"] = direct_fn(loaded.polymatroid)
@@ -214,24 +207,24 @@ def _polynomial_command(args, config: RunConfig, direct_fn, dc_fn, name: str) ->
         lines.append("MATCH" if match else "MISMATCH")
         if not match:
             code = EXIT_VIOLATION
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return code
 
 
-def cmd_tutte(args, config: RunConfig) -> int:
-    return _polynomial_command(args, config, tutte_direct, tutte_dc, "tutte")
+def cmd_tutte(args) -> int:
+    return _polynomial_command(args, tutte_direct, tutte_dc, "tutte")
 
 
-def cmd_interior(args, config: RunConfig) -> int:
-    return _polynomial_command(args, config, interior_direct, interior_dc, "interior")
+def cmd_interior(args) -> int:
+    return _polynomial_command(args, interior_direct, interior_dc, "interior")
 
 
-def cmd_exterior(args, config: RunConfig) -> int:
-    return _polynomial_command(args, config, exterior_direct, exterior_dc, "exterior")
+def cmd_exterior(args) -> int:
+    return _polynomial_command(args, exterior_direct, exterior_dc, "exterior")
 
 
-def cmd_coeffs(args, config: RunConfig) -> int:
-    table = load_input(args.input, args.as_kind, config).table
+def cmd_coeffs(args) -> int:
+    table = load_input(args.input, args).table
     rows = coefficient_report(table, tutte_dc(table))
     payload = {"rows": [r.to_json() for r in rows]}
     lines = []
@@ -240,12 +233,12 @@ def cmd_coeffs(args, config: RunConfig) -> int:
         lines.append(f"{r.formula}: predicted {r.predicted}, extracted {r.extracted} [{verdict}]")
     bad = [r for r in rows if not r.match]
     lines.append(f"{len(rows) - len(bad)}/{len(rows)} match")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_VIOLATION if bad else EXIT_OK
 
 
-def cmd_check(args, config: RunConfig) -> int:
-    loaded = load_input(args.input, args.as_kind, config)
+def cmd_check(args) -> int:
+    loaded = load_input(args.input, args)
     p = loaded.polymatroid
     known = acceptance.INVARIANCES
     wanted = args.properties.split(",") if args.properties else list(known)
@@ -253,7 +246,7 @@ def cmd_check(args, config: RunConfig) -> int:
     if unknown:
         raise InputError(f"unknown properties: {sorted(unknown)}; choose from {known}")
     polys = (tutte_dc(p), interior_dc(p), exterior_dc(p))
-    violated = acceptance.invariance_violations(p, polys, Random(config.rng_seed), wanted)
+    violated = acceptance.invariance_violations(p, polys, Random(args.seed), wanted)
     outcomes = {prop: prop not in violated for prop in wanted}
     witness = {prop: w for prop, w in violated.items() if w}
     payload = {"properties": outcomes, "witness": witness}
@@ -261,7 +254,7 @@ def cmd_check(args, config: RunConfig) -> int:
         f"{prop}: {'OK' if ok else 'VIOLATED ' + witness.get(prop, '')}"
         for prop, ok in outcomes.items()
     ]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if all(outcomes.values()) else EXIT_VIOLATION
 
 
@@ -274,17 +267,17 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
         raise InputError(f"bad element list {text!r}; expected comma-separated integers") from exc
 
 
-def cmd_monotone(args, config: RunConfig) -> int:
-    big = load_input(args.input, args.as_kind, config).polymatroid
+def cmd_monotone(args) -> int:
+    big = load_input(args.input, args).polymatroid
     if args.relation == "subset":
         if not args.other:
             raise InputError("--relation subset needs the second input file")
-        small = load_input(args.other, args.as_kind, config).polymatroid
+        small = load_input(args.other, args).polymatroid
         if small.n != big.n:
             raise ValidationError(f"ground sets differ: {small.n} vs {big.n}")
         stray = [v for v in small.bases if v not in big]
         if stray:
-            _emit(config, {"relation_holds": False, "stray": list(map(list, stray[:3]))},
+            _emit(args, {"relation_holds": False, "stray": list(map(list, stray[:3]))},
                   [f"not a subset: {stray[0]} is outside the larger polymatroid"])
             return EXIT_VIOLATION
     else:
@@ -293,9 +286,9 @@ def cmd_monotone(args, config: RunConfig) -> int:
         small = big.minor(a, b)
         labels = surviving_labels(big.n, set(a) | set(b))
         if args.other:
-            claimed = load_input(args.other, args.as_kind, config).polymatroid
+            claimed = load_input(args.other, args).polymatroid
             if claimed != small:
-                _emit(config, {"relation_holds": False},
+                _emit(args, {"relation_holds": False},
                       [f"computed minor (delete {a}, contract {b}) differs from the given file"])
                 return EXIT_VIOLATION
     reports = {
@@ -315,14 +308,14 @@ def cmd_monotone(args, config: RunConfig) -> int:
             lines.append(f"{name}: OK")
         else:
             lines.append(f"{name}: VIOLATED at x^{rep.witness[0]}*y^{rep.witness[1]} (excess {rep.difference})")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if all(r.holds for r in reports.values()) else EXIT_VIOLATION
 
 
-def cmd_connectivity(args, config: RunConfig) -> int:
+def cmd_connectivity(args) -> int:
     data = _read_json(args.input)
     h = Hypergraph.from_json(data)
-    _check_size(max(h.num_edges, 1), config)
+    _check_size(max(h.num_edges, 1), args.max_n)
     k_max = connectivity_profile(h)
     payload: dict = {"k_max": k_max, "vertices": h.num_vertices, "hyperedges": h.num_edges}
     lines = [f"k_max = {k_max}" + (" (incidence graph disconnected)" if k_max < 0 else "")]
@@ -342,7 +335,7 @@ def cmd_connectivity(args, config: RunConfig) -> int:
         if not agreement:
             lines.append(f"WARNING: ceiling prefix {prefix} disagrees with profile {k_max}")
             code = EXIT_VIOLATION
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return code
 
 
@@ -354,7 +347,7 @@ def _parse_target(entry) -> BiPoly:
     raise ParseError(f"target must be polynomial text or term triples, got {entry!r}")
 
 
-def cmd_search(args, config: RunConfig) -> int:
+def cmd_search(args) -> int:
     data = _read_json(args.targets)
     if "targets" not in data or not isinstance(data["targets"], list):
         raise ParseError("targets file needs a 'targets' list")
@@ -375,29 +368,29 @@ def cmd_search(args, config: RunConfig) -> int:
             lines.append(f"target {idx} ({t}): {len(found)} matches, e.g. {examples[0]}")
         else:
             lines.append(f"target {idx} ({t}): no match")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_matroid_form(args, config: RunConfig) -> int:
-    table = load_input(args.input, args.as_kind, config).table
+def cmd_matroid_form(args) -> int:
+    table = load_input(args.input, args).table
     d = args.rank if args.rank is not None else table.full_rank()
     result = matroid_form(table, d)
     _emit(
-        config,
+        args,
         {"matroid_form": _poly_json(result), "rank": d},
         [str(result)],
     )
     return EXIT_OK
 
 
-def cmd_suite(args, config: RunConfig) -> int:
-    results = acceptance.run_all(seed=config.rng_seed)
+def cmd_suite(args) -> int:
+    results = acceptance.run_all(seed=args.seed)
     payload = {"criteria": [r.to_json() for r in results]}
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -481,17 +474,11 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        max_n=args.max_n,
-        max_bases=args.max_bases,
-        rng_seed=args.seed,
-        fmt=args.format,
-    )
     try:
         for field_name in ("max_n", "max_bases"):
-            if getattr(config, field_name) < 1:
+            if getattr(args, field_name) < 1:
                 raise InputError(f"--{field_name.replace('_', '-')} must be positive")
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - exit 1 must mean only "property violated"
         # a PolytutteError's category is its class name too
         print(f"error: category={type(exc).__name__}: {exc}", file=sys.stderr)

@@ -596,11 +596,9 @@ def _union_pairs(n: int) -> list[list[tuple[int, int, int]]]:
     return pairs
 
 
-def enumerate_small_polymatroids(
-    n: int, max_rank: int, max_bases: int = DEFAULT_MAX_BASES
-) -> Iterator[Polymatroid]:
+def enumerate_small_polymatroids(n: int, max_rank: int) -> Iterator[Polymatroid]:
     """Yield every polymatroid arising from a submodular table with values in
-    0..max_rank, each once.
+    0..max_rank, each once, each enumerated under ``DEFAULT_MAX_BASES``.
 
     Candidate tables are built mask by mask in increasing numeric order;
     submodularity is enforced incrementally through the pairs whose union is
@@ -617,7 +615,7 @@ def enumerate_small_polymatroids(
 
     def assign(mask: int):
         if mask == size:
-            yield enumerate_bases(RankTable._trusted(n, tuple(f)), max_bases)
+            yield enumerate_bases(RankTable._trusted(n, tuple(f)))
             return
         bound = max_rank
         for a, b, meet in pairs[mask]:

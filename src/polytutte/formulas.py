@@ -18,10 +18,12 @@ T = (x + y - 1)^n.
 
 Also here: the exterior-coefficient ceiling check (rank staying full under
 every k-element removal is equivalent to the first k+1 exterior coefficients
-hitting C(f([n]) + i - 1, i)), a coefficientwise <= comparator with witness,
-an exhaustive search for polymatroids with a prescribed Tutte polynomial,
-and seeded random corpus generators (submodular tables from truncated
-weighted coverage functions, subset pairs by coordinate capping, minors).
+hitting C(f([n]) + i - 1, i); the caller supplies the exterior polynomial,
+so nothing here depends on ``activity``), a coefficientwise <= comparator
+with witness, an exhaustive search for polymatroids with a prescribed Tutte
+polynomial, and seeded random corpus generators (submodular tables from
+truncated weighted coverage functions, subset pairs by coordinate capping,
+minors).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
-from .activity import exterior_direct
 from .bipoly import BiPoly
 from .core import (
     Polymatroid,
     RankTable,
+    _subset_sums,
     enumerate_small_polymatroids,
 )
 from .errors import NegativeCoordinates, ValidationError
@@ -226,13 +228,12 @@ class CeilingCheck:
         }
 
 
-def exterior_ceiling_check(
-    p: Polymatroid, k: int, exterior: BiPoly | None = None
-) -> CeilingCheck:
+def exterior_ceiling_check(p: Polymatroid, k: int, exterior: BiPoly) -> CeilingCheck:
     """Evaluate both sides of the equivalence independently.
 
     Rank side: f([n] - J) = f([n]) for every J of size k (exhaustive).
-    Coefficient side: [y^i] X = C(f([n]) + i - 1, i) for every i <= k.
+    Coefficient side: [y^i] X = C(f([n]) + i - 1, i) for every i <= k, where
+    ``exterior`` is the exterior polynomial X of ``p``.
     Requires all basis coordinates nonnegative.
     """
     if any(c < 0 for v in p.bases for c in v):
@@ -247,8 +248,7 @@ def exterior_ceiling_check(
         table.f[full_mask ^ _mask(j_set)] == full
         for j_set in itertools.combinations(range(n), k)
     )
-    x = exterior if exterior is not None else exterior_direct(p)
-    coeff_side = all(x.coeff(0, i) == binomial(full + i - 1, i) for i in range(k + 1))
+    coeff_side = all(exterior.coeff(0, i) == binomial(full + i - 1, i) for i in range(k + 1))
     return CeilingCheck(k, rank_side, coeff_side)
 
 
@@ -339,6 +339,8 @@ def search_by_tutte(
 
 # -- seeded random corpus ---------------------------------------------------------------
 
+_RANK_TABLE_TRIES = 400
+
 
 def random_rank_table(
     rng: Random,
@@ -348,7 +350,6 @@ def random_rank_table(
     max_universe: int = 6,
     size_budget: int = 400,
     allow_translation: bool = True,
-    max_tries: int = 400,
 ) -> RankTable:
     """Random submodular table: truncated weighted coverage, then an optional
     modular shift (which makes non-monotone tables and negative coordinates).
@@ -357,7 +358,7 @@ def random_rank_table(
     ranges) fits the size budget, keeping enumeration cheap and deterministic
     for a given rng state.
     """
-    for _ in range(max_tries):
+    for _ in range(_RANK_TABLE_TRIES):
         universe = rng.randint(2, max_universe)
         weights = [rng.randint(1, max_weight) for _ in range(universe)]
         covers = [
@@ -378,8 +379,7 @@ def random_rank_table(
             values[mask] = min(sum(weights[q] for q in covered), cap)
         if allow_translation and rng.random() < 0.4:
             shift = [rng.randint(-2, 2) for _ in range(n)]
-            for mask in range(1, size):
-                values[mask] += sum(shift[i] for i in range(n) if mask & (1 << i))
+            values = [v + s for v, s in zip(values, _subset_sums(shift))]
         table = RankTable(n, values, validate=False)
         full_mask = size - 1
         bound = 1

@@ -14,6 +14,9 @@ with rank(empty) = 0.  This function is submodular, and the bases of its
 polymatroid are the hypertrees: degree distributions of spanning forests of
 the incidence graph restricted to the E side.
 
+hypertree_polymatroid enumerates that table under DEFAULT_MAX_BASES; for
+another cap, enumerate ``rank_table(h)`` directly.
+
 Also provided: the connectivity profile (largest k such that removing any k
 hyperedge vertices keeps the incidence graph connected, V-side isolated
 vertices counting as components), a 4-cycle count, and seeded random
@@ -26,7 +29,7 @@ import itertools
 from random import Random
 from typing import Iterable, Sequence
 
-from .core import DEFAULT_MAX_BASES, Polymatroid, RankTable, enumerate_bases, json_list
+from .core import Polymatroid, RankTable, enumerate_bases, json_list
 from .errors import ValidationError
 
 
@@ -196,9 +199,9 @@ def rank_table(h: Hypergraph) -> RankTable:
     return table
 
 
-def hypertree_polymatroid(h: Hypergraph, max_bases: int = DEFAULT_MAX_BASES) -> Polymatroid:
+def hypertree_polymatroid(h: Hypergraph) -> Polymatroid:
     """The polymatroid of hypertrees; its rank_table() is ``rank_table(h)``."""
-    return enumerate_bases(rank_table(h), max_bases)
+    return enumerate_bases(rank_table(h))
 
 
 def is_connected(h: Hypergraph, removed_edges: Iterable[int] = ()) -> bool:
@@ -250,6 +253,8 @@ def edge_degree(h: Hypergraph, k: int) -> int:
 
 # -- seeded random generation (corpus support) -----------------------------------
 
+_HYPERGRAPH_TRIES = 2000
+
 
 def random_hypergraph(
     rng: Random,
@@ -257,11 +262,10 @@ def random_hypergraph(
     max_edges: int = 5,
     *,
     connected: bool = True,
-    max_tries: int = 2000,
 ) -> Hypergraph:
     """Random hypergraph; with ``connected`` it retries until the incidence
     graph is connected (which also forces every vertex to be covered)."""
-    for _ in range(max_tries):
+    for _ in range(_HYPERGRAPH_TRIES):
         nv = rng.randint(1, max_vertices)
         ne = rng.randint(1, max_edges)
         names = [f"v{i + 1}" for i in range(nv)]

@@ -32,10 +32,13 @@ the polymatroid has.
 
 Results are memoized under the normalized table (``memo_key``), so
 translates of a polymatroid share entries, exactly as their translation-
-normalized basis sets would; each polynomial has its own cache.  The caches
-are LRU maps bounded at ``DEFAULT_MEMO_CAPACITY`` entries each, safe to
-share between threads; exactness is unaffected by eviction.  The direct evaluation in ``activity`` stays on
-basis activities, so the two routes remain independent.
+normalized basis sets would; each polynomial has its own module-wide cache.
+The caches are LRU maps bounded at ``DEFAULT_MEMO_CAPACITY`` entries each,
+safe to share between threads, and ``clear_caches`` empties them; exactness
+is unaffected by eviction.  ``tutte_dc``, ``interior_dc`` and
+``exterior_dc`` take the polymatroid or table alone.  The direct evaluation
+in ``activity`` stays on basis activities, and this module imports nothing
+from it, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -56,9 +59,8 @@ from collections import OrderedDict
 from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
-from .activity import xy1_power
-from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict
-from .core import Polymatroid, RankTable, _slice_table
+from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict, xy1_power
+from .core import Polymatroid, RankTable, _slice_table, _subset_sums
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import forest_size
 
@@ -122,10 +124,7 @@ def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
     alphas = [top - f[full ^ (1 << t)] for t in range(n)]
     if not any(alphas):
         return tuple(f)
-    shift = [0]  # shift[S] = sum of alpha_t over t in S
-    for a in alphas:
-        shift += [s + a for s in shift]
-    return tuple(map(sub, f, shift))
+    return tuple(map(sub, f, _subset_sums(alphas)))
 
 
 class _Weights(NamedTuple):
@@ -146,20 +145,13 @@ _INTERIOR = _Weights(lo=BiPoly.one(), hi=X, mid=X, power=_unit_power)
 _EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, power=_unit_power)
 
 
-def _slice_rec(
-    f: tuple[int, ...],
-    n: int,
-    weights: _Weights,
-    cache: LRUCache,
-    pivot: int | None,
-) -> BiPoly:
+def _slice_rec(f: tuple[int, ...], n: int, weights: _Weights, cache: LRUCache) -> BiPoly:
     """The slice recursion, on a normalized table, for the polynomial whose
     level weights are given.
 
     Every alpha_t of ``f`` is 0, so the levels of coordinate t are
-    0..f({t}).  ``pivot`` (1-based) forces this node's pivot coordinate and
-    bypasses the memo lookup; recursive calls below use the widest level
-    interval, the lowest coordinate on ties.
+    0..f({t}).  The pivot is the widest level interval, the lowest
+    coordinate on ties.
     """
     if n == 1:
         return weights.power(1)
@@ -167,25 +159,19 @@ def _slice_rec(
     width = max(widths)
     if not width:  # a single basis
         return weights.power(n)
-    if pivot is None:
-        hit = cache.get(f)
-        if hit is not None:
-            return hit
-        t = widths.index(width) + 1
-    else:
-        t = pivot
-        width = widths[t - 1]
+    hit = cache.get(f)
+    if hit is not None:
+        return hit
+    t = widths.index(width) + 1
     acc: dict[tuple[int, int], int] = {}
     for j in range(width + 1):
-        if not width:
-            weight = weights.power(1)
-        elif j == 0:
+        if j == 0:
             weight = weights.lo
         elif j == width:
             weight = weights.hi
         else:
             weight = weights.mid
-        part = _slice_rec(_normalized(_slice_table(f, n, t, j), n - 1), n - 1, weights, cache, None)
+        part = _slice_rec(_normalized(_slice_table(f, n, t, j), n - 1), n - 1, weights, cache)
         for (di, dj), c in weight._terms.items():  # noqa: SLF001 - hot path
             add_scaled_into(acc, part, c, di, dj)
     result = from_dict(acc)
@@ -193,34 +179,27 @@ def _slice_rec(
     return result
 
 
-def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache, pivot: int | None) -> BiPoly:
+def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache) -> BiPoly:
     table = p.rank_table()
-    return _slice_rec(memo_key(table), table.n, weights, cache, pivot)
+    return _slice_rec(memo_key(table), table.n, weights, cache)
 
 
-def tutte_dc(
-    p: Polymatroid | RankTable, *, pivot: int | None = None, cache: LRUCache | None = None
-) -> BiPoly:
+def tutte_dc(p: Polymatroid | RankTable) -> BiPoly:
     """Tutte polynomial by the slice recursion on the rank table.
 
-    ``p`` is a polymatroid or its rank table.  ``pivot`` forces the
-    first-level pivot coordinate (recursive calls below use the heuristic);
-    the result does not depend on it.  ``cache`` may supply an isolated memo
-    table, e.g. for pivot-independence checks.
+    ``p`` is a polymatroid or its rank table.
     """
-    if pivot is not None and not 1 <= pivot <= p.n:
-        raise ValidationError(f"pivot {pivot} outside 1..{p.n}")
-    return _dc(p, _TUTTE, _tutte_cache if cache is None else cache, pivot)
+    return _dc(p, _TUTTE, _tutte_cache)
 
 
-def interior_dc(p: Polymatroid | RankTable, *, cache: LRUCache | None = None) -> BiPoly:
+def interior_dc(p: Polymatroid | RankTable) -> BiPoly:
     """Interior polynomial by the slice recursion (deletion end unweighted)."""
-    return _dc(p, _INTERIOR, _interior_cache if cache is None else cache, None)
+    return _dc(p, _INTERIOR, _interior_cache)
 
 
-def exterior_dc(p: Polymatroid | RankTable, *, cache: LRUCache | None = None) -> BiPoly:
+def exterior_dc(p: Polymatroid | RankTable) -> BiPoly:
     """Exterior polynomial by the slice recursion (contraction end unweighted)."""
-    return _dc(p, _EXTERIOR, _exterior_cache if cache is None else cache, None)
+    return _dc(p, _EXTERIOR, _exterior_cache)
 
 
 # -- classical matroid bridge ---------------------------------------------------

@@ -138,7 +138,7 @@ def test_deeply_nested_json_exit_code(files, capsys):
 
 
 def test_unexpected_exception_exit_code(files, capsys, monkeypatch):
-    def broken(args, config):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(COMMANDS, "tutte", broken)
@@ -161,7 +161,7 @@ def test_unexpected_exception_exit_code(files, capsys, monkeypatch):
 def test_error_class_exit_codes(files, capsys, monkeypatch, error, expected):
     exc = SizeLimitExceeded(7) if error is SizeLimitExceeded else error("boom")
 
-    def broken(args, config):
+    def broken(args):
         raise exc
 
     monkeypatch.setitem(COMMANDS, "tutte", broken)
@@ -202,6 +202,13 @@ def test_max_bases_does_not_cap_the_recursion(files, capsys):
 def test_max_n_guard(files, capsys):
     code, _, err = run(capsys, "--max-n", "1", "tutte", files["pair"])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("option", ["--max-n", "--max-bases"])
+def test_nonpositive_cap_is_an_input_error(files, capsys, option):
+    code, out, err = run(capsys, option, "0", "tutte", files["pair"])
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: category=InputError: {option} must be positive\n"
 
 
 def _fail_validation(*args):

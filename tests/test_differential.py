@@ -18,9 +18,9 @@ from polytutte.bipoly import from_dict
 from polytutte.core import enumerate_bases
 from polytutte.errors import SizeLimitExceeded
 from polytutte.formulas import random_rank_table
-from polytutte.hypergraph import hypertree_polymatroid, random_hypergraph
+from polytutte.hypergraph import random_hypergraph, rank_table
 from polytutte.recursion import (
-    LRUCache,
+    clear_caches,
     exterior_dc,
     graphic_matroid,
     interior_dc,
@@ -32,9 +32,10 @@ MAX_BASES = 3000
 
 
 def _assert_routes_agree(table, p):
-    assert tutte_dc(table, cache=LRUCache()) == tutte_direct(p)
-    assert interior_dc(table, cache=LRUCache()) == interior_direct(p)
-    assert exterior_dc(table, cache=LRUCache()) == exterior_direct(p)
+    clear_caches()
+    assert tutte_dc(table) == tutte_direct(p)
+    assert interior_dc(table) == interior_direct(p)
+    assert exterior_dc(table) == exterior_direct(p)
 
 
 def test_direct_equals_dc_on_random_tables():
@@ -59,7 +60,7 @@ def test_direct_equals_dc_on_hypertrees():
     sizes = []
     while len(sizes) < 20:
         h = random_hypergraph(rng, max_vertices=7, max_edges=10)
-        p = hypertree_polymatroid(h, MAX_BASES)
+        p = enumerate_bases(rank_table(h), MAX_BASES)
         _assert_routes_agree(p.rank_table(), p)
         sizes.append(len(p))
     assert max(sizes) > 100

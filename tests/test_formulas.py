@@ -178,27 +178,28 @@ def test_report_row_shape():
 
 def test_ceiling_check_uniform_three():
     for k in (0, 1, 2):
-        chk = exterior_ceiling_check(U13, k)
+        chk = exterior_ceiling_check(U13, k, exterior_direct(U13))
         assert chk.rank_side and chk.coefficient_side
 
 
 def test_ceiling_check_scaled_pair():
     p = Polymatroid([(2, 0), (1, 1), (0, 2)])
-    chk = exterior_ceiling_check(p, 1)
+    chk = exterior_ceiling_check(p, 1, exterior_direct(p))
     assert chk.rank_side and chk.coefficient_side  # X = 1 + 2y, C(2,1) = 2
 
 
 def test_ceiling_check_pendant_vertex_fails_both_sides():
     h = Hypergraph(["v1", "v2", "v3"], [["v1", "v2"], ["v1", "v2", "v3"]])
     p = hypertree_polymatroid(h)
-    chk = exterior_ceiling_check(p, 1)
+    chk = exterior_ceiling_check(p, 1, exterior_direct(p))
     assert not chk.rank_side and not chk.coefficient_side
     assert chk.match
 
 
 def test_ceiling_check_rejects_negative_bases():
     with pytest.raises(NegativeCoordinates):
-        exterior_ceiling_check(Polymatroid([(-1, 0), (0, -1)]), 0)
+        p = Polymatroid([(-1, 0), (0, -1)])
+        exterior_ceiling_check(p, 0, exterior_direct(p))
 
 
 def test_ceiling_profile():

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from polytutte.activity import exterior_direct, interior_direct, tutte_direct
-from polytutte.bipoly import parse
+from polytutte.activity import direct_polynomials, exterior_direct, interior_direct, tutte_direct
+from polytutte.bipoly import BiPoly, X, Y, parse
 from polytutte.core import (
     Polymatroid,
     RankTable,
     enumerate_bases,
     enumerate_small_polymatroids,
+    slice_rank,
 )
 from polytutte import recursion
 from polytutte.errors import DegreeExceedsN, NotAMatroid
@@ -44,14 +45,14 @@ def small_corpus():
 
 
 def test_dc_wide_interval():
-    # pivot 2 has levels 0, 1, 2: x*(x+y-1) + y*(x+y-1) + (x+y-1)
-    assert tutte_dc(SCALED2, pivot=2, cache=LRUCache()) == parse("x^2 + 2*x*y + y^2 - 1")
+    # either element has levels 0, 1, 2: x*(x+y-1) + y*(x+y-1) + (x+y-1)
+    assert tutte_dc(SCALED2) == parse("x^2 + 2*x*y + y^2 - 1")
 
 
 def test_dc_two_levels():
-    got = tutte_dc(U13, pivot=3, cache=LRUCache())
+    got = tutte_dc(U13)
     assert got == parse("x^3 + 3*x^2*y + 3*x*y^2 + y^3 - x^2 - 3*x*y - 2*y^2 + y")
-    # by hand: x * T(U12) + y * (x+y-1)^2
+    # by hand, pivoting on element 3: x * T(U12) + y * (x+y-1)^2
     xy1 = parse("x + y - 1")
     assert got == parse("x") * tutte_direct(U12) + parse("y") * xy1 * xy1
 
@@ -69,21 +70,49 @@ def test_dc_matches_direct_on_small_family():
         assert tutte_dc(p) == tutte_direct(p)
 
 
+# Level weights of the paper's formula F(P) = sum over j of w(j) * F(slice at
+# j): (lowest level, highest level, levels between, a single level).
+_ONE = BiPoly.one()
+_LEVEL_WEIGHTS = {
+    "T": (X, Y, _ONE, X + Y - _ONE),
+    "I": (_ONE, X, X, _ONE),
+    "X": (Y, _ONE, Y, _ONE),
+}
+
+
+def _slice_sum(p, t, kind, dc) -> BiPoly:
+    """The formula at pivot t, summed here from the slices' polynomials."""
+    lo, hi, mid, single = _LEVEL_WEIGHTS[kind]
+    levels = p.slice_range(t)
+    total = BiPoly()
+    for j in levels:
+        if len(levels) == 1:
+            w = single
+        elif j == levels[0]:
+            w = lo
+        elif j == levels[-1]:
+            w = hi
+        else:
+            w = mid
+        total = total + w * dc(slice_rank(p.rank_table(), t, j))
+    return total
+
+
 def test_pivot_independence():
+    # the formula holds at every pivot, for T, I and X
     cases = [
         U13,
         SCALED2,
         Polymatroid(
             [(2, 1, 0), (1, 2, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)]
         ),
+        Polymatroid([(3, 5), (4, 4)]).translate((-6, 1)),
     ]
     cases.extend(p for p in small_corpus()[::100] if p.n >= 2)
     for p in cases:
-        results = {
-            tutte_dc(p, pivot=t, cache=LRUCache()) for t in range(1, p.n + 1)
-        }
-        assert len(results) == 1
-        assert results.pop() == tutte_direct(p)
+        for kind, dc, direct in zip("TIX", (tutte_dc, interior_dc, exterior_dc), direct_polynomials(p)):
+            for t in range(1, p.n + 1):
+                assert _slice_sum(p, t, kind, dc) == direct, (kind, t, p)
 
 
 def test_interior_exterior_dc():
@@ -128,27 +157,14 @@ def test_memo_key_ignores_basis_input_order():
 
 
 def test_translated_polymatroids_share_cache():
-    cache = LRUCache()
-    p = Polymatroid([(1, 0, 2), (0, 1, 2), (1, 1, 1)])
-    t1 = tutte_dc(p, cache=cache)
-    size_after_first = len(cache)
-    t2 = tutte_dc(p.translate((7, -2, 0)), cache=cache)
-    assert t1 == t2
-    assert len(cache) == size_after_first
-
-
-def test_empty_supplied_cache_is_used():
-    # an empty LRUCache is falsy; it must still replace the shared cache
     clear_caches()
-    for dc, shared in (
-        (tutte_dc, recursion._tutte_cache),
-        (interior_dc, recursion._interior_cache),
-        (exterior_dc, recursion._exterior_cache),
-    ):
-        cache = LRUCache()
-        dc(U13, cache=cache)
-        assert len(cache) > 0
-        assert len(shared) == 0
+    p = Polymatroid([(1, 0, 2), (0, 1, 2), (1, 1, 1)])
+    t1 = tutte_dc(p)
+    size_after_first = len(recursion._tutte_cache)
+    assert size_after_first > 0
+    t2 = tutte_dc(p.translate((7, -2, 0)))
+    assert t1 == t2
+    assert len(recursion._tutte_cache) == size_after_first
 
 
 def test_lru_eviction():
@@ -163,12 +179,12 @@ def test_lru_eviction():
 def test_shared_cache_is_thread_safe_and_deterministic():
     from concurrent.futures import ThreadPoolExecutor
 
-    cache = LRUCache()
+    clear_caches()
     inputs = [p for p in small_corpus() if p.n >= 2][::17]
     expected = [tutte_direct(p) for p in inputs]
 
     def work(_):
-        return [tutte_dc(p, cache=cache) for p in inputs]
+        return [tutte_dc(p) for p in inputs]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         outcomes = list(pool.map(work, range(8)))
