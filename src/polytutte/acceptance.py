@@ -46,6 +46,7 @@ import itertools
 import time
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
@@ -61,11 +62,11 @@ from .bipoly import BiPoly, parse
 from .core import (
     Polymatroid,
     RankTable,
+    _mask_of,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
     slice_rank,
-    surviving_labels,
 )
 from .formulas import (
     binomial,
@@ -138,7 +139,8 @@ class CriterionResult:
 class Corpus:
     """Shared deterministic test corpus, built once per seed.
 
-    It holds inputs only; the criteria read polynomials from ``tutte_dc``,
+    It holds inputs only, each hypergraph with its hypertree polymatroid,
+    built once; the criteria read polynomials from ``tutte_dc``,
     ``interior_dc`` and ``exterior_dc``, whose memo keeps them.
     """
 
@@ -147,6 +149,7 @@ class Corpus:
     randoms: list[Polymatroid]
     hypergraphs: list[Hypergraph]         # connected incidence graphs
     hypergraphs_any: list[Hypergraph]     # no connectivity constraint
+    hypertrees: dict[Hypergraph, Polymatroid]  # of both hypergraph lists
 
     def members(self) -> list[Polymatroid]:
         return self.exhaustive + self.randoms
@@ -184,7 +187,8 @@ def build_corpus(seed: int = DEFAULT_SEED) -> Corpus:
         random_hypergraph(rng_a, 5, 5, connected=False)
         for _ in range(UNCONSTRAINED_HYPERGRAPHS)
     ]
-    corpus = Corpus(seed, exhaustive, randoms, hypergraphs, hypergraphs_any)
+    hypertrees = {h: hypertree_polymatroid(h) for h in hypergraphs + hypergraphs_any}
+    corpus = Corpus(seed, exhaustive, randoms, hypergraphs, hypergraphs_any, hypertrees)
     _CORPUS_CACHE[seed] = corpus
     return corpus
 
@@ -388,7 +392,7 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         h = corpus.hypergraphs[idx % len(corpus.hypergraphs)]
         idx += 1
         sub_h = random_incidence_subgraph(rng, h)
-        p = hypertree_polymatroid(h)
+        p = corpus.hypertrees[h]
         q = hypertree_polymatroid(sub_h)
         for poly_of in (interior_dc, exterior_dc):
             rep = coefficientwise_le(poly_of(q), poly_of(p))
@@ -462,7 +466,7 @@ def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
 def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # profile == ceiling prefix on connected hypergraphs
     for h in corpus.hypergraphs:
-        p = hypertree_polymatroid(h)
+        p = corpus.hypertrees[h]
         x = exterior_dc(p)
         profile = connectivity_profile(h)
         prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
@@ -497,8 +501,7 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
             uniform_cases += 1
     # the ceiling bound is never exceeded, connected or not
     for h in corpus.hypergraphs + corpus.hypergraphs_any:
-        p = hypertree_polymatroid(h)
-        x = exterior_dc(p)
+        x = exterior_dc(corpus.hypertrees[h])
         for (_, j), c in x.items():
             if c > binomial(h.num_vertices + j - 2, j):
                 raise AssertionError(f"ceiling exceeded at y^{j} on {h}")
@@ -522,27 +525,28 @@ def _has_positivity_witness(h: Hypergraph, k: int) -> bool:
 # -- criterion 8: structural oracles ----------------------------------------------------------------
 
 
-def _disjoint_proper_pairs(n: int):
-    elements = range(1, n + 1)
-    for a_size in range(n + 1):
-        for a in itertools.combinations(elements, a_size):
-            rest = [e for e in elements if e not in a]
-            for b_size in range(len(rest) + 1):
-                for b in itertools.combinations(rest, b_size):
-                    if len(a) + len(b) < n:
-                        yield a, b
+@lru_cache(maxsize=None)
+def _disjoint_proper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every pair of masks (A, B) of disjoint sets whose union is a proper
+    subset of [n]."""
+    full = (1 << n) - 1
+    return tuple((a, b) for a in range(full) for b in range(full) if not a & b and a | b != full)
 
 
 class _Minors(dict):
-    """p.minor(A, B) under the key (A, B), built on first use."""
+    """p.minor(A, B) under the mask key (A, B), built on first use."""
 
     def __init__(self, p: Polymatroid):
         super().__init__()
         self.p = p
 
-    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> Polymatroid:
-        m = self[key] = self.p.minor(*key)
+    def __missing__(self, key: tuple[int, int]) -> Polymatroid:
+        m = self[key] = self.p._minor(*key)
         return m
+
+
+def _labels(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
@@ -555,26 +559,28 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
         for j in p.slice_range(t):
             if slice_rank(table, t, j) != rank_from_bases(p.slice(t, j)):
                 raise AssertionError(f"slice rank mismatch at t={t}, j={j} on {p}")
-    # minor commutation, and dual/deletion/contraction exchange.  Each minor
-    # of p is built once; the other side of every comparison is built from
-    # another polymatroid (a contraction of p, or the dual).  A pair with A
-    # or B empty would compare one build with itself, so it is skipped.
+    # minor commutation, and dual/deletion/contraction exchange, over mask
+    # pairs (A, B).  Each minor of p is built once; the other side of every
+    # comparison is built from another polymatroid (a contraction of p, or
+    # the dual).  A pair with A or B empty would compare one build with
+    # itself, so it is skipped.
     minors = _Minors(p)
     for a, b in minor_pairs:
         if not a or not b:
             continue
-        if minors[a, b] != minors[(), b].delete(_relabel(a, b, n)):
-            raise AssertionError(f"minor order dependence for A={a}, B={b} on {p}")
+        if minors[a, b] != minors[0, b]._minor(_relabel(a, b, n), 0):
+            raise AssertionError(
+                f"minor order dependence for A={_labels(a)}, B={_labels(b)} on {p}"
+            )
     dual = p.dual()
-    for size in range(1, n):
-        for a in itertools.combinations(range(1, n + 1), size):
-            if minors[a, ()].dual() != dual.contract(a):
-                raise AssertionError(f"dual(delete) != contract(dual) for {a} on {p}")
-            if minors[(), a].dual() != dual.delete(a):
-                raise AssertionError(f"dual(contract) != delete(dual) for {a} on {p}")
+    full_mask = (1 << n) - 1
+    for a in range(1, full_mask):
+        if minors[a, 0].dual() != dual._minor(0, a):
+            raise AssertionError(f"dual(delete) != contract(dual) for {_labels(a)} on {p}")
+        if minors[0, a].dual() != dual._minor(a, 0):
+            raise AssertionError(f"dual(contract) != delete(dual) for {_labels(a)} on {p}")
     # tight-set lattice, activity characterization, and S tight exactly when
     # no transfer a + e_j - e_k moves mass into S (j in S, k outside)
-    full_mask = (1 << n) - 1
     for a in p.bases:
         family = tight_sets(p, a)
         tight = set(family.masks)
@@ -600,9 +606,16 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
                 )
 
 
-def _relabel(targets, removed, n):
-    kept = surviving_labels(n, removed)
-    return tuple(kept.index(t) + 1 for t in targets)
+def _relabel(targets: int, removed: int, n: int) -> int:
+    """The mask of ``targets`` once the elements of ``removed`` are gone and
+    the survivors are renumbered in order (see core.surviving_labels)."""
+    out = 0
+    k = 0
+    for i in range(n):
+        if not removed >> i & 1:
+            out |= (targets >> i & 1) << k
+            k += 1
+    return out
 
 
 def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
@@ -610,11 +623,11 @@ def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
         _check_structure_one(p, _disjoint_proper_pairs(p.n))
     sampled = 0
     for p in corpus.randoms[::4]:
-        pairs = (
-            list(_disjoint_proper_pairs(p.n))
-            if p.n <= 3
-            else [random_minor_args(rng, p.n) for _ in range(5)]
-        )
+        if p.n <= 3:
+            pairs = _disjoint_proper_pairs(p.n)
+        else:
+            drawn = [random_minor_args(rng, p.n) for _ in range(5)]
+            pairs = [(_mask_of(a, p.n), _mask_of(b, p.n)) for a, b in drawn]
         _check_structure_one(p, pairs)
         sampled += 1
     return (
@@ -628,9 +641,9 @@ def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
 
 def check_four_cycles(corpus: Corpus, rng: Random) -> str:
     k22 = Hypergraph(["v1", "v2"], [["v1", "v2"], ["v1", "v2"]])
-    cases = [k22] + corpus.hypergraphs
-    for h in cases:
-        p = hypertree_polymatroid(h)
+    cases = [(k22, hypertree_polymatroid(k22))]
+    cases += [(h, corpus.hypertrees[h]) for h in corpus.hypergraphs]
+    for h, p in cases:
         interior = interior_dc(p)
         predicted = (
             binomial(h.incidence_count() - h.num_vertices - h.num_edges + 2, 2)

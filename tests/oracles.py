@@ -1,5 +1,6 @@
 """Independent checks that tests compare polytutte.core with: the axioms of
-rank tables and basis sets, and basis enumeration by an exchange closure.
+rank tables and basis sets, subset-wise maxima of basis vectors, and basis
+enumeration by an exchange closure.
 
 These are the definitions themselves, with no shortcut, so they cost what
 the definitions cost; tests run them on small inputs only.
@@ -44,6 +45,19 @@ def basis_set_category(rows) -> str | None:
     if len({sum(v) for v in rows}) > 1:
         return "UnequalSums"
     return None if _exchange_witness(rows, frozenset(rows)) is None else "ExchangeFailure"
+
+
+def rank_by_maxima(vectors: Sequence[Vector], n: int) -> tuple[int, ...]:
+    """f(I) = max over the vectors of the I-coordinate sum: one list of 2^n
+    subset sums per vector and their elementwise maxima."""
+    best = None
+    for v in vectors:
+        sums = [0]
+        for c in v:
+            sums += [s + c for s in sums]
+        best = sums if best is None else [a if a > b else b for a, b in zip(best, sums)]
+    assert best is not None and len(best) == 1 << n
+    return tuple(best)
 
 
 def greedy_basis(table: RankTable, order: Sequence[int]) -> Vector:

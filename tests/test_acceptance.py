@@ -64,6 +64,23 @@ def test_criterion_9_four_cycle_count(results):
     _require(results, "9")
 
 
+# -- the corpus builds each hypertree polymatroid once ------------------------------
+
+
+def test_corpus_hypergraphs_are_enumerated_once(monkeypatch):
+    corpus = acceptance.build_corpus(acceptance.DEFAULT_SEED)
+    hypergraphs = corpus.hypergraphs + corpus.hypergraphs_any
+    assert set(corpus.hypertrees) == set(hypergraphs)
+    real = acceptance.hypertree_polymatroid
+    for h in hypergraphs:
+        assert corpus.hypertrees[h] == real(h)
+    built = []
+    monkeypatch.setattr(acceptance, "hypertree_polymatroid", lambda h: built.append(h) or real(h))
+    acceptance.check_connectivity(corpus, Random(0))
+    acceptance.check_four_cycles(corpus, Random(0))
+    assert [h.num_edges for h in built] == [2]  # K_{2,2} only: it is not in the corpus
+
+
 # -- criterion 8 catches a fault on either side -----------------------------------
 
 U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -116,8 +133,8 @@ def test_structure_check_catches_a_wrong_relabel(monkeypatch):
     real = acceptance._relabel
 
     def mirrored(targets, removed, n):
-        m = n - len(removed)
-        return tuple(m + 1 - t for t in real(targets, removed, n))
+        m = n - bin(removed).count("1")
+        return int(format(real(targets, removed, n), f"0{m}b")[::-1], 2)
 
     pairs = list(acceptance._disjoint_proper_pairs(SKEWED.n))
     acceptance._check_structure_one(SKEWED, pairs)

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exchange_closure, greedy_basis, in_polytope, submodularity_failure
+from oracles import (
+    exchange_closure,
+    greedy_basis,
+    in_polytope,
+    rank_by_maxima,
+    submodularity_failure,
+)
 from polytutte import core
 from polytutte.core import (
     Polymatroid,
@@ -94,6 +101,83 @@ def test_rank_from_single_vector():
 def test_rank_from_bases_scaled():
     f = rank_from_bases(SCALED2)
     assert f.value([1]) == 2 and f.value([2]) == 2 and f.value([1, 2]) == 2
+
+
+def _vector_sets(rng):
+    """Seeded (rows, n) cases for rank_from_bases: n = 1..8 and 16, 1-20
+    vectors with coordinates from +-1 to +-2^70, with equal or unequal sums
+    (so also sets that are no polymatroid), vectors at the edge of each lane
+    width and just past it, single vectors, and translated and negated
+    polymatroids."""
+    cases = []
+    for n in list(range(1, 9)) + [16]:
+        exponents = (0, 3, 5, 12, 13, 28, 29, 59, 60, 70) if n == 16 else range(71)
+        for e in exponents:
+            hi = 1 << e
+            rows = set()
+            equal = rng.random() < 0.5
+            for _ in range(rng.randint(1, 8 if n == 16 else 20)):
+                v = [rng.randint(-hi, hi) for _ in range(n)]
+                if equal:
+                    v[-1] = hi - sum(v[:-1])
+                rows.add(tuple(v))
+            cases.append((sorted(rows), n))
+        for w in (8, 16, 32, 64):
+            edge = ((1 << (w - 2)) - 1) // n  # largest |coordinate| with n * edge in w - 2 bits
+            for m in (edge, edge + 1):
+                cases.append(([(m,) * n, (-m,) * n, (m, -m) * (n // 2) + (m,) * (n % 2)], n))
+        cases.append(([tuple(rng.randint(-hi, hi) for _ in range(n))], n))
+    for n in range(1, 7):
+        p = enumerate_bases(random_rank_table(rng, n))
+        for e in (0, 7, 15, 31, 62, 70):
+            c = tuple(rng.randint(-(1 << e), 1 << e) for _ in range(n))
+            for q in (p.translate(c), p.translate(c).dual()):
+                cases.append((list(q.bases), n))
+    return cases
+
+
+def test_rank_from_bases_matches_the_maxima_oracle(monkeypatch):
+    sizes = []
+    real = core._lanes
+    monkeypatch.setattr(core, "_lanes", lambda n, size: sizes.append(size) or real(n, size))
+    kernels = set()
+    for rows, n in _vector_sets(Random(10)):
+        p = Polymatroid(rows, validate=False)
+        sizes.clear()
+        assert rank_from_bases(p).f == rank_by_maxima(p.bases, n), (n, rows)
+        kernels.add(sizes[0] if sizes else "one basis" if len(p) == 1 else "wide")
+    # every lane width in bytes, the wide fallback and the one-basis case ran
+    assert kernels == {1, 2, 4, 8, "wide", "one basis"}
+
+
+def test_rank_from_bases_memory_on_huge_coordinates():
+    # n = 16, three vectors with 1,000-digit coordinates: lanes would be
+    # about 3,300 bits wide, so the list maxima run; their peak is about 75 MB
+    rng = Random(11)
+    hi = 10 ** 1000
+    p = Polymatroid([tuple(rng.randint(-hi, hi) for _ in range(16)) for _ in range(3)],
+                    validate=False)
+    cached = core._lanes.cache_info().currsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = rank_from_bases(p).f
+        peak = tracemalloc.get_traced_memory()[1]
+        del f
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 90 * 2 ** 20
+    assert after - before < 2 ** 20  # nothing sized by the coordinates stays behind
+    assert core._lanes.cache_info().currsize == cached
+
+
+def test_lane_cache_holds_at_most_four_widths_per_n():
+    core._lanes.cache_clear()
+    for e in range(0, 80, 3):
+        c = 1 << e
+        rank_from_bases(Polymatroid([(c, -c, 0), (0, c, -c), (-c, 0, c)], validate=False))
+    assert core._lanes.cache_info().currsize == 4
 
 
 # -- rank table validation ----------------------------------------------------------
@@ -399,6 +483,39 @@ def test_basis_validation_keeps_its_rank_table(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert tables == [rank_from_bases(Polymatroid(data["bases"], validate=False))] * 2
+
+
+@pytest.mark.parametrize("bases, message", [
+    ([[1, 0], [0, 1.5]], "coordinate must be a JSON integer, got 1.5"),
+    ([[1, 0], 3], "a basis must be a JSON list, got 3"),
+    ([[1.5], 3], "coordinate must be a JSON integer, got 1.5"),  # document order
+    ([[1, 2], [True]], "coordinate must be a JSON integer, got True"),
+    ([[1, 2], [1.5]], "coordinate must be a JSON integer, got 1.5"),  # types before lengths
+    ([[1, 2], [1, 0, 0]], "mixed vector lengths: 2 vs 3"),
+    ([[1, 1, 1]], "declared n = 2 but vectors have length 3"),
+    ([[]], "ground set must have at least one element, got 0"),
+    (5, "'bases' must be a JSON list, got 5"),
+])
+def test_basis_json_names_the_first_bad_slot(bases, message):
+    with pytest.raises(ValidationError) as e:
+        Polymatroid.from_json({"n": 2, "bases": bases})
+    assert str(e.value) == message
+
+
+def test_basis_json_takes_list_subclasses():
+    class Row(list):
+        pass
+
+    p = Polymatroid.from_json({"n": 2, "bases": [Row([1, 0]), [0, 1]]})
+    assert p == U12 and p.rank_table() == U12.rank_table()
+
+
+def test_mask_minor_matches_the_labelled_minor():
+    p = enumerate_bases(RankTable(4, [min(2 * bin(m).count("1"), 3) for m in range(1 << 4)]))
+    for a, b in disjoint_proper_pairs(4):
+        mask_a = sum(1 << (i - 1) for i in a)
+        mask_b = sum(1 << (i - 1) for i in b)
+        assert p._minor(mask_a, mask_b) == p.minor(a, b)
 
 
 def test_surviving_labels():
