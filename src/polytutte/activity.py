@@ -19,6 +19,11 @@ basis with that transfer, and the bases are summed in groups of equal
 activity counts, not one by one.  direct_polynomials returns all three
 from the one pass that tutte_direct makes.
 
+The scan over j < i never stops early, because no index makes every basis
+inactive on one side: a basis with the smallest a_i has no a - e_i + e_j
+in P, so it is internally active at i, and a basis with the largest a_i
+has no a + e_i - e_j in P, so it is externally active at i.
+
 transfers(p, a) lists every pair (j, k) with a + e_j - e_k in P, and
 activities(p, a) reads the activities of one basis off that list.  An
 independent characterization through tight sets (subsets whose coordinate
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
+from itertools import compress, repeat
+from operator import eq, mul
 from typing import Iterator
 
-from .bipoly import BiPoly, add_scaled_into, from_dict, xy1_power
-from .core import Polymatroid, Vector
+from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, add_scaled_into, cached_power, from_dict
+from .core import Polymatroid, Vector, _subset_sums
 from .errors import NotABasis
 
 
@@ -110,15 +115,7 @@ def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
     if a not in p:
         raise NotABasis(f"{a} is not a basis")
     f = p.rank_table().f
-    size = 1 << p.n
-    sums = [0] * size
-    out = [0]
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + a[low.bit_length() - 1]
-        if sums[mask] == f[mask]:
-            out.append(mask)
-    return TightFamily(a, tuple(out))
+    return TightFamily(a, tuple(compress(range(1 << p.n), map(eq, _subset_sums(a), f))))
 
 
 def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:
@@ -188,23 +185,19 @@ def _inactive_by_index(
     inactive at i (a side not asked for stays empty).
 
     K & (keys + w_i - w_j) holds the bases b with b - e_i + e_j in P, and
-    K & (keys - w_i + w_j) those with b + e_i - e_j in P.
+    K & (keys - w_i + w_j) those with b + e_i - e_j in P.  Every j < i is
+    scanned: no side ever holds every basis (see the module docstring).
     """
     member = frozenset(keys)
-    total = len(member)
     for i in range(1, len(weights)):
         wi = weights[i]
         ins: set[int] = set()
         ext: set[int] = set()
         for wj in weights[:i]:
             d = wi - wj
-            scan_int = internal and len(ins) < total
-            scan_ext = external and len(ext) < total
-            if not (scan_int or scan_ext):
-                break
-            if scan_int:
+            if internal:
                 ins |= member.intersection(map(d.__add__, keys))
-            if scan_ext:
+            if external:
                 ext |= member.intersection(map((-d).__add__, keys))
         yield ins, ext
 
@@ -216,16 +209,15 @@ def _inactive_counts(
     externally inactive, and both (three iterators).
 
     One tally counts all three: a key k stands for its internal count, k +
-    bound for its external count and k + 2 * bound for both.
+    bound for its external count and k + 2 * bound for both.  A side not
+    asked for is an empty set, so it adds no marks.
     """
     keys, weights, bound = _packed_keys(p)
     marks: list[int] = []
     for ins, ext in _inactive_by_index(keys, weights, internal, external):
         marks += ins
-        if external:
-            marks += map(bound.__add__, ext)
-            if internal:
-                marks += map((2 * bound).__add__, ins & ext)
+        marks += map(bound.__add__, ext)
+        marks += map((2 * bound).__add__, ins & ext)
     get = Counter(marks).get
     zeros = repeat(0)
     return (
@@ -246,8 +238,9 @@ def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:
     inactive counts of a basis, oi = ce - cb, oe = ci - cb and
     ie = n - (ci + ce - cb)."""
     acc: dict[tuple[int, int], int] = {}
+    xy1 = X_PLUS_Y_MINUS_1
     for (ci, ce, cb), count in groups.items():
-        add_scaled_into(acc, xy1_power(n - ci - ce + cb), count, ce - cb, ci - cb)
+        add_scaled_into(acc, cached_power(xy1, n - ci - ce + cb), count, ce - cb, ci - cb)
     return from_dict(acc)
 
 

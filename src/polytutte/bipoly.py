@@ -16,12 +16,21 @@ e.g. ``x^2 + 2*x*y + y^2 - 1``.  ``parse`` accepts exactly this dialect
 
 JSON form: list of ``[i, j, "c"]`` triples in canonical order, with the
 coefficient as a decimal string.
+
+Accumulation has one zero filter, ``from_dict``: every function that sums
+terms adds them into a plain dict and wraps it there.  Only ``add_scaled_into``, the hot
+path, drops zeros inline.  Powers have one cache, ``cached_power``, keyed
+by the base and the exponent; the package uses it for the few fixed bases
+it raises again and again, (x + y - 1)^k, (x + y - xy)^k, (x - 1)^k and
+(y - 1)^k.  Divisibility by x + y - 1 is decided by evaluation on the line
+y = 1 - x (see ``divisible_by_x_plus_y_minus_1``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, ReversalRange, ValidationError
@@ -64,14 +73,6 @@ class BiPoly:
         return _ONE
 
     @staticmethod
-    def x() -> "BiPoly":
-        return _X
-
-    @staticmethod
-    def y() -> "BiPoly":
-        return _Y
-
-    @staticmethod
     def constant(c: int) -> "BiPoly":
         return BiPoly({(0, 0): c})
 
@@ -80,9 +81,6 @@ class BiPoly:
         return BiPoly({(i, j): c})
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coeff(self, i: int, j: int) -> int:
         """Coefficient of x^i y^j (0 when the term is absent)."""
@@ -165,14 +163,10 @@ class BiPoly:
         """Set the given variable to 1, collapsing onto the other axis."""
         k = _axis_index(axis)
         acc: dict[Exponents, int] = {}
-        for e, c in self._terms.items():
-            key = (0, e[1]) if k == 0 else (e[0], 0)
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-        return _wrap(acc)
+        for (i, j), c in self._terms.items():
+            key = (0, j) if k == 0 else (i, 0)
+            acc[key] = acc.get(key, 0) + c
+        return from_dict(acc)
 
     def reversed_in(self, axis: str, n: int) -> "BiPoly":
         """Exponent reversal on one axis: x^n * p(x^-1) (or the y analogue).
@@ -212,38 +206,15 @@ class BiPoly:
         return total
 
     def divisible_by_x_plus_y_minus_1(self) -> bool:
-        """Exact divisibility by (x + y - 1), for nonnegative-exponent input."""
-        _, rem = self.divmod_x_plus_y_minus_1()
-        return rem.is_zero()
+        """Exact divisibility by (x + y - 1), for nonnegative-exponent input.
 
-    def divmod_x_plus_y_minus_1(self) -> tuple["BiPoly", "BiPoly"]:
-        """Division with remainder by (x + y - 1), viewing the polynomial in
-        x with coefficients in Z[y]; the remainder is then y-univariate."""
+        Modulo x + y - 1, y is 1 - x, so p is a multiple exactly when the
+        univariate p(t, 1 - t), of degree at most d = deg p, is zero, which
+        holds exactly when it vanishes at the d + 1 points t = 0..d.
+        """
         if self.has_negative_exponents():
             raise ValidationError("division requires nonnegative exponents")
-        # cols[i] = dict j -> coefficient of x^i y^j
-        cols: dict[int, dict[int, int]] = {}
-        for (i, j), c in self._terms.items():
-            cols.setdefault(i, {})[j] = c
-        if not cols:
-            return _ZERO, _ZERO
-        quot: dict[Exponents, int] = {}
-        for i in range(max(cols), 0, -1):
-            head = cols.pop(i, None)
-            if not head:
-                continue
-            below = cols.setdefault(i - 1, {})
-            for j, c in head.items():
-                quot[(i - 1, j)] = c
-                # subtract c * x^(i-1) y^j * (y - 1)
-                for dj, sign in ((1, -1), (0, 1)):
-                    s = below.get(j + dj, 0) + sign * c
-                    if s:
-                        below[j + dj] = s
-                    else:
-                        below.pop(j + dj, None)
-        rem = _wrap({(0, j): c for j, c in cols.get(0, {}).items() if c})
-        return _wrap(quot), rem
+        return not any(self.evaluate(t, 1 - t) for t in range(self.total_degree() + 1))
 
     # -- equality, hashing, rendering ---------------------------------------
 
@@ -281,20 +252,16 @@ def _axis_index(axis: str) -> int:
 
 _ZERO = BiPoly()
 _ONE = BiPoly({(0, 0): 1})
-_X = BiPoly({(1, 0): 1})
-_Y = BiPoly({(0, 1): 1})
-
-X = _X
-Y = _Y
+X = BiPoly({(1, 0): 1})
+Y = BiPoly({(0, 1): 1})
 X_PLUS_Y_MINUS_1 = BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-_XY1_POWERS: list[BiPoly] = [_ONE]
 
 
-def xy1_power(k: int) -> BiPoly:
-    """(x + y - 1)^k, cached."""
-    while len(_XY1_POWERS) <= k:
-        _XY1_POWERS.append(_XY1_POWERS[-1] * X_PLUS_Y_MINUS_1)
-    return _XY1_POWERS[k]
+@lru_cache(maxsize=None)
+def cached_power(base: BiPoly, k: int) -> BiPoly:
+    """base^k, cached per (base, k): the one power table, for the few fixed
+    polynomials the package raises again and again."""
+    return base ** k
 
 
 def add_scaled_into(acc: dict[Exponents, int], p: BiPoly, c: int, di: int, dj: int) -> None:
@@ -414,13 +381,8 @@ def parse(text: str) -> BiPoly:
         if not saw_factor:
             raise ParseError("dangling sign in polynomial text")
         first = False
-        e = (i, j)
-        s = acc.get(e, 0) + coeff
-        if s:
-            acc[e] = s
-        else:
-            acc.pop(e, None)
-    return _wrap(acc)
+        acc[i, j] = acc.get((i, j), 0) + coeff
+    return from_dict(acc)
 
 
 # -- JSON form ----------------------------------------------------------------
@@ -432,17 +394,17 @@ def to_json(p: BiPoly) -> list[list]:
 
 
 def from_json(data: Iterable) -> BiPoly:
+    """Sum the [i, j, c] triples: i and j JSON integers, c a decimal string
+    or a JSON integer.  Any other type, a float, a bool or a string
+    exponent, is a ParseError, not a number to round."""
     acc: dict[Exponents, int] = {}
     for row in data:
         try:
             i, j, c = row
-            e = (int(i), int(j))
+            if not (type(i) is int and type(j) is int and type(c) in (int, str)):
+                raise TypeError
             v = int(c)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial triple {row!r}") from exc
-        s = acc.get(e, 0) + v
-        if s:
-            acc[e] = s
-        else:
-            acc.pop(e, None)
-    return _wrap(acc)
+        acc[i, j] = acc.get((i, j), 0) + v
+    return from_dict(acc)

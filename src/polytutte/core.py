@@ -49,6 +49,11 @@ A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
 exchange.
 
+enumerate_small_polymatroids builds its tables under the same local
+condition: the value of each mask M is capped by the local bound, the least
+f(M - x) + f(M - y) - f(M - x - y) over pairs x, y in M, which is C(|M|, 2)
+terms rather than every pair of masks whose union is M.
+
 The public constructors check types and lengths even with validate=False,
 in one scan in C over all coordinates; Polymatroid.from_json scans the JSON
 types once and skips the constructor's type scan.  Polymatroid.minor checks
@@ -70,7 +75,7 @@ construction and safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 from operator import add, ge, mul, sub
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
@@ -118,12 +123,7 @@ class RankTable:
     __slots__ = ("n", "f")
 
     def __init__(self, n: int, values: Sequence[int], *, validate: bool = True):
-        _check_ground_size(n)
-        f = tuple(values)
-        if len(f) != 1 << n:
-            raise ValidationError(f"expected {1 << n} rank values, got {len(f)}")
-        if not all(type(v) is int for v in f):
-            raise ValidationError("rank values must be integers")
+        f = _table_values(n, values, typed=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "f", f)
         if validate:
@@ -199,8 +199,25 @@ class RankTable:
             n, values = data["n"], data["f"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad rank table JSON: {exc}") from exc
-        values = [json_int(v, "rank value") for v in json_list(values, "'f'")]
-        return RankTable(json_int(n, "n"), values)
+        values = json_list(values, "'f'")
+        if not _INT.issuperset(map(type, values)):
+            for v in values:  # name the first bad slot
+                json_int(v, "rank value")
+        n = json_int(n, "n")
+        return RankTable._trusted(n, _table_values(n, values, typed=True)).validate()
+
+
+def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]:
+    """The values as a tuple, after checking n, their count and, unless
+    ``typed`` says the caller has, that each is exactly an int (one scan in
+    C)."""
+    _check_ground_size(n)
+    f = tuple(values)
+    if len(f) != 1 << n:
+        raise ValidationError(f"expected {1 << n} rank values, got {len(f)}")
+    if not (typed or _INT.issuperset(map(type, f))):
+        raise ValidationError("rank values must be integers")
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -410,7 +427,7 @@ class Polymatroid:
         """Add the integer vector c to every basis; a known table becomes
         f(S) + c(S)."""
         c = tuple(c)
-        if len(c) != self.n or not all(type(v) is int for v in c):
+        if len(c) != self.n or not _INT.issuperset(map(type, c)):
             raise ValidationError(f"translation vector must be {self.n} integers")
         table = self._rank
         if table is not None:
@@ -484,7 +501,7 @@ def _sorted_rows(vectors: Iterable[Sequence[int]], typed: bool) -> tuple[list[Ve
         for v in rows:
             if len(v) != n:
                 raise ValidationError(f"mixed vector lengths: {len(v)} vs {n}")
-            if not all(type(c) is int for c in v):
+            if not _INT.issuperset(map(type, v)):
                 raise ValidationError(f"non-integer coordinates in {v}")
     return rows, n
 
@@ -681,44 +698,37 @@ def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
 # -- exhaustive small-case generator -----------------------------------------------
 
 
-def _union_pairs(n: int) -> list[list[tuple[int, int, int]]]:
-    """For each mask m, the proper unordered pairs (a, b, a & b) with a | b = m."""
-    size = 1 << n
-    pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            m = a | b
-            if m != a and m != b:
-                pairs[m].append((a, b, a & b))
-    return pairs
-
-
 def enumerate_small_polymatroids(n: int, max_rank: int) -> Iterator[Polymatroid]:
     """Yield every polymatroid arising from a submodular table with values in
     0..max_rank, each once, each enumerated under ``DEFAULT_MAX_BASES``.
 
-    Candidate tables are built mask by mask in increasing numeric order;
-    submodularity is enforced incrementally through the pairs whose union is
-    the mask being assigned, which prunes the search exactly.  Only
-    submodular tables are completed, and the round trip makes
-    enumerate_bases injective on those, so no two yield the same basis set.
+    Candidate tables are built mask by mask in increasing numeric order, so
+    every proper subset of a mask is assigned before it.  A mask M takes the
+    values from 0 up to the local bound, the minimum over pairs of elements
+    x, y of M of f(M - x) + f(M - y) - f(M - x - y), and at most max_rank.
+    Every smaller mask was held to its own local bound, so the table is
+    locally submodular below M and stays so on the subsets of M; local
+    submodularity is equivalent to submodularity (see RankTable.validate),
+    so the local bound is also the least f(A) + f(B) - f(A & B) over all
+    A, B with A | B = M, and the search prunes exactly.  Only submodular
+    tables are completed, and the round trip makes enumerate_bases injective
+    on those, so no two yield the same basis set.
     """
     _check_ground_size(n)
     if max_rank < 0:
         raise ValidationError("max_rank must be nonnegative")
     size = 1 << n
-    pairs = _union_pairs(n)
+    local = []  # local[M]: (M - x, M - y, M - x - y) for each pair x, y in M
+    for m in range(size):
+        bits = [1 << i for i in range(n) if m >> i & 1]
+        local.append([(m ^ x, m ^ y, m ^ x ^ y) for x, y in combinations(bits, 2)])
     f = [0] * size
 
     def assign(mask: int):
         if mask == size:
             yield enumerate_bases(RankTable._trusted(n, tuple(f)))
             return
-        bound = max_rank
-        for a, b, meet in pairs[mask]:
-            bound = min(bound, f[a] + f[b] - f[meet])
-            if bound < 0:
-                return
+        bound = min([max_rank] + [f[a] + f[b] - f[c] for a, b, c in local[mask]])
         for v in range(bound + 1):
             f[mask] = v
             yield from assign(mask + 1)

@@ -69,21 +69,23 @@ def top_coefficient(n: int, k: int) -> int:
 
 def _sum_by_popcount(table: RankTable) -> list[int]:
     """sums[s] = sum of f over all subsets of size s."""
-    n = table.n
-    out = [0] * (n + 1)
-    for mask in range(1 << n):
-        out[bin(mask).count("1")] += table.f[mask]
+    out = [0] * (table.n + 1)
+    for mask, v in enumerate(table.f):
+        out[mask.bit_count()] += v
     return out
 
 
 def near_top_coefficient(table: RankTable, k: int) -> int:
     """[x^(n-k) y^(k-1)] T for 1 <= k <= n, from subset-size sums of f."""
-    n = table.n
-    if not 1 <= k <= n:
+    if not 1 <= k <= table.n:
         raise ValidationError(f"need 1 <= k <= n, got k={k}")
-    sums = _sum_by_popcount(table)
-    full = table.full_rank()
-    return sums[k - 1] + sums[k] - binomial(n, k - 1) * full - k * binomial(n, k)
+    return _near_top(table, _sum_by_popcount(table), k)
+
+
+def _near_top(table: RankTable, sums: list[int], k: int) -> int:
+    """near_top_coefficient, given the subset-size sums of f."""
+    n = table.n
+    return sums[k - 1] + sums[k] - binomial(n, k - 1) * table.full_rank() - k * binomial(n, k)
 
 
 def near_top_univariate(table: RankTable) -> tuple[int, int]:
@@ -163,6 +165,7 @@ def coefficient_report(p: Polymatroid | RankTable, tutte: BiPoly) -> list[Coeffi
     table = p.rank_table()
     at_y1 = tutte.substitute_one("y")
     at_x1 = tutte.substitute_one("x")
+    sums = _sum_by_popcount(table)
     rows = []
     for k in range(n + 1):
         rows.append(
@@ -172,7 +175,7 @@ def coefficient_report(p: Polymatroid | RankTable, tutte: BiPoly) -> list[Coeffi
         rows.append(
             CoefficientRow(
                 f"near-top[x^{n - k}y^{k - 1}]",
-                near_top_coefficient(table, k),
+                _near_top(table, sums, k),
                 tutte.coeff(n - k, k - 1),
             )
         )

@@ -57,9 +57,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from operator import sub
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .bipoly import BiPoly, X, Y, add_scaled_into, from_dict, xy1_power
+from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, X, Y, add_scaled_into, cached_power, from_dict
 from .core import Polymatroid, RankTable, _slice_table, _subset_sums
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import forest_size
@@ -130,19 +130,15 @@ def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
 class _Weights(NamedTuple):
     """Level weights of one polynomial in the slice recursion."""
 
-    lo: BiPoly                       # the lowest attained level (deletion end)
-    hi: BiPoly                       # the highest attained level (contraction end)
-    mid: BiPoly                      # every level strictly between them
-    power: Callable[[int], BiPoly]   # k-th power of the single-level weight
+    lo: BiPoly       # the lowest attained level (deletion end)
+    hi: BiPoly       # the highest attained level (contraction end)
+    mid: BiPoly      # every level strictly between them
+    single: BiPoly   # a single level, alpha = beta
 
 
-def _unit_power(k: int) -> BiPoly:
-    return BiPoly.one()
-
-
-_TUTTE = _Weights(lo=X, hi=Y, mid=BiPoly.one(), power=xy1_power)
-_INTERIOR = _Weights(lo=BiPoly.one(), hi=X, mid=X, power=_unit_power)
-_EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, power=_unit_power)
+_TUTTE = _Weights(lo=X, hi=Y, mid=BiPoly.one(), single=X_PLUS_Y_MINUS_1)
+_INTERIOR = _Weights(lo=BiPoly.one(), hi=X, mid=X, single=BiPoly.one())
+_EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, single=BiPoly.one())
 
 
 def _slice_rec(f: tuple[int, ...], n: int, weights: _Weights, cache: LRUCache) -> BiPoly:
@@ -154,11 +150,11 @@ def _slice_rec(f: tuple[int, ...], n: int, weights: _Weights, cache: LRUCache) -
     coordinate on ties.
     """
     if n == 1:
-        return weights.power(1)
+        return weights.single
     widths = [f[1 << t] for t in range(n)]
     width = max(widths)
     if not width:  # a single basis
-        return weights.power(n)
+        return cached_power(weights.single, n)
     hit = cache.get(f)
     if hit is not None:
         return hit
@@ -205,15 +201,9 @@ def exterior_dc(p: Polymatroid | RankTable) -> BiPoly:
 # -- classical matroid bridge ---------------------------------------------------
 
 
-_XYXY_POWERS: list[BiPoly] = [BiPoly.one()]
 _XYXY = X + Y - X * Y
-
-
-def _xyxy_power(k: int) -> BiPoly:
-    """(x + y - xy)^k, cached."""
-    while len(_XYXY_POWERS) <= k:
-        _XYXY_POWERS.append(_XYXY_POWERS[-1] * _XYXY)
-    return _XYXY_POWERS[k]
+_X_MINUS_1 = X - BiPoly.one()
+_Y_MINUS_1 = Y - BiPoly.one()
 
 
 def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
@@ -227,7 +217,7 @@ def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
         raise DegreeExceedsN(f"polynomial does not fit degree bound {n}")
     acc: dict[tuple[int, int], int] = {}
     for (i, j), c in t.items():
-        add_scaled_into(acc, _xyxy_power(n - i - j), c, i, j)
+        add_scaled_into(acc, cached_power(_XYXY, n - i - j), c, i, j)
     return from_dict(acc).shift(d - n, -d)
 
 
@@ -274,17 +264,11 @@ def classical_tutte(table: RankTable) -> BiPoly:
     n = table.n
     f = table.f
     full_rank = f[(1 << n) - 1]
-    xm1 = X - BiPoly.one()
-    ym1 = Y - BiPoly.one()
-    xp = [BiPoly.one()]
-    yp = [BiPoly.one()]
-    for _ in range(n):
-        xp.append(xp[-1] * xm1)
-        yp.append(yp[-1] * ym1)
     acc: dict[tuple[int, int], int] = {}
     for mask in range(1 << n):
         r = f[mask]
-        add_scaled_into(acc, xp[full_rank - r] * yp[bin(mask).count("1") - r], 1, 0, 0)
+        xs = cached_power(_X_MINUS_1, full_rank - r)
+        add_scaled_into(acc, xs * cached_power(_Y_MINUS_1, mask.bit_count() - r), 1, 0, 0)
     return from_dict(acc)
 
 

@@ -253,7 +253,9 @@ def bulk_activity_sets(p):
     return [(frozenset(int_sets[k]), frozenset(ext_sets[k])) for k in keys]
 
 
-def test_bulk_activity_matches_the_per_basis_definition():
+@pytest.fixture(scope="module")
+def activity_family():
+    """The corpus, its duals and seeded translates, and one n = 9 table."""
     rng = Random(11)
     family = []
     for p in build_corpus().members():
@@ -263,8 +265,25 @@ def test_bulk_activity_matches_the_per_basis_definition():
     large = enumerate_bases(random_rank_table(Random(1), 9, size_budget=10**7))
     assert len(large) > 2000
     family.append(large)
-    for p in family:
+    return family
+
+
+def test_bulk_activity_matches_the_per_basis_definition(activity_family):
+    for p in activity_family:
         per_basis = [activities(p, a) for a in p.bases]
         assert bulk_activity_sets(p) == [(a.int_set, a.ext_set) for a in per_basis], p
         assert direct_polynomials(p) == (tutte_direct(p), interior_direct(p), exterior_direct(p)), p
 
+
+def test_no_side_ever_holds_every_basis(activity_family):
+    # why _inactive_by_index scans every j < i: at index i, a basis with the
+    # smallest a_i has no a - e_i + e_j in P, so it is internally active, and
+    # one with the largest a_i has no a + e_i - e_j in P, so it is externally
+    # active
+    for p in activity_family:
+        keys, weights, _ = _packed_keys(p)
+        for i, (ins, ext) in enumerate(_inactive_by_index(keys, weights), start=1):
+            col = [a[i] for a in p.bases]
+            lowest, highest = min(col), max(col)
+            assert not ins.intersection(k for k, c in zip(keys, col) if c == lowest), p
+            assert not ext.intersection(k for k, c in zip(keys, col) if c == highest), p

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,11 +116,52 @@ def test_divisible_square():
     assert (XY1 ** 2).divisible_by_x_plus_y_minus_1()
 
 
-def test_divmod_reconstructs():
-    p = P("x^3 + 3*x^2 + x*y - 4")
-    q, r = p.divmod_x_plus_y_minus_1()
-    assert q * XY1 + r == p
-    assert all(i == 0 for (i, _), _ in r.items())
+def random_poly(rng: Random) -> BiPoly:
+    """Up to six terms with exponents 0..5 and coefficients -9..9."""
+    return BiPoly({(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-9, 9)
+                   for _ in range(rng.randint(0, 6))})
+
+
+def test_divisibility_by_evaluation_seeded():
+    rng = Random(5)
+    for _ in range(300):
+        multiple = random_poly(rng) * XY1
+        assert multiple.divisible_by_x_plus_y_minus_1()
+        # x^i y^j is t^i (1 - t)^j on the line y = 1 - x, never zero there
+        i, j = rng.randint(0, 7), rng.randint(0, 7)
+        for c in (1, -1):
+            assert not (multiple + BiPoly.monomial(c, i, j)).divisible_by_x_plus_y_minus_1()
+
+
+def test_zero_is_divisible():
+    assert ZERO.divisible_by_x_plus_y_minus_1()
+
+
+def test_divisibility_rejects_negative_exponents():
+    for p in (BiPoly.monomial(1, -1, 0), XY1 * BiPoly.monomial(1, 0, -2)):
+        with pytest.raises(ValidationError):
+            p.divisible_by_x_plus_y_minus_1()
+
+
+# -- cached powers and the zero filter ---------------------------------------------
+
+
+def test_cached_power_matches_repeated_products():
+    for base in (XY1, X + Y - X * Y, X - ONE):
+        expected = ONE
+        for k in range(8):
+            assert bipoly.cached_power(base, k) == expected
+            expected = expected * base
+
+
+def test_accumulators_drop_cancelled_terms():
+    for p in (
+        parse("x + y - x"),
+        bipoly.from_json([[1, 0, "1"], [0, 1, "1"], [1, 0, "-1"]]),
+        P("x*y^2 - y^2 + y").substitute_one("x"),
+    ):
+        assert p == Y and len(p) == 1 and p.support() == {(0, 1)}
+    assert len(P("x*y - x").substitute_one("y")) == 0
 
 
 # -- rendering and parsing -------------------------------------------------------

@@ -391,6 +391,19 @@ def test_search_reports_matches_and_misses(files, capsys):
     assert "target 1" in out and "no match" in out
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [[1.9, 0, "1"], [True, 0, "1"], [1, 0, 2.7], ["1", 0, "1"]],
+    ids=["float-exponent", "bool-exponent", "float-coefficient", "string-exponent"],
+)
+def test_search_rejects_non_integer_triples(files, capsys, triple):
+    path = files["dir"] / "bad_targets.json"
+    path.write_text(json.dumps({"targets": [[triple]]}))
+    code, out, err = run(capsys, "search", "--targets", str(path), "--n", "1")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: category=ParseError: bad polynomial triple")
+
+
 def test_matroid_form(files, capsys):
     code, out, _ = run(capsys, "matroid-form", files["pair"])
     assert code == EXIT_OK

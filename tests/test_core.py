@@ -560,6 +560,14 @@ def all_small_tables(n, max_rank):
             yield RankTable(n, f, validate=False)
 
 
+@pytest.mark.parametrize("n, max_rank", [(1, 4), (2, 4), (3, 2), (3, 3)])
+def test_small_polymatroids_follow_the_brute_force_tables(n, max_rank):
+    # the local bound prunes exactly: one polymatroid per submodular table,
+    # in the tables' numeric order
+    got = [p.rank_table() for p in enumerate_small_polymatroids(n, max_rank)]
+    assert got == list(all_small_tables(n, max_rank))
+
+
 def test_round_trip_exhaustive_small():
     for n in (1, 2):
         for f in all_small_tables(n, 2):
