@@ -15,7 +15,8 @@ e.g. ``x^2 + 2*x*y + y^2 - 1``.  ``parse`` accepts exactly this dialect
 (whitespace-insensitively) and round-trips with ``str``.
 
 JSON form: list of ``[i, j, "c"]`` triples in canonical order, with the
-coefficient as a decimal string.
+coefficient as a decimal string; ``from_json`` reads exactly ``-?[0-9]+``
+or a JSON integer there.
 
 Accumulation has one zero filter, ``from_dict``: every function that sums
 terms adds them into a plain dict and wraps it there.  Only ``add_scaled_into``, the hot
@@ -52,8 +53,8 @@ class BiPoly:
         clean: dict[Exponents, int] = {}
         if terms:
             for (i, j), c in terms.items():
-                if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
-                    raise ValidationError(f"non-integer term ({i}, {j}): {c!r}")
+                if not (type(i) is int and type(j) is int and type(c) is int):  # no bools
+                    raise ValidationError(f"non-integer term ({i!r}, {j!r}): {c!r}")
                 if c:
                     clean[(i, j)] = c
         object.__setattr__(self, "_terms", clean)
@@ -393,17 +394,23 @@ def to_json(p: BiPoly) -> list[list]:
     return [[i, j, str(c)] for (i, j), c in p.items()]
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def from_json(data: Iterable) -> BiPoly:
     """Sum the [i, j, c] triples: i and j JSON integers, c a decimal string
-    or a JSON integer.  Any other type, a float, a bool or a string
-    exponent, is a ParseError, not a number to round."""
+    (an optional minus sign and ASCII digits, nothing else) or a JSON
+    integer.  Any other type or text, a float, a bool, a string exponent,
+    whitespace, underscores or non-ASCII digits, is a ParseError, not a
+    number to round or a spelling for int() to forgive."""
     acc: dict[Exponents, int] = {}
     for row in data:
         try:
             i, j, c = row
-            if not (type(i) is int and type(j) is int and type(c) in (int, str)):
+            if not (type(i) is int and type(j) is int
+                    and (type(c) is int or type(c) is str and _DECIMAL.fullmatch(c))):
                 raise TypeError
-            v = int(c)
+            v = int(c)  # ValueError past the interpreter's digit limit
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad polynomial triple {row!r}") from exc
         acc[i, j] = acc.get((i, j), 0) + v

@@ -78,7 +78,7 @@ from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import add, ge, mul, sub
 from struct import Struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyBasisSet,
@@ -575,7 +575,8 @@ def rank_from_bases(p: Polymatroid) -> RankTable:
             best = [a if a > b else b for a, b in zip(best, _subset_sums(v))]
         return RankTable._trusted(n, tuple(best))
     size = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8
-    bias, guard, indicators, unpack = _lanes(n, size)
+    _, guard, indicators, lanes = _lanes(n, size)
+    bias = guard >> 1
     top = 8 * size - 1
     best = sum(map(mul, rows[0], indicators), bias)
     for v in rows[1:]:
@@ -585,14 +586,19 @@ def rank_from_bases(p: Polymatroid) -> RankTable:
     # lane - bias as a signed lane: flip bit w - 2, then copy it into bit w - 1
     best ^= bias
     best |= (best & bias) << 1
-    return RankTable._trusted(n, unpack(best.to_bytes(size << n, "little")))
+    return RankTable._trusted(n, lanes.unpack(best.to_bytes(size << n, "little")))
 
 
 @lru_cache(maxsize=None)
-def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Callable]:
-    """bias * ONES, the guard bits, IND_1..IND_n and the unpacker of signed
-    little-endian lanes, for 2^n lanes of ``size`` bytes (cached: four sizes
-    per n, at most 15 * 16 * 2^16 bytes of indicators for n = 16)."""
+def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Struct | None]:
+    """ONES, the guard bits, IND_1..IND_n and the struct of 2^n signed
+    little-endian lanes (None above 8 bytes), for 2^n lanes of ``size``
+    bytes.
+
+    ONES has a 1 in every lane and the guards are the lanes' top bits.  The
+    layout is shared by ``rank_from_bases`` and the slice recursion (cached:
+    four sizes per n in practice, at most 15 * 16 * 2^16 bytes of
+    indicators for n = 16)."""
     one = (1).to_bytes(size, "little")
     zero = bytes(size)
     ones = int.from_bytes(one * (1 << n), "little")
@@ -600,9 +606,8 @@ def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Callable]:
         int.from_bytes((zero * (1 << i) + one * (1 << i)) * (1 << (n - i - 1)), "little")
         for i in range(n)
     )
-    w = 8 * size
-    unpack = Struct(f"<{1 << n}{_SIGNED[size]}").unpack
-    return ones << (w - 2), ones << (w - 1), indicators, unpack
+    lanes = Struct(f"<{1 << n}{_SIGNED[size]}") if size in _SIGNED else None
+    return ones, ones << (8 * size - 1), indicators, lanes
 
 
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}  # standard sizes under "<"

@@ -15,30 +15,73 @@ three polynomials differ only in their weight table:
     X            y             1            y                1
 
 A single level (alpha = beta) takes the single-level weight alone.  The base
-case, one basis or one element, is the single-level weight to the power n.
-One engine, ``_slice_rec``, runs the recursion for any of the three tables.
+case, one basis, is the single-level weight to the power n.  One engine,
+``_levels`` with its memoized entry ``_rec``, runs the recursion for any of
+the three tables.
 
 The engine works on rank tables, never on basis lists.  With f the rank
 function, alpha_t = f(E) - f(E - t), beta_t = f({t}), and the slice at level
-j has the rank function min(f(I), f(I + t) - j) on E - t (``core._slice_table``,
-the helper ``enumerate_bases`` uses too).  Every table is normalized first:
-subtracting alpha_t per element, f(S) - sum of alpha_t over S, translates the
-polymatroid so that every alpha_t is 0 and the levels of t are 0..f({t}).
-So the pivot, the coordinate with the widest level interval (the lowest on
-ties, purely a performance heuristic; the result does not depend on it), is
-an argmax over the n singleton values, and a table whose singletons are all
-0 has a single basis.  Each node costs O(2^n) list work, however many bases
-the polymatroid has.
+j has the rank function min(f(I), f(I + t) - j) on E - t.  Every table is
+normalized: subtracting alpha_t per element, f(S) - sum of alpha_t over S,
+translates the polymatroid so that every alpha_t is 0, the levels of t are
+0..f({t}), and 0 <= f(S) <= f(E).  A table whose values are all 0 has a
+single basis.
 
-Results are memoized under the normalized table (``memo_key``), so
-translates of a polymatroid share entries, exactly as their translation-
-normalized basis sets would; each polynomial has its own module-wide cache.
-The caches are LRU maps bounded at ``DEFAULT_MEMO_CAPACITY`` entries each,
-safe to share between threads, and ``clear_caches`` empties them; exactness
-is unaffected by eviction.  ``tutte_dc``, ``interior_dc`` and
-``exterior_dc`` take the polymatroid or table alone.  The direct evaluation
-in ``activity`` stays on basis activities, and this module imports nothing
-from it, so the two routes remain independent.
+Tables as lanes.  A normalized table is one integer with 2^n lanes of L bits,
+lane S holding f(S), in the layout of ``core.rank_from_bases``; ONES, the
+guard bits (the top bit of each lane) and IND_s (1 in the lanes of the sets
+that hold s) come from ``core._lanes``.  L is the smallest of 8, 16, 32, ...
+bits that holds the root's normalized f(E) below the guard bit; no slice
+below the root exceeds that value, so L holds for the whole run.
+
+Pivot on the top coordinate.  The pivot is always t = n, the highest lane
+bit, so the lanes without t are the low half of the table and those with t
+the high half: ``without`` is one mask and ``with`` one shift.  The level-0
+slice is ``without``, the top level w = f({t}) is ``with - w * ONES``, and
+each level between is the lane-wise minimum of ``without`` and
+``with - j * ONES``, taken as ``rank_from_bases`` takes its maximum:
+subtracting with the guards set borrows from a lane's guard exactly where
+``without`` is smaller.  With gamma_s = f(E) - f(E - s - t), read once per
+node from the lanes at E - t and E - t - s, the slice at level j has
+alpha_s = max(0, gamma_s - j), so normalizing it subtracts
+sum of alpha_s * IND_s.  A top coordinate of width 0 is dropped: the node is
+the single-level weight times the polynomial of the low half.  The result
+does not depend on the pivot order (the tests sum the formula at every
+pivot, outside the engine).  Each node costs a few big-integer operations
+over 2^n lanes per level, run in C, however many bases the polymatroid has.
+A table that no polymatroid has can break these invariants; the engine
+raises ``ValidationError`` where that shows (a normalized value outside
+0..f(E), a nonzero one-element slice, a root polynomial beyond its lane
+bound) and otherwise returns a polynomial that means nothing.
+
+Polynomials as lanes.  Below the root a polynomial is one integer: the
+coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
+PL bits, so the weights x and y are shifts by 17 * PL and PL bits, and the
+single-level powers (x + y - 1)^k are cached packed.  Packing is evaluation
+at x = 2^(17 PL), y = 2^PL, a ring homomorphism, so sums and products of
+packed values are exact whatever the coefficients.  The lanes are signed and
+are decoded once, at the root, by adding 2^(PL - 1) to every lane.  That is
+exact when every coefficient of the root's polynomial has absolute value
+below 2^(PL - 1).  T is a sum over the bases of a monomial times
+(x + y - 1)^m with m <= n, whose coefficients sum to at most 3^n in absolute
+value, and a normalized polymatroid has at most prod_t (f({t}) + 1) bases;
+so PL is the smallest multiple of 64 above the bit length of
+3^n * prod_t (f({t}) + 1), which bounds every coefficient of T, I and X.
+Coefficients of the polynomials below the root may exceed it; they are never
+decoded.
+
+Memo.  Each polynomial has its own module-wide cache.  The root of a call is
+stored under ``memo_key(table)``, the normalized table as a tuple, so
+translates of a polymatroid share entries, and maps to the decoded
+``BiPoly``; every node below it is stored under (L, PL, packed table) and
+maps to the packed polynomial, which is the evaluation at 2^PL and so is
+only shared between runs of the same L and PL.  The caches are LRU maps
+bounded at ``DEFAULT_MEMO_CAPACITY`` entries each, safe to share between
+threads, and ``clear_caches`` empties them; exactness is unaffected by
+eviction.  ``tutte_dc``, ``interior_dc`` and ``exterior_dc`` take the
+polymatroid or table alone.  The direct evaluation in ``activity`` stays on
+basis activities, and this module imports nothing from it, so the two
+routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -55,12 +98,13 @@ the independent oracle for that identity.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from functools import lru_cache
 from operator import sub
 from typing import NamedTuple, Sequence
 
-from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, X, Y, add_scaled_into, cached_power, from_dict
-from .core import Polymatroid, RankTable, _slice_table, _subset_sums
+from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, X, Y, cached_power, from_dict
+from .core import MAX_GROUND_SET, Polymatroid, RankTable, _lanes, _subset_sums
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import forest_size
 
@@ -127,57 +171,129 @@ def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(map(sub, f, _subset_sums(alphas)))
 
 
-class _Weights(NamedTuple):
-    """Level weights of one polynomial in the slice recursion."""
+_STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
 
-    lo: BiPoly       # the lowest attained level (deletion end)
-    hi: BiPoly       # the highest attained level (contraction end)
-    mid: BiPoly      # every level strictly between them
+
+class _Weights(NamedTuple):
+    """Level weights of one polynomial in the slice recursion: the lane
+    offset of the monomial at each end and between them, and the
+    single-level weight."""
+
+    lo: int          # the lowest level (deletion end)
+    mid: int         # every level strictly between the ends
+    hi: int          # the highest level (contraction end)
     single: BiPoly   # a single level, alpha = beta
 
 
-_TUTTE = _Weights(lo=X, hi=Y, mid=BiPoly.one(), single=X_PLUS_Y_MINUS_1)
-_INTERIOR = _Weights(lo=BiPoly.one(), hi=X, mid=X, single=BiPoly.one())
-_EXTERIOR = _Weights(lo=Y, hi=BiPoly.one(), mid=Y, single=BiPoly.one())
+_TUTTE = _Weights(lo=_STRIDE, mid=0, hi=1, single=X_PLUS_Y_MINUS_1)
+_INTERIOR = _Weights(lo=0, mid=_STRIDE, hi=_STRIDE, single=BiPoly.one())
+_EXTERIOR = _Weights(lo=1, mid=1, hi=0, single=BiPoly.one())
 
 
-def _slice_rec(f: tuple[int, ...], n: int, weights: _Weights, cache: LRUCache) -> BiPoly:
-    """The slice recursion, on a normalized table, for the polynomial whose
-    level weights are given.
+@lru_cache(maxsize=None)
+def _packed_power(weight: BiPoly, pl: int, k: int) -> int:
+    """weight^k packed in lanes of ``pl`` bits."""
+    return sum(c << (i * _STRIDE + j) * pl for (i, j), c in weight.items()) ** k
 
-    Every alpha_t of ``f`` is 0, so the levels of coordinate t are
-    0..f({t}).  The pivot is the widest level interval, the lowest
-    coordinate on ties.
-    """
-    if n == 1:
-        return weights.single
-    widths = [f[1 << t] for t in range(n)]
-    width = max(widths)
-    if not width:  # a single basis
-        return cached_power(weights.single, n)
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    t = widths.index(width) + 1
-    acc: dict[tuple[int, int], int] = {}
+
+def _pack_table(key: tuple[int, ...], n: int, size: int) -> int:
+    """The normalized table ``key`` in 2^n lanes of ``size`` bytes."""
+    lanes = _lanes(n, size)[3]
+    data = lanes.pack(*key) if lanes else b"".join(v.to_bytes(size, "little") for v in key)
+    return int.from_bytes(data, "little")
+
+
+def _unpack_poly(value: int, n: int, pl: int) -> BiPoly:
+    """Decode a packed polynomial of total degree at most n."""
+    count = n * _STRIDE + 1  # x^n, at lane n * _STRIDE, is the highest term
+    step = pl >> 3
+    half = 1 << (pl - 1)
+    bias = int.from_bytes(half.to_bytes(step, "little") * count, "little")
+    try:
+        data = (value + bias).to_bytes(count * step, "little")
+    except OverflowError:  # coefficients beyond the bound: the table was no polymatroid's
+        raise ValidationError("the table is not a polymatroid rank table") from None
+    terms = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            at = (i * _STRIDE + j) * step
+            c = int.from_bytes(data[at:at + step], "little") - half
+            if c:
+                terms[i, j] = c
+    return from_dict(terms)
+
+
+def _rec(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LRUCache) -> int:
+    """The packed polynomial of a packed normalized table, memoized."""
+    if not table:  # a single basis
+        return _packed_power(weights.single, pl, n)
+    if n == 1:  # a polymatroid's normalized one-element table is zero
+        raise ValidationError("the table is not a polymatroid rank table")
+    key = (size, pl, table)
+    hit = cache.get(key)
+    if hit is None:
+        hit = _levels(table, n, size, pl, weights, cache)
+        cache.put(key, hit)
+    return hit
+
+
+def _levels(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LRUCache) -> int:
+    """One node of the recursion: the weighted sum over the slices of the
+    top coordinate t = n of a nonzero packed normalized table."""
+    m = n - 1
+    bits = size << 3
+    split = bits << m
+    with_ = table >> split
+    without = table ^ (with_ << split)
+    width = with_ & ((1 << bits) - 1)  # f({t})
+    if not width:
+        return _packed_power(weights.single, pl, 1) * _rec(without, m, size, pl, weights, cache)
+    ones, guard, indicators, _ = _lanes(m, size)
+    data = without.to_bytes(size << m, "little")
+    full = (1 << m) - 1
+    top = int.from_bytes(data[full * size:], "little")  # f(E - t) = f(E)
+    gammas = []
+    for s in range(m):
+        at = (full ^ (1 << s)) * size
+        gammas.append(top - int.from_bytes(data[at:at + size], "little"))
+    low = bits - 1
+    parts = []
     for j in range(width + 1):
-        if j == 0:
-            weight = weights.lo
-        elif j == width:
-            weight = weights.hi
+        if j:
+            g = with_ - j * ones
+            if j < width:
+                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
+                g = without ^ ((without ^ g) & (sel - (sel >> low)))
         else:
-            weight = weights.mid
-        part = _slice_rec(_normalized(_slice_table(f, n, t, j), n - 1), n - 1, weights, cache)
-        for (di, dj), c in weight._terms.items():  # noqa: SLF001 - hot path
-            add_scaled_into(acc, part, c, di, dj)
-    result = from_dict(acc)
-    cache.put(f, result)
-    return result
+            g = without
+        g -= sum((gamma - j) * ind for gamma, ind in zip(gammas, indicators) if gamma > j)
+        parts.append(_rec(g, m, size, pl, weights, cache))
+    lo, *mid, hi = parts
+    return (lo << weights.lo * pl) + (sum(mid) << weights.mid * pl) + (hi << weights.hi * pl)
 
 
 def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache) -> BiPoly:
     table = p.rank_table()
-    return _slice_rec(memo_key(table), table.n, weights, cache)
+    key = memo_key(table)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    n = table.n
+    if min(key) < 0 or max(key) > key[-1]:  # a polymatroid's normalized f is 0..f(E)
+        raise ValidationError(f"{table} is not a polymatroid rank table")
+    size = 1 << ((key[-1].bit_length() + 8) // 8 - 1).bit_length()  # f(E) below the guard
+    bound = 3 ** n
+    for t in range(n):
+        bound *= key[1 << t] + 1
+    pl = (bound.bit_length() // 64 + 1) * 64
+    packed = _pack_table(key, n, size)
+    if packed:
+        value = _levels(packed, n, size, pl, weights, cache)
+    else:
+        value = _packed_power(weights.single, pl, n)
+    result = _unpack_poly(value, n, pl)
+    cache.put(key, result)
+    return result
 
 
 def tutte_dc(p: Polymatroid | RankTable) -> BiPoly:
@@ -215,10 +331,10 @@ def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
     """
     if t.has_negative_exponents() or t.total_degree() > n:
         raise DegreeExceedsN(f"polynomial does not fit degree bound {n}")
-    acc: dict[tuple[int, int], int] = {}
+    total = BiPoly.zero()
     for (i, j), c in t.items():
-        add_scaled_into(acc, cached_power(_XYXY, n - i - j), c, i, j)
-    return from_dict(acc).shift(d - n, -d)
+        total = total + BiPoly.monomial(c, i, j) * cached_power(_XYXY, n - i - j)
+    return total.shift(d - n, -d)
 
 
 def matroid_form(p: Polymatroid | RankTable, d: int | None = None) -> BiPoly:
@@ -264,12 +380,12 @@ def classical_tutte(table: RankTable) -> BiPoly:
     n = table.n
     f = table.f
     full_rank = f[(1 << n) - 1]
-    acc: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        r = f[mask]
-        xs = cached_power(_X_MINUS_1, full_rank - r)
-        add_scaled_into(acc, xs * cached_power(_Y_MINUS_1, mask.bit_count() - r), 1, 0, 0)
-    return from_dict(acc)
+    counts = Counter((full_rank - r, mask.bit_count() - r) for mask, r in enumerate(f))
+    total = BiPoly.zero()
+    for (a, b), c in counts.items():
+        xs = cached_power(_X_MINUS_1, a)
+        total = total + BiPoly.constant(c) * xs * cached_power(_Y_MINUS_1, b)
+    return total
 
 
 def uniform_matroid(d: int, n: int) -> RankTable:

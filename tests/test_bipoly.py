@@ -280,6 +280,17 @@ def test_rejects_non_integer_coefficients():
         BiPoly({(0, 0): 1.5})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [{(True, 0): 1}, {(1, False): 1}, {(1, 0): True}, {(True, 0): True}],
+    ids=["bool-x-exponent", "bool-y-exponent", "bool-coefficient", "all-bool"],
+)
+def test_rejects_bools(terms):
+    # bool is an int subclass; True must not pass for 1 (or the term for x)
+    with pytest.raises(ValidationError):
+        BiPoly(terms)
+
+
 def test_evaluate_at_one_one():
     assert P("x^2 + 2*x*y + y^2 - x - y").evaluate(1, 1) == 2
     assert BiPoly.monomial(3, 1, -4).evaluate(1, 1) == 3

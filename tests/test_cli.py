@@ -393,8 +393,22 @@ def test_search_reports_matches_and_misses(files, capsys):
 
 @pytest.mark.parametrize(
     "triple",
-    [[1.9, 0, "1"], [True, 0, "1"], [1, 0, 2.7], ["1", 0, "1"]],
-    ids=["float-exponent", "bool-exponent", "float-coefficient", "string-exponent"],
+    [
+        [1.9, 0, "1"],
+        [True, 0, "1"],
+        [1, 0, 2.7],
+        ["1", 0, "1"],
+        [1, 0, " 1_000 "],
+        [1, 0, "\u0661\u0662"],
+    ],
+    ids=[
+        "float-exponent",
+        "bool-exponent",
+        "float-coefficient",
+        "string-exponent",
+        "padded-underscored-coefficient",
+        "arabic-indic-digit-coefficient",
+    ],
 )
 def test_search_rejects_non_integer_triples(files, capsys, triple):
     path = files["dir"] / "bad_targets.json"

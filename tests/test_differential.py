@@ -2,8 +2,9 @@
 
 The slice recursion (``*_dc``, on rank tables) and the basis-activity
 definition (``*_direct``, on enumerated bases) must give the same T, I and X
-on seeded random tables with up to a few thousand bases and on hypertrees of
-seeded random hypergraphs.  The matroid form of a graphic matroid must equal
+on seeded random tables with up to a few thousand bases, on hypertrees of
+seeded random hypergraphs, on 5 * U(1, 16) with 15,504 bases, and on
+c * U(1, 2) at the edges of the engine's table lane widths.  The matroid form of a graphic matroid must equal
 networkx's deletion-contraction Tutte polynomial of the graph.
 """
 
@@ -13,11 +14,12 @@ from random import Random
 
 import pytest
 
-from polytutte.activity import exterior_direct, interior_direct, tutte_direct
+from polytutte import recursion
+from polytutte.activity import direct_polynomials, exterior_direct, interior_direct, tutte_direct
 from polytutte.bipoly import from_dict
-from polytutte.core import enumerate_bases
+from polytutte.core import RankTable, enumerate_bases
 from polytutte.errors import SizeLimitExceeded
-from polytutte.formulas import random_rank_table
+from polytutte.formulas import binomial, random_rank_table
 from polytutte.hypergraph import random_hypergraph, rank_table
 from polytutte.recursion import (
     clear_caches,
@@ -64,6 +66,39 @@ def test_direct_equals_dc_on_hypertrees():
         _assert_routes_agree(p.rank_table(), p)
         sizes.append(len(p))
     assert max(sizes) > 100
+
+
+def _scaled_rank_one(c, n):
+    """c * U(1, n): f(S) = c for every nonempty S, the vectors of sum c."""
+    return RankTable(n, [c if mask else 0 for mask in range(1 << n)])
+
+
+def test_direct_equals_dc_on_five_times_u1_16(monkeypatch):
+    # 15,504 bases on the full ground set; the root's coefficient bound
+    # 3^16 * 6^16 has 67 bits, so the packed polynomials need 128-bit lanes
+    widths = []
+    real = recursion._unpack_poly
+    monkeypatch.setattr(
+        recursion, "_unpack_poly", lambda value, n, pl: widths.append(pl) or real(value, n, pl)
+    )
+    table = _scaled_rank_one(5, 16)
+    clear_caches()
+    polys = (tutte_dc(table), interior_dc(table), exterior_dc(table))
+    assert widths == [128, 128, 128]
+    assert polys == direct_polynomials(enumerate_bases(table))
+    assert [q.evaluate(1, 1) for q in polys] == [binomial(20, 15)] * 3
+
+
+@pytest.mark.parametrize("c, size", [(127, 1), (128, 2), (32767, 2), (32768, 4)])
+def test_direct_equals_dc_across_table_lane_widths(monkeypatch, c, size):
+    # f(E) = c sits just below or just above the guard bit of 1-, 2- and
+    # 4-byte table lanes, and every level between the ends takes a minimum
+    sizes = set()
+    real = recursion._lanes
+    monkeypatch.setattr(recursion, "_lanes", lambda n, s: sizes.add(s) or real(n, s))
+    table = _scaled_rank_one(c, 2)
+    _assert_routes_agree(table, enumerate_bases(table, 40000))
+    assert sizes == {size}
 
 
 def _networkx_tutte(num_vertices, edges):

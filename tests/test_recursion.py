@@ -14,7 +14,7 @@ from polytutte.core import (
     slice_rank,
 )
 from polytutte import recursion
-from polytutte.errors import DegreeExceedsN, NotAMatroid
+from polytutte.errors import DegreeExceedsN, NotAMatroid, ValidationError
 from polytutte.recursion import (
     LRUCache,
     classical_tutte,
@@ -99,7 +99,8 @@ def _slice_sum(p, t, kind, dc) -> BiPoly:
 
 
 def test_pivot_independence():
-    # the formula holds at every pivot, for T, I and X
+    # the formula holds at every pivot, for T, I and X; the engine always
+    # pivots on the top coordinate, so this sums it at every other one too
     cases = [
         U13,
         SCALED2,
@@ -141,7 +142,67 @@ def test_unprojected_slice_differs_by_one_factor():
                 assert tutte_direct(pinned) == xy1 * tutte_direct(p.slice(t, j))
 
 
+def test_dc_refuses_tables_no_polymatroid_has():
+    # f({1}) + f({2}) < f(E) normalizes to negative values, and a raised
+    # f({1, 2}) = 3 exceeds f(E) = 2 in U(2, 4)
+    bumped = list(uniform_matroid(2, 4).f)
+    bumped[3] += 1
+    for bad in (RankTable(2, [0, 1, 1, 3], validate=False), RankTable(4, bumped, validate=False)):
+        for dc in (tutte_dc, interior_dc, exterior_dc):
+            with pytest.raises(ValidationError):
+                dc(bad)
+
+
+def test_decode_is_exact_up_to_the_lane_bound():
+    # a packed coefficient decodes exactly while its absolute value is below
+    # 2^(PL - 1), the bound every root's lane width is chosen for
+    for pl in (64, 128):
+        edge = (1 << (pl - 1)) - 1
+        terms = {(2, 0): edge, (1, 1): -edge, (1, 0): -edge, (0, 2): 1, (0, 0): -1}
+        value = sum(c << (i * recursion._STRIDE + j) * pl for (i, j), c in terms.items())
+        assert recursion._unpack_poly(value, 2, pl) == BiPoly(terms)
+
+
+def test_table_lanes_follow_the_rank_from_bases_layout():
+    # lane S at bit 8 * size * S; lanes over 8 bytes have no struct and are
+    # joined byte by byte
+    key = (0, 3, 5, 7)
+    for size, big in ((1, 100), (2, 30000), (4, 1 << 30), (8, 1 << 62), (16, 1 << 70)):
+        lanes = key[:3] + (big,)
+        packed = recursion._pack_table(lanes, 2, size)
+        assert packed == sum(v << 8 * size * m for m, v in enumerate(lanes))
+
+
 # -- memoization ------------------------------------------------------------------
+
+
+def _with_wide_pair(table: RankTable) -> RankTable:
+    """The direct sum of ``table`` and 200 * U(1, 2) on two new top elements:
+    its f(E) needs 2-byte lanes, and below its top levels the engine meets
+    ``table`` again, now in 2-byte lanes."""
+    n = table.n
+    low = (1 << n) - 1
+    return RankTable(
+        n + 2, [table.f[mask & low] + (200 if mask >> n else 0) for mask in range(1 << (n + 2))]
+    )
+
+
+def test_one_cache_holds_tables_of_two_lane_widths():
+    narrow = [p.rank_table() for p in small_corpus() if p.n == 3][::25]
+    tables = narrow + [_with_wide_pair(t) for t in narrow]
+    dcs = (tutte_dc, interior_dc, exterior_dc)
+    expected = []
+    for table in tables:
+        clear_caches()
+        expected.append([dc(table) for dc in dcs])
+    for order in (range(len(tables)), reversed(range(len(tables)))):
+        clear_caches()
+        got = {k: [dc(tables[k]) for dc in dcs] for k in order}
+        assert [got[k] for k in range(len(tables))] == expected
+    # the direct sum multiplies T by T(200 * U(1, 2)) = (x + y + 199)(x + y - 1)
+    pair = parse("x + y + 199") * parse("x + y - 1")
+    for table, (t, _, _) in zip(narrow, expected):
+        assert t * pair == expected[tables.index(_with_wide_pair(table))][0]
 
 
 def test_memo_key_translation_invariant():
