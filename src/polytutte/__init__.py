@@ -31,6 +31,7 @@ from .activity import (
 )
 from .recursion import (
     classical_tutte,
+    dc_polynomials,
     exterior_dc,
     interior_dc,
     matroid_form,
@@ -78,6 +79,7 @@ __all__ = [
     "coefficientwise_le",
     "connectivity_profile",
     "count_four_cycles",
+    "dc_polynomials",
     "direct_polynomials",
     "enumerate_bases",
     "enumerate_small_polymatroids",

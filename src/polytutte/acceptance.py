@@ -8,8 +8,9 @@ are byte-for-byte reproducible.
 
 Criteria (all exact integer identities, no tolerances):
 
-  1 method-equivalence      activity enumeration == slice recursion for the
-                            two-variable polynomial and both one-variable ones
+  1 method-equivalence      activity enumeration == slice recursion for T;
+                            activity counts == I = x^n T(1/x, 1) and
+                            X = y^n T(1, 1/y) read off the recursion's T
   2 coefficient-formulas    every closed-form coefficient identity matches
                             the extracted coefficients
   3 invariances             translation (through the translate's rank
@@ -94,6 +95,7 @@ from .hypergraph import (
 )
 from .recursion import (
     classical_tutte,
+    dc_polynomials,
     exterior_dc,
     graphic_matroid,
     interior_dc,
@@ -140,8 +142,9 @@ class Corpus:
     """Shared deterministic test corpus, built once per seed.
 
     It holds inputs only, each hypergraph with its hypertree polymatroid,
-    built once; the criteria read polynomials from ``tutte_dc``,
-    ``interior_dc`` and ``exterior_dc``, whose memo keeps them.
+    built once; the criteria read polynomials from ``dc_polynomials`` and
+    its indexers ``tutte_dc``, ``interior_dc`` and ``exterior_dc``, whose
+    memo keeps them.
     """
 
     seed: int
@@ -199,13 +202,11 @@ def build_corpus(seed: int = DEFAULT_SEED) -> Corpus:
 def check_method_equivalence(corpus: Corpus, rng: Random) -> str:
     checked = 0
     for p in corpus.members():
-        t, interior, exterior = direct_polynomials(p)
-        if t != tutte_dc(p):
-            raise AssertionError(f"tutte mismatch on {p}")
-        if interior != interior_dc(p):
-            raise AssertionError(f"interior mismatch on {p}")
-        if exterior != exterior_dc(p):
-            raise AssertionError(f"exterior mismatch on {p}")
+        # the direct route counts activities; the dc route reads I and X off T
+        pairs = zip(("tutte", "interior", "exterior"), direct_polynomials(p), dc_polynomials(p))
+        for name, direct, dc in pairs:
+            if direct != dc:
+                raise AssertionError(f"{name} mismatch on {p}")
         checked += 1
     return (
         f"{checked} polymatroids ({len(corpus.exhaustive)} exhaustive n<="
@@ -261,7 +262,9 @@ def invariance_violations(
     (``tutte_dc``), because the direct route cannot see a translation: it
     keys bases relative to each coordinate's minimum.  A permutation goes
     through the direct route.  Duality covers T and both the interior and
-    exterior polynomials.  Returns each violated property with its witness
+    exterior polynomials.  Reversal compares I and X with T's reversals; on
+    the output of ``dc_polynomials`` it checks the decode that reads I and X
+    off T.  Returns each violated property with its witness
     ("" for the properties that have none).
     """
     t, interior, exterior = polys
@@ -317,8 +320,7 @@ def invariance_violations(
 def check_invariances(corpus: Corpus, rng: Random) -> str:
     checked = 0
     for p in corpus.members():
-        polys = (tutte_dc(p), interior_dc(p), exterior_dc(p))
-        violated = invariance_violations(p, polys, rng)
+        violated = invariance_violations(p, dc_polynomials(p), rng)
         if violated:
             prop, witness = next(iter(violated.items()))
             raise AssertionError(f"{prop} invariance failed on {p} {witness}".rstrip())

@@ -1,31 +1,26 @@
 """Deletion-contraction evaluation and the classical-matroid bridge.
 
-The Tutte polynomial T and the interior and exterior polynomials I and X
-of a polymatroid satisfy one recursion over the slices of any pivot
-coordinate t, whose attained levels form the interval alpha_t..beta_t:
+The Tutte polynomial T of a polymatroid satisfies one recursion over the
+slices of any pivot coordinate t, whose attained levels form the interval
+alpha_t..beta_t:
 
-    F(P) = sum over levels j of w_F(j) * F(slice of P at j),   F = T, I, X
+    T(P) = sum over levels j of w(j) * T(slice of P at j)
 
 The slices at the interval ends are the deletion and contraction of t.  The
-three polynomials differ only in their weight table:
+weight w(j) is x at the lowest level alpha (the deletion end), y at the
+highest level beta (the contraction end) and 1 at every level between; a
+single level (alpha = beta) takes x + y - 1 alone.  The base case, one
+basis, is (x + y - 1)^n.  The engine, ``_levels`` with its memoized entry
+``_rec``, runs this recursion once per table.
 
-    polynomial   level alpha   level beta   levels between   single level
-    T            x             y            1                x + y - 1
-    I            1             x            x                1
-    X            y             1            y                1
+The interior and exterior polynomials are specializations of T,
 
-A single level (alpha = beta) takes the single-level weight alone.  The base
-case, one basis, is the single-level weight to the power n.  One engine,
-``_levels`` with its memoized entry ``_rec``, runs the recursion for any of
-the three tables.
+    I(x) = x^n T(1/x, 1),   X(y) = y^n T(1, 1/y),
 
-The engine works on rank tables, never on basis lists.  With f the rank
-function, alpha_t = f(E) - f(E - t), beta_t = f({t}), and the slice at level
-j has the rank function min(f(I), f(I + t) - j) on E - t.  Every table is
-normalized: subtracting alpha_t per element, f(S) - sum of alpha_t over S,
-translates the polymatroid so that every alpha_t is 0, the levels of t are
-0..f({t}), and 0 <= f(S) <= f(E).  A table whose values are all 0 has a
-single basis.
+so they are read off T where it is decoded, at the root, which visits every
+coefficient: a coefficient c of x^i y^j in T adds c to the x^(n-i) term of
+I and to the y^(n-j) term of X.  ``dc_polynomials`` returns (T, I, X), and
+``tutte_dc``, ``interior_dc`` and ``exterior_dc`` each pick one of them.
 
 Tables as lanes.  A normalized table is one integer with 2^n lanes of L bits,
 lane S holding f(S), in the layout of ``core.rank_from_bases``; ONES, the
@@ -45,7 +40,7 @@ subtracting with the guards set borrows from a lane's guard exactly where
 node from the lanes at E - t and E - t - s, the slice at level j has
 alpha_s = max(0, gamma_s - j), so normalizing it subtracts
 sum of alpha_s * IND_s.  A top coordinate of width 0 is dropped: the node is
-the single-level weight times the polynomial of the low half.  The result
+x + y - 1 times the polynomial of the low half.  The result
 does not depend on the pivot order (the tests sum the formula at every
 pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
@@ -57,7 +52,7 @@ bound) and otherwise returns a polynomial that means nothing.
 Polynomials as lanes.  Below the root a polynomial is one integer: the
 coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
 PL bits, so the weights x and y are shifts by 17 * PL and PL bits, and the
-single-level powers (x + y - 1)^k are cached packed.  Packing is evaluation
+powers (x + y - 1)^k are cached packed.  Packing is evaluation
 at x = 2^(17 PL), y = 2^PL, a ring homomorphism, so sums and products of
 packed values are exact whatever the coefficients.  The lanes are signed and
 are decoded once, at the root, by adding 2^(PL - 1) to every lane.  That is
@@ -66,22 +61,20 @@ below 2^(PL - 1).  T is a sum over the bases of a monomial times
 (x + y - 1)^m with m <= n, whose coefficients sum to at most 3^n in absolute
 value, and a normalized polymatroid has at most prod_t (f({t}) + 1) bases;
 so PL is the smallest multiple of 64 above the bit length of
-3^n * prod_t (f({t}) + 1), which bounds every coefficient of T, I and X.
+3^n * prod_t (f({t}) + 1), which bounds every coefficient of T.
 Coefficients of the polynomials below the root may exceed it; they are never
 decoded.
 
-Memo.  Each polynomial has its own module-wide cache.  The root of a call is
+Memo.  One module-wide cache holds every entry.  The root of a call is
 stored under ``memo_key(table)``, the normalized table as a tuple, so
-translates of a polymatroid share entries, and maps to the decoded
-``BiPoly``; every node below it is stored under (L, PL, packed table) and
-maps to the packed polynomial, which is the evaluation at 2^PL and so is
-only shared between runs of the same L and PL.  The caches are LRU maps
-bounded at ``DEFAULT_MEMO_CAPACITY`` entries each, safe to share between
-threads, and ``clear_caches`` empties them; exactness is unaffected by
-eviction.  ``tutte_dc``, ``interior_dc`` and ``exterior_dc`` take the
-polymatroid or table alone.  The direct evaluation in ``activity`` stays on
-basis activities, and this module imports nothing from it, so the two
-routes remain independent.
+translates of a polymatroid share entries, and maps to the decoded (T, I, X);
+every node below it is stored under (L, PL, packed table) and maps to the
+packed T, which is the evaluation at 2^PL and so is only shared between runs
+of the same L and PL.  The cache is an LRU map bounded at
+``DEFAULT_MEMO_CAPACITY`` entries, safe to share between threads, and
+``clear_caches`` empties it; exactness is unaffected by eviction.  The
+direct evaluation in ``activity`` stays on basis activities, and this module
+imports nothing from it, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -101,12 +94,12 @@ import threading
 from collections import Counter, OrderedDict
 from functools import lru_cache
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, X, Y, cached_power, from_dict
+from .bipoly import BiPoly, X, Y, cached_power, from_dict
 from .core import MAX_GROUND_SET, Polymatroid, RankTable, _lanes, _subset_sums
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
-from .hypergraph import forest_size
+from .hypergraph import Hypergraph, rank_table
 
 DEFAULT_MEMO_CAPACITY = 1 << 20
 
@@ -144,15 +137,11 @@ class LRUCache:
             self._data.clear()
 
 
-_tutte_cache = LRUCache()
-_interior_cache = LRUCache()
-_exterior_cache = LRUCache()
+_cache = LRUCache()
 
 
 def clear_caches() -> None:
-    _tutte_cache.clear()
-    _interior_cache.clear()
-    _exterior_cache.clear()
+    _cache.clear()
 
 
 def memo_key(table: RankTable) -> tuple[int, ...]:
@@ -174,26 +163,10 @@ def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
 _STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
 
 
-class _Weights(NamedTuple):
-    """Level weights of one polynomial in the slice recursion: the lane
-    offset of the monomial at each end and between them, and the
-    single-level weight."""
-
-    lo: int          # the lowest level (deletion end)
-    mid: int         # every level strictly between the ends
-    hi: int          # the highest level (contraction end)
-    single: BiPoly   # a single level, alpha = beta
-
-
-_TUTTE = _Weights(lo=_STRIDE, mid=0, hi=1, single=X_PLUS_Y_MINUS_1)
-_INTERIOR = _Weights(lo=0, mid=_STRIDE, hi=_STRIDE, single=BiPoly.one())
-_EXTERIOR = _Weights(lo=1, mid=1, hi=0, single=BiPoly.one())
-
-
 @lru_cache(maxsize=None)
-def _packed_power(weight: BiPoly, pl: int, k: int) -> int:
-    """weight^k packed in lanes of ``pl`` bits."""
-    return sum(c << (i * _STRIDE + j) * pl for (i, j), c in weight.items()) ** k
+def _packed_power(pl: int, k: int) -> int:
+    """(x + y - 1)^k packed in lanes of ``pl`` bits."""
+    return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
 
 
 def _pack_table(key: tuple[int, ...], n: int, size: int) -> int:
@@ -203,8 +176,10 @@ def _pack_table(key: tuple[int, ...], n: int, size: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _unpack_poly(value: int, n: int, pl: int) -> BiPoly:
-    """Decode a packed polynomial of total degree at most n."""
+def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """Decode a packed T of total degree at most n into (T, I, X): the
+    coefficient c of x^i y^j adds c to the x^(n-i) term of I and to the
+    y^(n-j) term of X."""
     count = n * _STRIDE + 1  # x^n, at lane n * _STRIDE, is the highest term
     step = pl >> 3
     half = 1 << (pl - 1)
@@ -214,30 +189,38 @@ def _unpack_poly(value: int, n: int, pl: int) -> BiPoly:
     except OverflowError:  # coefficients beyond the bound: the table was no polymatroid's
         raise ValidationError("the table is not a polymatroid rank table") from None
     terms = {}
+    interior = [0] * (n + 1)
+    exterior = [0] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
             at = (i * _STRIDE + j) * step
             c = int.from_bytes(data[at:at + step], "little") - half
             if c:
                 terms[i, j] = c
-    return from_dict(terms)
+                interior[n - i] += c
+                exterior[n - j] += c
+    return (
+        from_dict(terms),
+        from_dict({(e, 0): c for e, c in enumerate(interior)}),
+        from_dict({(0, e): c for e, c in enumerate(exterior)}),
+    )
 
 
-def _rec(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LRUCache) -> int:
-    """The packed polynomial of a packed normalized table, memoized."""
+def _rec(table: int, n: int, size: int, pl: int) -> int:
+    """The packed T of a packed normalized table, memoized."""
     if not table:  # a single basis
-        return _packed_power(weights.single, pl, n)
+        return _packed_power(pl, n)
     if n == 1:  # a polymatroid's normalized one-element table is zero
         raise ValidationError("the table is not a polymatroid rank table")
     key = (size, pl, table)
-    hit = cache.get(key)
+    hit = _cache.get(key)
     if hit is None:
-        hit = _levels(table, n, size, pl, weights, cache)
-        cache.put(key, hit)
+        hit = _levels(table, n, size, pl)
+        _cache.put(key, hit)
     return hit
 
 
-def _levels(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LRUCache) -> int:
+def _levels(table: int, n: int, size: int, pl: int) -> int:
     """One node of the recursion: the weighted sum over the slices of the
     top coordinate t = n of a nonzero packed normalized table."""
     m = n - 1
@@ -247,7 +230,8 @@ def _levels(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LR
     without = table ^ (with_ << split)
     width = with_ & ((1 << bits) - 1)  # f({t})
     if not width:
-        return _packed_power(weights.single, pl, 1) * _rec(without, m, size, pl, weights, cache)
+        rest = _rec(without, m, size, pl)
+        return (rest << _STRIDE * pl) + (rest << pl) - rest  # (x + y - 1) * rest, as shifts
     ones, guard, indicators, _ = _lanes(m, size)
     data = without.to_bytes(size << m, "little")
     full = (1 << m) - 1
@@ -267,15 +251,20 @@ def _levels(table: int, n: int, size: int, pl: int, weights: _Weights, cache: LR
         else:
             g = without
         g -= sum((gamma - j) * ind for gamma, ind in zip(gammas, indicators) if gamma > j)
-        parts.append(_rec(g, m, size, pl, weights, cache))
+        parts.append(_rec(g, m, size, pl))
     lo, *mid, hi = parts
-    return (lo << weights.lo * pl) + (sum(mid) << weights.mid * pl) + (hi << weights.hi * pl)
+    return (lo << _STRIDE * pl) + sum(mid) + (hi << pl)  # x * lo + mid + y * hi
 
 
-def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache) -> BiPoly:
+def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
+    slice recursion: I and X are read off T's decode at the root.
+
+    ``p`` is a polymatroid or its rank table.
+    """
     table = p.rank_table()
     key = memo_key(table)
-    hit = cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     n = table.n
@@ -287,31 +276,25 @@ def _dc(p: Polymatroid | RankTable, weights: _Weights, cache: LRUCache) -> BiPol
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
     packed = _pack_table(key, n, size)
-    if packed:
-        value = _levels(packed, n, size, pl, weights, cache)
-    else:
-        value = _packed_power(weights.single, pl, n)
+    value = _levels(packed, n, size, pl) if packed else _packed_power(pl, n)
     result = _unpack_poly(value, n, pl)
-    cache.put(key, result)
+    _cache.put(key, result)
     return result
 
 
 def tutte_dc(p: Polymatroid | RankTable) -> BiPoly:
-    """Tutte polynomial by the slice recursion on the rank table.
-
-    ``p`` is a polymatroid or its rank table.
-    """
-    return _dc(p, _TUTTE, _tutte_cache)
+    """Tutte polynomial by the slice recursion on the rank table."""
+    return dc_polynomials(p)[0]
 
 
 def interior_dc(p: Polymatroid | RankTable) -> BiPoly:
-    """Interior polynomial by the slice recursion (deletion end unweighted)."""
-    return _dc(p, _INTERIOR, _interior_cache)
+    """Interior polynomial x^n T(1/x, 1), read off ``tutte_dc``'s decode."""
+    return dc_polynomials(p)[1]
 
 
 def exterior_dc(p: Polymatroid | RankTable) -> BiPoly:
-    """Exterior polynomial by the slice recursion (contraction end unweighted)."""
-    return _dc(p, _EXTERIOR, _exterior_cache)
+    """Exterior polynomial y^n T(1, 1/y), read off ``tutte_dc``'s decode."""
+    return dc_polynomials(p)[2]
 
 
 # -- classical matroid bridge ---------------------------------------------------
@@ -350,23 +333,23 @@ def matroid_form(p: Polymatroid | RankTable, d: int | None = None) -> BiPoly:
 
 
 def validate_matroid_rank(table: RankTable) -> RankTable:
-    """Matroid rank function: zero at empty, unit increments, submodular."""
-    n = table.n
+    """Matroid rank function: zero at empty, submodular, unit increments.
+
+    Submodular gains f(S + i) - f(S) do not grow with S, so every gain is 0
+    or 1 exactly when f({i}) <= 1 and f(E) - f(E - i) >= 0 for every i.
+    """
     f = table.f
     if f[0] != 0:
         raise NotAMatroid("rank of the empty set must be 0")
-    for mask in range(1 << n):
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            gain = f[mask | bit] - f[mask]
-            if gain not in (0, 1):
-                raise NotAMatroid(f"non-unit increment at mask {mask}, element {i + 1}")
     try:
         table.validate()
     except ValidationError as exc:
         raise NotAMatroid(f"rank table is not submodular: {exc}") from exc
+    full = len(f) - 1
+    for i in range(table.n):
+        bit = 1 << i
+        if f[bit] > 1 or f[full] < f[full ^ bit]:
+            raise NotAMatroid(f"non-unit increment at element {i + 1}")
     return table
 
 
@@ -399,16 +382,13 @@ def graphic_matroid(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Rank
     """Rank function of a multigraph's cycle matroid, edges as the ground set.
 
     r(S) = (number of vertices) - (components of the spanning subgraph with
-    edge set S); vertices are 1-based, loops and parallel edges allowed.
+    edge set S), which is the hypergraph rank of the edges taken as vertex
+    sets (a loop is a 1-set); vertices are 1-based, loops and parallel edges
+    allowed.
     """
-    m = len(edges)
-    if m < 1:
+    if not edges:
         raise ValidationError("graphic matroid needs at least one edge")
     for u, v in edges:
         if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
             raise ValidationError(f"edge ({u}, {v}) outside vertex range")
-    values = [
-        forest_size(num_vertices + 1, [edges[i] for i in range(m) if mask >> i & 1])
-        for mask in range(1 << m)
-    ]
-    return RankTable(m, values, validate=False)
+    return rank_table(Hypergraph(range(1, num_vertices + 1), edges))

@@ -18,6 +18,7 @@ from polytutte.core import (
     _exchange_witness,
 )
 from polytutte.errors import SizeLimitExceeded, ValidationError
+from polytutte.hypergraph import forest_size
 
 
 def submodularity_failure(f) -> tuple[int, int] | None:
@@ -36,6 +37,23 @@ def table_category(f) -> str | None:
     if f[0] != 0:
         return "NonzeroEmptySet"
     return None if submodularity_failure(f) is None else "SubmodularityFailure"
+
+
+def is_matroid_rank(f, n: int) -> bool:
+    """f(empty) = 0, submodular, and every gain f(S + i) - f(S) is 0 or 1,
+    checked for every S and every i outside it."""
+    gains = (f[m | 1 << i] - f[m] for m in range(1 << n) for i in range(n) if not m >> i & 1)
+    return f[0] == 0 and all(g in (0, 1) for g in gains) and submodularity_failure(f) is None
+
+
+def spanning_forest_rank(num_vertices: int, edges) -> tuple[int, ...]:
+    """Cycle-matroid rank of every edge subset of a multigraph with 1-based
+    vertices: the size of a spanning forest, one union-find per mask."""
+    m = len(edges)
+    return tuple(
+        forest_size(num_vertices + 1, [edges[i] for i in range(m) if mask >> i & 1])
+        for mask in range(1 << m)
+    )
 
 
 def basis_set_category(rows) -> str | None:

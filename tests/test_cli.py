@@ -442,10 +442,10 @@ def test_output_identical_across_runs(files, capsys):
 
 def test_default_memo_capacity_keeps_memo(files, capsys):
     run(capsys, "tutte", files["scaled"])
-    cache = recursion._tutte_cache
+    cache = recursion._cache
     filled = len(cache)
     run(capsys, "tutte", files["pair"])
-    assert recursion._tutte_cache is cache and len(cache) >= filled
+    assert recursion._cache is cache and len(cache) >= filled
 
 
 def test_coeffs_on_hypergraph_reads_the_enumerated_table(files, capsys, monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from random import Random
+
 import pytest
 
 from polytutte.activity import direct_polynomials, exterior_direct, interior_direct, tutte_direct
@@ -14,11 +17,13 @@ from polytutte.core import (
     slice_rank,
 )
 from polytutte import recursion
+from oracles import is_matroid_rank, spanning_forest_rank
 from polytutte.errors import DegreeExceedsN, NotAMatroid, ValidationError
 from polytutte.recursion import (
     LRUCache,
     classical_tutte,
     clear_caches,
+    dc_polynomials,
     exterior_dc,
     graphic_matroid,
     interior_dc,
@@ -155,12 +160,15 @@ def test_dc_refuses_tables_no_polymatroid_has():
 
 def test_decode_is_exact_up_to_the_lane_bound():
     # a packed coefficient decodes exactly while its absolute value is below
-    # 2^(PL - 1), the bound every root's lane width is chosen for
+    # 2^(PL - 1), the bound every root's lane width is chosen for; I and X
+    # collect the coefficients by n - i and n - j
     for pl in (64, 128):
         edge = (1 << (pl - 1)) - 1
         terms = {(2, 0): edge, (1, 1): -edge, (1, 0): -edge, (0, 2): 1, (0, 0): -1}
         value = sum(c << (i * recursion._STRIDE + j) * pl for (i, j), c in terms.items())
-        assert recursion._unpack_poly(value, 2, pl) == BiPoly(terms)
+        interior = BiPoly({(0, 0): edge, (1, 0): -2 * edge})
+        exterior = BiPoly({(0, 2): -1, (0, 1): -edge, (0, 0): 1})
+        assert recursion._unpack_poly(value, 2, pl) == (BiPoly(terms), interior, exterior)
 
 
 def test_table_lanes_follow_the_rank_from_bases_layout():
@@ -221,11 +229,29 @@ def test_translated_polymatroids_share_cache():
     clear_caches()
     p = Polymatroid([(1, 0, 2), (0, 1, 2), (1, 1, 1)])
     t1 = tutte_dc(p)
-    size_after_first = len(recursion._tutte_cache)
+    size_after_first = len(recursion._cache)
     assert size_after_first > 0
     t2 = tutte_dc(p.translate((7, -2, 0)))
     assert t1 == t2
-    assert len(recursion._tutte_cache) == size_after_first
+    assert len(recursion._cache) == size_after_first
+
+
+def test_one_run_serves_all_three_polynomials():
+    clear_caches()
+    p = Polymatroid([(1, 0, 2), (0, 1, 2), (1, 1, 1)])
+    t = tutte_dc(p)
+    filled = len(recursion._cache)
+    assert (t, interior_dc(p), exterior_dc(p)) == dc_polynomials(p)
+    assert len(recursion._cache) == filled
+
+
+def test_decoded_interior_and_exterior_are_reversals_of_t():
+    # I(x) = x^n T(1/x, 1) and X(y) = y^n T(1, 1/y), in 1- and 2-byte lanes
+    narrow = [p.rank_table() for p in small_corpus()]
+    for table in narrow + [_with_wide_pair(t) for t in narrow[::10]]:
+        t, interior, exterior = dc_polynomials(table)
+        assert interior == t.substitute_one("y").reversed_in("x", table.n)
+        assert exterior == t.substitute_one("x").reversed_in("y", table.n)
 
 
 def test_lru_eviction():
@@ -270,14 +296,49 @@ def test_classical_tutte_free_matroid():
 
 
 def test_classical_tutte_rejects_non_matroid():
-    with pytest.raises(NotAMatroid):
-        classical_tutte(RankTable(2, [0, 2, 2, 2], validate=False))
+    # a gain of 2 at element 1 or 2, and a submodular table whose f drops
+    # from f({2}) = 1 to f(E) = 0 (a gain of -1 at element 1)
+    for f, element in (([0, 2, 2, 2], 1), ([0, 1, 2, 2], 2), ([0, 1, 1, 0], 1)):
+        with pytest.raises(NotAMatroid, match=f"element {element}$"):
+            classical_tutte(RankTable(2, f, validate=False))
+
+
+def test_matroid_rank_check_matches_every_gain():
+    # the per-element check against every gain, on all tables with n <= 2
+    # and values -1..2, and all with n = 3 and values 0..2
+    families = [(n, range(-1, 3)) for n in (1, 2)] + [(3, range(3))]
+    accepted = 0
+    for n, values in families:
+        for rest in itertools.product(values, repeat=(1 << n) - 1):
+            f = (0, *rest)
+            try:
+                recursion.validate_matroid_rank(RankTable(n, f, validate=False))
+                ok = True
+            except NotAMatroid:
+                ok = False
+            assert ok == is_matroid_rank(f, n), f
+            accepted += ok
+    assert accepted > 10
 
 
 def test_graphic_matroid_triangle():
     # 3-cycle: T = x^2 + x + y
     tri = graphic_matroid(3, [(1, 2), (2, 3), (3, 1)])
     assert classical_tutte(tri) == parse("x^2 + x + y")
+
+
+def test_graphic_matroid_matches_spanning_forests():
+    # seeded multigraphs with loops and parallel edges, every edge subset
+    rng = Random(5)
+    for _ in range(60):
+        nv = rng.randint(1, 7)
+        edges = [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 8))]
+        assert graphic_matroid(nv, edges).f == spanning_forest_rank(nv, edges)
+
+
+def test_graphic_matroid_refuses_vertices_out_of_range():
+    with pytest.raises(ValidationError, match=r"edge \(1, 4\) outside vertex range"):
+        graphic_matroid(3, [(1, 2), (1, 4)])
 
 
 def test_graphic_matroid_loop_and_bridge():
