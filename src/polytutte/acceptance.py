@@ -38,7 +38,8 @@ Criteria (all exact integer identities, no tolerances):
 
 ``run_all`` executes everything and reports one result per criterion; the
 CLI ``suite`` command and tests/test_acceptance.py both drive it.  The CLI
-``check`` command runs the criterion-3 checker on one input.
+``check`` command runs the criterion-3 checker on one input, and
+``monotone`` criterion 5's, ``formulas.monotonicity_reports``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .activity import (
     ActivityProfile,
@@ -74,8 +75,8 @@ from .formulas import (
     binomial,
     ceiling_prefix,
     coefficient_report,
-    coefficientwise_le,
     exterior_ceiling_check,
+    monotonicity_reports,
     near_top_univariate,
     random_minor_args,
     random_rank_table,
@@ -88,10 +89,10 @@ from .hypergraph import (
     count_four_cycles,
     edge_degree,
     forest_size,
-    hypertree_polymatroid,
     is_connected,
     random_hypergraph,
     random_incidence_subgraph,
+    rank_table,
 )
 from .recursion import (
     classical_tutte,
@@ -141,10 +142,9 @@ class CriterionResult:
 class Corpus:
     """Shared deterministic test corpus, built once per seed.
 
-    It holds inputs only, each hypergraph with its hypertree polymatroid,
-    built once; the criteria read polynomials from ``dc_polynomials`` and
-    its indexers ``tutte_dc``, ``interior_dc`` and ``exterior_dc``, whose
-    memo keeps them.
+    It holds inputs only, each hypergraph with its rank table, built once;
+    the criteria read polynomials from ``dc_polynomials`` and its indexers
+    ``tutte_dc``, ``interior_dc`` and ``exterior_dc``, whose memo keeps them.
     """
 
     seed: int
@@ -152,7 +152,7 @@ class Corpus:
     randoms: list[Polymatroid]
     hypergraphs: list[Hypergraph]         # connected incidence graphs
     hypergraphs_any: list[Hypergraph]     # no connectivity constraint
-    hypertrees: dict[Hypergraph, Polymatroid]  # of both hypergraph lists
+    tables: dict[Hypergraph, RankTable]   # of both hypergraph lists
 
     def members(self) -> list[Polymatroid]:
         return self.exhaustive + self.randoms
@@ -190,8 +190,8 @@ def build_corpus(seed: int = DEFAULT_SEED) -> Corpus:
         random_hypergraph(rng_a, 5, 5, connected=False)
         for _ in range(UNCONSTRAINED_HYPERGRAPHS)
     ]
-    hypertrees = {h: hypertree_polymatroid(h) for h in hypergraphs + hypergraphs_any}
-    corpus = Corpus(seed, exhaustive, randoms, hypergraphs, hypergraphs_any, hypertrees)
+    tables = {h: rank_table(h) for h in dict.fromkeys(hypergraphs + hypergraphs_any)}
+    corpus = Corpus(seed, exhaustive, randoms, hypergraphs, hypergraphs_any, tables)
     _CORPUS_CACHE[seed] = corpus
     return corpus
 
@@ -260,12 +260,14 @@ def invariance_violations(
     order the properties are listed; a permutation drawn twice is checked
     once.  A translate is compared through the table it carries
     (``tutte_dc``), because the direct route cannot see a translation: it
-    keys bases relative to each coordinate's minimum.  A permutation goes
-    through the direct route.  Duality covers T and both the interior and
-    exterior polynomials.  Reversal compares I and X with T's reversals; on
-    the output of ``dc_polynomials`` it checks the decode that reads I and X
-    off T.  Returns each violated property with its witness
-    ("" for the properties that have none).
+    keys bases relative to each coordinate's minimum.  The memo key is
+    normalized the same way, so the first translate's table is also compared
+    with ``rank_from_bases`` of its bases.  A permutation goes through the
+    direct route.  Duality covers T and both the interior and exterior
+    polynomials.  Reversal compares I and X with T's reversals; on the
+    output of ``dc_polynomials`` it checks the decode that reads I and X off
+    T.  Returns each violated property with its witness ("" for the
+    properties that have none).
     """
     t, interior, exterior = polys
     n = p.n
@@ -273,13 +275,14 @@ def invariance_violations(
     for prop in properties:
         witness = ""
         if prop == "translation":
-            for _ in range(5):
+            for draw in range(5):
                 c = tuple(rng.randint(-3, 3) for _ in range(n))
+                q = p.translate(c)
                 try:
-                    moved = tutte_dc(p.translate(c))
+                    moved = tutte_dc(q)
                 except ValidationError:  # the carried table is no polymatroid's
                     moved = None
-                if moved != t:
+                if moved != t or (draw == 0 and q.rank_table() != rank_from_bases(q)):
                     witness = f"c={c}"
                     break
             ok = not witness
@@ -354,9 +357,7 @@ def check_matroid_bridge(corpus: Corpus, rng: Random) -> str:
     uniforms = [uniform_matroid(d, n) for n in range(1, 7) for d in range(n + 1)]
     graphics = connected_multigraphs(4)
     for table in uniforms + graphics:
-        p = enumerate_bases(table)
-        d = table.full_rank()
-        if matroid_form(p, d) != classical_tutte(table):
+        if matroid_form(table) != classical_tutte(table):
             raise AssertionError(f"bridge mismatch for rank table {table}")
     return (
         f"{len(uniforms)} uniform matroids (n<=6) and {len(graphics)} graphic "
@@ -367,32 +368,32 @@ def check_matroid_bridge(corpus: Corpus, rng: Random) -> str:
 # -- criterion 5: monotonicity ----------------------------------------------------------------
 
 
+def _require_monotone(small, big, failure: Callable[[tuple[int, int]], str]) -> None:
+    """Raise AssertionError(failure(witness)) unless ``monotonicity_reports``
+    holds for I and X; the message, which formats reprs, is built only then."""
+    for rep in monotonicity_reports(small, big).values():
+        if not rep.holds:
+            raise AssertionError(failure(rep.witness))
+
+
 def check_monotonicity(corpus: Corpus, rng: Random) -> str:
     subset_pairs = 0
     while subset_pairs < 100:
         n = rng.randint(2, RANDOM_MAX_N)
         p = enumerate_bases(random_rank_table(rng, n))
         sub = random_subpolymatroid(rng, p)
-        for poly_of in (interior_dc, exterior_dc):
-            rep = coefficientwise_le(poly_of(sub), poly_of(p))
-            if not rep.holds:
-                raise AssertionError(
-                    f"subset monotonicity failed at {rep.witness} for {sub} in {p}"
-                )
+        _require_monotone(sub, p, lambda w: f"subset monotonicity failed at {w} for {sub} in {p}")
         subset_pairs += 1
     minors = 0
     while minors < 100:
         n = rng.randint(2, RANDOM_MAX_N)
         p = enumerate_bases(random_rank_table(rng, n))
         a, b = random_minor_args(rng, n)
-        minor = p.minor(a, b)
-        for poly_of in (interior_dc, exterior_dc):
-            rep = coefficientwise_le(poly_of(minor), poly_of(p))
-            if not rep.holds:
-                raise AssertionError(
-                    f"minor monotonicity failed at {rep.witness}: delete {a}, "
-                    f"contract {b} of {p}"
-                )
+        _require_monotone(
+            p.minor(a, b),
+            p,
+            lambda w: f"minor monotonicity failed at {w}: delete {a}, contract {b} of {p}",
+        )
         minors += 1
     subgraphs = 0
     idx = 0
@@ -400,15 +401,11 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
         h = corpus.hypergraphs[idx % len(corpus.hypergraphs)]
         idx += 1
         sub_h = random_incidence_subgraph(rng, h)
-        p = corpus.hypertrees[h]
-        q = hypertree_polymatroid(sub_h)
-        for poly_of in (interior_dc, exterior_dc):
-            rep = coefficientwise_le(poly_of(q), poly_of(p))
-            if not rep.holds:
-                raise AssertionError(
-                    f"incidence-subgraph monotonicity failed at {rep.witness} "
-                    f"for {sub_h} inside {h}"
-                )
+        _require_monotone(
+            rank_table(sub_h),
+            corpus.tables[h],
+            lambda w: f"incidence-subgraph monotonicity failed at {w} for {sub_h} inside {h}",
+        )
         subgraphs += 1
     return f"{subset_pairs} subset pairs, {minors} minors, {subgraphs} incidence subgraphs, zero violations"
 
@@ -474,8 +471,8 @@ def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
 def check_connectivity(corpus: Corpus, rng: Random) -> str:
     # profile == ceiling prefix on connected hypergraphs
     for h in corpus.hypergraphs:
-        p = corpus.hypertrees[h]
-        x = exterior_dc(p)
+        table = corpus.tables[h]
+        x = exterior_dc(table)
         profile = connectivity_profile(h)
         prefix = ceiling_prefix(x, h.num_vertices - 1, h.num_edges)
         if profile != prefix:
@@ -484,7 +481,7 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
             )
         # rank-fullness equivalence at every k
         for k in range(h.num_edges + 1):
-            chk = exterior_ceiling_check(p, k, exterior=x)
+            chk = exterior_ceiling_check(table, k, exterior=x)
             if not chk.match:
                 raise AssertionError(f"rank/coefficient sides disagree at k={k} on {h}")
         # positivity: a removable set of degree->=2 hyperedges keeps low
@@ -501,15 +498,14 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
             table = RankTable(
                 n, [r if mask else 0 for mask in range(1 << n)], validate=False
             )
-            p = enumerate_bases(table)
-            x = exterior_dc(p)
+            x = exterior_dc(table)
             for i in range(n):
                 if x.coeff(0, i) != binomial(r + i - 1, i):
                     raise AssertionError(f"uniform family n={n}, r={r} fails at y^{i}")
             uniform_cases += 1
     # the ceiling bound is never exceeded, connected or not
     for h in corpus.hypergraphs + corpus.hypergraphs_any:
-        x = exterior_dc(corpus.hypertrees[h])
+        x = exterior_dc(corpus.tables[h])
         for (_, j), c in x.items():
             if c > binomial(h.num_vertices + j - 2, j):
                 raise AssertionError(f"ceiling exceeded at y^{j} on {h}")
@@ -649,10 +645,10 @@ def check_structure_oracles(corpus: Corpus, rng: Random) -> str:
 
 def check_four_cycles(corpus: Corpus, rng: Random) -> str:
     k22 = Hypergraph(["v1", "v2"], [["v1", "v2"], ["v1", "v2"]])
-    cases = [(k22, hypertree_polymatroid(k22))]
-    cases += [(h, corpus.hypertrees[h]) for h in corpus.hypergraphs]
-    for h, p in cases:
-        interior = interior_dc(p)
+    cases = [(k22, rank_table(k22))]
+    cases += [(h, corpus.tables[h]) for h in corpus.hypergraphs]
+    for h, table in cases:
+        interior = interior_dc(table)
         predicted = (
             binomial(h.incidence_count() - h.num_vertices - h.num_edges + 2, 2)
             - count_four_cycles(h)

@@ -54,7 +54,7 @@ from .formulas import (
     binomial,
     ceiling_prefix,
     coefficient_report,
-    coefficientwise_le,
+    monotonicity_reports,
     search_by_tutte,
 )
 from .hypergraph import Hypergraph, connectivity_profile, rank_table
@@ -290,10 +290,7 @@ def cmd_monotone(args) -> int:
                 _emit(args, {"relation_holds": False},
                       [f"computed minor (delete {a}, contract {b}) differs from the given file"])
                 return EXIT_VIOLATION
-    reports = {
-        "I": coefficientwise_le(interior_dc(small), interior_dc(big)),
-        "X": coefficientwise_le(exterior_dc(small), exterior_dc(big)),
-    }
+    reports = monotonicity_reports(small, big)
     payload = {name: rep.to_json() for name, rep in reports.items()}
     lines = []
     if args.relation == "minor":

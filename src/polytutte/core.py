@@ -246,7 +246,7 @@ def json_list(value, what: str) -> list:
 class Polymatroid:
     """Finite set of integer basis vectors over [n], in lexicographic order."""
 
-    __slots__ = ("n", "bases", "_set", "_rank", "_hash")
+    __slots__ = ("n", "bases", "_set", "_rank")
 
     def __init__(self, vectors: Iterable[Sequence[int]], *, validate: bool = True):
         rows, n = _sorted_rows(vectors, typed=False)
@@ -269,7 +269,6 @@ class Polymatroid:
         object.__setattr__(self, "bases", tuple(rows))
         object.__setattr__(self, "_set", None)  # built by the first membership test
         object.__setattr__(self, "_rank", table)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polymatroid is immutable")
@@ -330,11 +329,7 @@ class Polymatroid:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.bases))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.bases))
 
     def __repr__(self) -> str:
         shown = ", ".join(map(str, self.bases[:4]))

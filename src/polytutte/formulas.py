@@ -20,10 +20,11 @@ Also here: the exterior-coefficient ceiling check (rank staying full under
 every k-element removal is equivalent to the first k+1 exterior coefficients
 hitting C(f([n]) + i - 1, i); the caller supplies the exterior polynomial,
 so nothing here depends on ``activity``), a coefficientwise <= comparator
-with witness, an exhaustive search for polymatroids with a prescribed Tutte
-polynomial, and seeded random corpus generators (submodular tables from
-truncated weighted coverage functions, subset pairs by coordinate capping,
-minors).
+with witness, the interior/exterior monotonicity checker that the CLI's
+``monotone`` and acceptance criterion 5 share, an exhaustive search for
+polymatroids with a prescribed Tutte polynomial, and seeded random corpus
+generators (submodular tables from truncated weighted coverage functions,
+subset pairs by coordinate capping, minors).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bipoly import BiPoly
 from .core import (
@@ -41,7 +42,7 @@ from .core import (
     enumerate_small_polymatroids,
 )
 from .errors import NegativeCoordinates, ValidationError
-from .recursion import tutte_dc
+from .recursion import dc_polynomials, tutte_dc
 
 
 def binomial(m: int, k: int) -> int:
@@ -222,44 +223,28 @@ class CeilingCheck:
     def match(self) -> bool:
         return self.rank_side == self.coefficient_side
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "rank_side": self.rank_side,
-            "coefficient_side": self.coefficient_side,
-            "match": self.match,
-        }
 
-
-def exterior_ceiling_check(p: Polymatroid, k: int, exterior: BiPoly) -> CeilingCheck:
+def exterior_ceiling_check(p: Polymatroid | RankTable, k: int, exterior: BiPoly) -> CeilingCheck:
     """Evaluate both sides of the equivalence independently.
 
     Rank side: f([n] - J) = f([n]) for every J of size k (exhaustive).
     Coefficient side: [y^i] X = C(f([n]) + i - 1, i) for every i <= k, where
     ``exterior`` is the exterior polynomial X of ``p``.
-    Requires all basis coordinates nonnegative.
+    Requires all basis coordinates nonnegative.  Reads only n and the rank
+    table, so ``p`` may be the table itself: the least value of coordinate t
+    is f([n]) - f([n] - t).
     """
-    if any(c < 0 for v in p.bases for c in v):
-        raise NegativeCoordinates("ceiling check needs nonnegative bases")
     n = p.n
+    f = p.rank_table().f
+    full_mask = (1 << n) - 1
+    full = f[full_mask]
+    if any(full - f[full_mask ^ (1 << t)] < 0 for t in range(n)):
+        raise NegativeCoordinates("ceiling check needs nonnegative bases")
     if not 0 <= k <= n:
         raise ValidationError(f"need 0 <= k <= n, got k={k}")
-    table = p.rank_table()
-    full_mask = (1 << n) - 1
-    full = table.full_rank()
-    rank_side = all(
-        table.f[full_mask ^ _mask(j_set)] == full
-        for j_set in itertools.combinations(range(n), k)
-    )
+    rank_side = all(v == full for mask, v in enumerate(f) if mask.bit_count() == n - k)
     coeff_side = all(exterior.coeff(0, i) == binomial(full + i - 1, i) for i in range(k + 1))
     return CeilingCheck(k, rank_side, coeff_side)
-
-
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def ceiling_prefix(x: BiPoly, m: int, n: int) -> int:
@@ -307,6 +292,18 @@ def coefficientwise_le(p: BiPoly, q: BiPoly) -> ComparisonReport:
     return ComparisonReport(worst is None, worst, gap)
 
 
+def monotonicity_reports(
+    small: Polymatroid | RankTable, big: Polymatroid | RankTable
+) -> dict[str, ComparisonReport]:
+    """Coefficientwise I(small) <= I(big) and X(small) <= X(big) under the
+    keys "I" and "X", from ``dc_polynomials`` of each side, a polymatroid or
+    its rank table; they hold when ``small`` is a subset or a minor of ``big``.
+    """
+    _, small_i, small_x = dc_polynomials(small)
+    _, big_i, big_x = dc_polynomials(big)
+    return {"I": coefficientwise_le(small_i, big_i), "X": coefficientwise_le(small_x, big_x)}
+
+
 # -- exhaustive search ---------------------------------------------------------------------
 
 
@@ -314,7 +311,6 @@ def coefficientwise_le(p: BiPoly, q: BiPoly) -> ComparisonReport:
 class SearchMatch:
     target_index: int
     polymatroid: Polymatroid
-    tutte: BiPoly
 
 
 def search_by_tutte(
@@ -336,7 +332,7 @@ def search_by_tutte(
             t = tutte_dc(p)
             for idx in wanted[n]:
                 if t == targets[idx]:
-                    out.append(SearchMatch(idx, p, t))
+                    out.append(SearchMatch(idx, p))
     return out
 
 

@@ -6,15 +6,16 @@ there are no numeric tolerances to calibrate.  Run with -s to see the lines.
 
 from __future__ import annotations
 
+from operator import add
 from random import Random
 
 import pytest
 
 from polytutte import acceptance
 from polytutte.activity import TightFamily
-from polytutte.core import Polymatroid, RankTable, enumerate_bases
+from polytutte.core import Polymatroid, RankTable, _subset_sums, enumerate_bases
 from polytutte.formulas import random_rank_table
-from polytutte.recursion import exterior_dc, interior_dc, tutte_dc
+from polytutte.recursion import dc_polynomials, exterior_dc, interior_dc, tutte_dc
 
 
 @pytest.fixture(scope="module")
@@ -64,18 +65,21 @@ def test_criterion_9_four_cycle_count(results):
     _require(results, "9")
 
 
-# -- the corpus builds each hypertree polymatroid once ------------------------------
+# -- the corpus builds each hypergraph's rank table once ------------------------------
 
 
-def test_corpus_hypergraphs_are_enumerated_once(monkeypatch):
+def test_corpus_hypergraph_tables_are_built_once(monkeypatch):
+    real = acceptance.rank_table
+    built = []
+    monkeypatch.setattr(acceptance, "rank_table", lambda h: built.append(h) or real(h))
+    monkeypatch.setattr(acceptance, "_CORPUS_CACHE", {})
     corpus = acceptance.build_corpus(acceptance.DEFAULT_SEED)
     hypergraphs = corpus.hypergraphs + corpus.hypergraphs_any
-    assert set(corpus.hypertrees) == set(hypergraphs)
-    real = acceptance.hypertree_polymatroid
+    assert len(set(hypergraphs)) < len(hypergraphs)  # the draws repeat some
+    assert built == list(dict.fromkeys(hypergraphs))
     for h in hypergraphs:
-        assert corpus.hypertrees[h] == real(h)
-    built = []
-    monkeypatch.setattr(acceptance, "hypertree_polymatroid", lambda h: built.append(h) or real(h))
+        assert corpus.tables[h] == real(h)
+    built.clear()
     acceptance.check_connectivity(corpus, Random(0))
     acceptance.check_four_cycles(corpus, Random(0))
     assert [h.num_edges for h in built] == [2]  # K_{2,2} only: it is not in the corpus
@@ -181,3 +185,25 @@ def test_translation_check_catches_a_wrong_carried_table(monkeypatch):
             violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
         assert list(violated) == ["translation"], p
         assert violated["translation"].startswith("c=(")
+
+
+def test_translation_check_catches_a_doubly_shifted_table(monkeypatch):
+    # f(S) + 2c(S) is itself a translate's table: the translation-normalized
+    # memo key maps it to p's own entry, so only the comparison with the
+    # bases can see it
+    real = Polymatroid.translate
+
+    def doubled(self, c):
+        q = real(self, c)
+        f = tuple(map(add, q.rank_table().f, _subset_sums(c)))
+        return Polymatroid._trusted(list(q.bases), q.n, RankTable._trusted(q.n, f))
+
+    rng = Random(5)
+    for n in (1, 2, 3, 4, 5):
+        p = enumerate_bases(random_rank_table(rng, n))
+        polys = dc_polynomials(p)
+        assert acceptance.invariance_violations(p, polys, Random(n), ["translation"]) == {}
+        with monkeypatch.context() as m:
+            m.setattr(Polymatroid, "translate", doubled)
+            violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
+        assert list(violated) == ["translation"], p

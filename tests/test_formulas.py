@@ -6,10 +6,12 @@ from random import Random
 
 import pytest
 
+from polytutte import acceptance
 from polytutte.activity import exterior_direct, interior_direct, tutte_direct
 from polytutte.bipoly import parse
 from polytutte.core import (
     Polymatroid,
+    RankTable,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
@@ -32,7 +34,7 @@ from polytutte.formulas import (
     second_band_univariate,
     top_coefficient,
 )
-from polytutte.hypergraph import Hypergraph, hypertree_polymatroid
+from polytutte.hypergraph import Hypergraph, hypertree_polymatroid, rank_table
 
 
 def exterior_ceiling_profile(p: Polymatroid) -> int:
@@ -200,6 +202,22 @@ def test_ceiling_check_rejects_negative_bases():
     with pytest.raises(NegativeCoordinates):
         p = Polymatroid([(-1, 0), (0, -1)])
         exterior_ceiling_check(p, 0, exterior_direct(p))
+
+
+def test_ceiling_check_rejects_a_table_with_a_negative_coordinate_minimum():
+    # the table of {(-1, 1), (0, 0)}: coordinate 1 reaches f([2]) - f({2}) = -1
+    table = RankTable(2, [0, 0, 1, 0])
+    with pytest.raises(NegativeCoordinates):
+        exterior_ceiling_check(table, 0, exterior_direct(enumerate_bases(table)))
+
+
+def test_ceiling_check_on_a_table_equals_the_check_on_its_bases():
+    corpus = acceptance.build_corpus(acceptance.DEFAULT_SEED)
+    for h in corpus.tables:
+        p = hypertree_polymatroid(h)
+        x = exterior_direct(p)
+        for k in range(h.num_edges + 1):
+            assert exterior_ceiling_check(rank_table(h), k, x) == exterior_ceiling_check(p, k, x)
 
 
 def test_ceiling_profile():
