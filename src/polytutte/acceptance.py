@@ -16,9 +16,11 @@ Criteria (all exact integer identities, no tolerances):
   3 invariances             translation (through the translate's rank
                             table: the direct route keys bases relative to
                             each coordinate's minimum, so it cannot see a
-                            translation), permutation, duality swap,
-                            divisibility by x+y-1, basis count at (1,1),
-                            reversal identities
+                            translation), permutation (each order read off
+                            one transfer relation, the first also through
+                            a permuted copy), duality swap, divisibility
+                            by x+y-1, basis count at (1,1), reversal
+                            identities
   4 matroid-bridge          matroid-form transform == classical corank-
                             nullity Tutte polynomial on uniform and graphic
                             matroids
@@ -31,7 +33,10 @@ Criteria (all exact integer identities, no tolerances):
                             binomial sequences; ceiling bound; rank-fullness
                             equivalence; positivity of covered coefficients
   8 structure-oracles       slice ranks vs brute force, minor commutation,
-                            duality exchange, tight-set lattice, activity
+                            duality exchange; then, for all bases at once
+                            in byte lanes, tight sets (from the table)
+                            against the transfer relation (from basis
+                            membership): tight-set lattice, activity
                             characterization, exchange-step existence
   9 four-cycle-count        second interior coefficient from incidence
                             counts and 4-cycles
@@ -52,25 +57,19 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Sequence
 
-from .activity import (
-    ActivityProfile,
-    activities_from_tight_sets,
-    direct_polynomials,
-    tight_sets,
-    transfers,
-    tutte_direct,
-)
+from .activity import TransferRelation, direct_polynomials, tight_sets, tutte_direct
 from .bipoly import BiPoly, parse
 from .core import (
     Polymatroid,
     RankTable,
+    Vector,
     _mask_of,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
     slice_rank,
 )
-from .errors import ValidationError
+from .errors import NonzeroEmptySet, SizeLimitExceeded, SubmodularityFailure, ValidationError
 from .formulas import (
     binomial,
     ceiling_prefix,
@@ -261,13 +260,14 @@ def invariance_violations(
     once.  A translate is compared through the table it carries
     (``tutte_dc``), because the direct route cannot see a translation: it
     keys bases relative to each coordinate's minimum.  The memo key is
-    normalized the same way, so the first translate's table is also compared
-    with ``rank_from_bases`` of its bases.  A permutation goes through the
-    direct route.  Duality covers T and both the interior and exterior
-    polynomials.  Reversal compares I and X with T's reversals; on the
-    output of ``dc_polynomials`` it checks the decode that reads I and X off
-    T.  Returns each violated property with its witness ("" for the
-    properties that have none).
+    normalized the same way, so the first translate's table must also
+    validate and enumerate to exactly its bases.  Every drawn order is read
+    off one ``TransferRelation`` of p, and the first is also run through
+    ``tutte_direct(p.permute(w))``, which re-keys a permuted copy.  Duality
+    covers T and both the interior and exterior polynomials.  Reversal
+    compares I and X with T's reversals; on the output of ``dc_polynomials``
+    it checks the decode that reads I and X off T.  Returns each violated
+    property with its witness ("" for the properties that have none).
     """
     t, interior, exterior = polys
     n = p.n
@@ -282,18 +282,22 @@ def invariance_violations(
                     moved = tutte_dc(q)
                 except ValidationError:  # the carried table is no polymatroid's
                     moved = None
-                if moved != t or (draw == 0 and q.rank_table() != rank_from_bases(q)):
+                if moved != t or (draw == 0 and not _carries_its_bases(q)):
                     witness = f"c={c}"
                     break
             ok = not witness
         elif prop == "permutation":
+            relation = TransferRelation(p)
             tried = set()
             for _ in range(5):
                 w = tuple(rng.sample(range(1, n + 1), n))
                 if w in tried:
                     continue
+                first = not tried
                 tried.add(w)
-                if tutte_direct(p.permute(w)) != t:
+                if relation.tutte([k - 1 for k in w]) != t or (
+                    first and tutte_direct(p.permute(w)) != t
+                ):
                     witness = f"w={w}"
                     break
             ok = not witness
@@ -318,6 +322,17 @@ def invariance_violations(
         if not ok:
             violated[prop] = witness
     return violated
+
+
+def _carries_its_bases(q: Polymatroid) -> bool:
+    """Is q's carried table submodular, with f(empty) = 0, and does it
+    enumerate to exactly q's bases?  By the round trip (see core) that holds
+    exactly when the table is ``rank_from_bases(q)``; the enumeration stops
+    once it holds more than len(q) bases."""
+    try:
+        return enumerate_bases(q.rank_table().validate(), len(q)).bases == q.bases
+    except (SubmodularityFailure, NonzeroEmptySet, SizeLimitExceeded):
+        return False
 
 
 def check_invariances(corpus: Corpus, rng: Random) -> str:
@@ -584,30 +599,60 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
         if minors[0, a].dual() != dual._minor(a, 0):
             raise AssertionError(f"dual(contract) != delete(dual) for {_labels(a)} on {p}")
     # tight-set lattice, activity characterization, and S tight exactly when
-    # no transfer a + e_j - e_k moves mass into S (j in S, k outside)
-    for a in p.bases:
-        family = tight_sets(p, a)
-        tight = set(family.masks)
-        for i in tight:
-            for j in tight:
-                if (i | j) not in tight or (i & j) not in tight:
-                    raise AssertionError(f"tight family not a lattice for {a} on {p}")
-        moves = transfers(p, a)
-        if ActivityProfile.from_transfers(a, moves) != activities_from_tight_sets(family):
-            raise AssertionError(f"activity characterization fails for {a} on {p}")
-        entered = {
-            mask
-            for j, k in moves
-            for mask in range(1, full_mask)
-            if mask >> j & 1 and not mask >> k & 1
-        }
-        for mask in range(1, full_mask):
-            if mask in tight and mask in entered:
-                raise AssertionError(f"exchange step into tight {mask:b} for {a} on {p}")
-            if mask not in tight and mask not in entered:
-                raise AssertionError(
-                    f"no exchange step into non-tight {mask:b} for {a} on {p}"
-                )
+    # no transfer a + e_j - e_k moves mass into S (j in S, k outside), for
+    # every basis at once: byte k of each lane integer stands for basis k.
+    # The tight lanes come from the table, the transfer lanes from basis
+    # membership (a + e_j - e_k is in P exactly when a is in S(k, j)).
+    rows = [bytearray(len(p)) for _ in range(full_mask + 1)]
+    for k, a in enumerate(p.bases):
+        for mask in tight_sets(p, a).masks:
+            rows[mask][k] = 1
+    tight = [int.from_bytes(row, "little") for row in rows]
+    relation = TransferRelation(p)
+    every = relation.every
+
+    def basis(lanes: int) -> Vector:  # the basis of the lowest nonzero lane
+        return p.bases[((lanes & -lanes).bit_length() - 1) >> 3]
+
+    for s in range(full_mask + 1):
+        for u in range(s + 1, full_mask + 1):
+            bad = tight[s] & tight[u] & ~(tight[s | u] & tight[s & u])
+            if bad:
+                raise AssertionError(f"tight family not a lattice for {basis(bad)} on {p}")
+    # i is internally active exactly when some tight set's complement has
+    # minimum i, externally exactly when some nonempty tight set has minimum i
+    int_active = [0] * n
+    ext_active = [0] * n
+    for mask in range(full_mask + 1):
+        if mask:
+            ext_active[(mask & -mask).bit_length() - 1] |= tight[mask]
+        comp = full_mask ^ mask
+        if comp:
+            int_active[(comp & -comp).bit_length() - 1] |= tight[mask]
+    for i in range(n):
+        int_inactive = ext_inactive = 0
+        for j in range(i):
+            int_inactive |= relation[i, j]
+            ext_inactive |= relation[j, i]
+        # on each side exactly one of the two holds, in every lane
+        bad = every & ~((int_inactive ^ int_active[i]) & (ext_inactive ^ ext_active[i]))
+        if bad:
+            raise AssertionError(f"activity characterization fails for {basis(bad)} on {p}")
+    for mask in range(1, full_mask):
+        inside = [j for j in range(n) if mask >> j & 1]
+        outside = [k for k in range(n) if not mask >> k & 1]
+        entered = 0
+        for j in inside:
+            for k in outside:
+                entered |= relation[k, j]
+        bad = tight[mask] & entered
+        if bad:
+            raise AssertionError(f"exchange step into tight {mask:b} for {basis(bad)} on {p}")
+        bad = every & ~(tight[mask] | entered)
+        if bad:
+            raise AssertionError(
+                f"no exchange step into non-tight {mask:b} for {basis(bad)} on {p}"
+            )
 
 
 def _relabel(targets: int, removed: int, n: int) -> int:

@@ -11,26 +11,39 @@ and the direct Tutte polynomial is the sum of these contributions over all
 bases.  The one-variable interior and exterior polynomials count bases by
 n - |Int(a)| and n - |Ext(a)| respectively.
 
-The *_direct functions decide activity for all bases in one pass, by
+The *_direct functions decide activity for all bases at once, by
 membership in the basis set itself, never through the rank table that the
-slice recursion reads, so the two routes stay independent.  Each basis is
-one integer key, one set intersection per pair j < i and side finds every
-basis with that transfer, and the bases are summed in groups of equal
-activity counts, not one by one.  direct_polynomials returns all three
-from the one pass that tutte_direct makes.
+slice recursion reads, so the two routes stay independent.  They read one
+TransferRelation: for each ordered pair i != j, the set S(i, j) of the
+bases b with b - e_i + e_j in P.  Index i is internally inactive in the
+bases of S(i, j) for some j before it, and externally inactive in those of
+S(j, i) for some j before it.  The relation does not depend on the order of
+the ground set, so one relation serves every order, and the sum over the
+bases, unlike each basis's term, does not depend on the order either (the
+theorem of Bernardi, Kalman and Postnikov that criterion 3 tests).
 
-The scan over j < i never stops early, because no index makes every basis
-inactive on one side: a basis with the smallest a_i has no a - e_i + e_j
-in P, so it is internally active at i, and a basis with the largest a_i
-has no a + e_i - e_j in P, so it is externally active at i.
+Each basis is one integer key (see _packed_keys), and S(i, j) is one Python
+integer in byte lanes: byte k is 1 exactly when basis k of p.bases is in
+S(i, j).  A pair is built on first use, by one membership scan in C of the
+keys moved by w_j - w_i.  An order's inactive counts are sums of ORs of
+these integers.  A count is at most n - 1 <= 15, since the first index is
+never inactive, so one byte holds it without a carry into the next lane:
+the counts are decoded once with to_bytes, and the bases are summed in
+groups of equal counts, not one by one.  direct_polynomials returns all
+three polynomials from the one pass that tutte_direct makes, and
+interior_direct and exterior_direct build only their side's pairs.  The
+relation takes at most n(n - 1) |B| bytes, 3.1 MB for the 12,870 bases of
+U(8,16): one byte per basis and pair, where a collection of inactive keys
+would take a pointer and an integer object per entry.
 
 transfers(p, a) lists every pair (j, k) with a + e_j - e_k in P, and
 activities(p, a) reads the activities of one basis off that list.  An
 independent characterization through tight sets (subsets whose coordinate
-sum meets the rank) is provided as a cross-check oracle: i is externally
-active iff some tight set has minimum i, and internally active iff some
-tight set's complement has minimum i.  A proper nonempty set S is tight
-exactly when no transfer moves mass into it, from outside S to inside.
+sum meets the rank, read off the rank table alone) is provided as a
+cross-check oracle: i is externally active iff some tight set has minimum
+i, and internally active iff some tight set's complement has minimum i.  A
+proper nonempty set S is tight exactly when no transfer moves mass into
+it, from outside S to inside.
 
 All functions are pure, and the results are exact term maps, independent
 of the order in which bases or groups are summed.
@@ -40,9 +53,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, mul
-from typing import Iterator
+from itertools import compress
+from operator import eq, le, mul
+from typing import Sequence
 
 from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, add_scaled_into, cached_power, from_dict
 from .core import Polymatroid, Vector, _subset_sums
@@ -110,12 +123,17 @@ class TightFamily:
 
 
 def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
-    """Every subset I with sum_{i in I} a_i = f(I), tested over all masks."""
+    """Every subset I with sum_{i in I} a_i = f(I), tested over all masks.
+
+    It reads the rank table alone: the bases of P are the integer points of
+    its base polyhedron, a(S) <= f(S) for every S and a([n]) = f([n]),
+    which are what enumerate_bases lists (see core)."""
     a = tuple(a)
-    if a not in p:
-        raise NotABasis(f"{a} is not a basis")
     f = p.rank_table().f
-    return TightFamily(a, tuple(compress(range(1 << p.n), map(eq, _subset_sums(a), f))))
+    sums = _subset_sums(a)
+    if len(a) != p.n or sums[-1] != f[-1] or not all(map(le, sums, f)):
+        raise NotABasis(f"{a} is not a basis")
+    return TightFamily(a, tuple(compress(range(1 << p.n), map(eq, sums, f))))
 
 
 def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:
@@ -162,11 +180,10 @@ def activities_from_tight_sets(family: TightFamily) -> ActivityProfile:
     return ActivityProfile(family.basis, frozenset(int_set), frozenset(ext_set))
 
 
-def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int], int]:
-    """One integer key per basis, in basis order, the weight w_i of each
-    coordinate, and a bound above every key.  Digit i is a_i - min_i + 1 in
-    radix max_i - min_i + 3, so a key +-(w_i - w_j) is the key of
-    a +-(e_i - e_j), carry-free."""
+def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int]]:
+    """One integer key per basis, in basis order, and the weight w_i of each
+    coordinate.  Digit i is a_i - min_i + 1 in radix max_i - min_i + 3, so a
+    key +-(w_i - w_j) is the key of a +-(e_i - e_j), carry-free."""
     weights = []
     offset = 0
     w = 1
@@ -175,62 +192,76 @@ def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int], int]:
         weights.append(w)
         offset += (1 - lo) * w
         w *= max(col) - lo + 3
-    return [sum(map(mul, v, weights), offset) for v in p.bases], weights, w
+    return [sum(map(mul, v, weights), offset) for v in p.bases], weights
 
 
-def _inactive_by_index(
-    keys: list[int], weights: list[int], internal: bool = True, external: bool = True
-) -> Iterator[tuple[set[int], set[int]]]:
-    """For i = 2..n, the keys of the bases internally and externally
-    inactive at i (a side not asked for stays empty).
+class TransferRelation(dict):
+    """S(i, j), the bases b with b - e_i + e_j in P, for every ordered pair
+    of 0-based indices i != j, in byte lanes: byte k of ``relation[i, j]``
+    is 1 exactly when basis k of ``p.bases`` is in S(i, j), and 0 otherwise.
 
-    K & (keys + w_i - w_j) holds the bases b with b - e_i + e_j in P, and
-    K & (keys - w_i + w_j) those with b + e_i - e_j in P.  Every j < i is
-    scanned: no side ever holds every basis (see the module docstring).
+    A pair is built on first use, by one membership scan in C of the packed
+    keys moved by w_j - w_i, and kept.  ``every`` has a 1 in each lane.
     """
-    member = frozenset(keys)
-    for i in range(1, len(weights)):
-        wi = weights[i]
-        ins: set[int] = set()
-        ext: set[int] = set()
-        for wj in weights[:i]:
-            d = wi - wj
+
+    __slots__ = ("n", "every", "_keys", "_weights", "_member")
+
+    def __init__(self, p: Polymatroid):
+        super().__init__()
+        keys, weights = _packed_keys(p)
+        self.n = p.n
+        self.every = int.from_bytes(b"\1" * len(keys), "little")
+        self._keys = keys
+        self._weights = weights
+        self._member = frozenset(keys).__contains__
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        i, j = pair
+        d = self._weights[j] - self._weights[i]
+        lanes = self[pair] = int.from_bytes(
+            bytes(map(self._member, map(d.__add__, self._keys))), "little"
+        )
+        return lanes
+
+    def counts(
+        self, order: Sequence[int], internal: bool = True, external: bool = True
+    ) -> tuple[bytes, bytes, bytes]:
+        """Per basis, in basis order, how many indices are internally
+        inactive, externally inactive, and both, when the ground set is read
+        in ``order`` (0-based indices, first to last): one byte each.
+
+        Index order[k] is internally inactive in the bases of the OR of
+        S(order[k], order[j]) over j < k, and externally inactive in those of
+        the OR of S(order[j], order[k]).  The counts are sums of these lane
+        integers, at most n - 1 <= 15 per lane (the first index is never
+        inactive), so no lane carries into the next.  A side not asked for
+        counts 0.
+        """
+        ci = ce = cb = 0
+        for k in range(1, len(order)):
+            i = order[k]
+            ins = ext = 0
             if internal:
-                ins |= member.intersection(map(d.__add__, keys))
+                for j in order[:k]:
+                    ins |= self[i, j]
             if external:
-                ext |= member.intersection(map((-d).__add__, keys))
-        yield ins, ext
+                for j in order[:k]:
+                    ext |= self[j, i]
+            ci += ins
+            ce += ext
+            cb += ins & ext
+        size = len(self._keys)
+        return ci.to_bytes(size, "little"), ce.to_bytes(size, "little"), cb.to_bytes(size, "little")
 
+    def groups(self, order: Sequence[int]) -> Counter:
+        """How many bases share each triple (ci, ce, cb) of inactive counts
+        (internal, external, both) in ``order``."""
+        return Counter(zip(*self.counts(order)))
 
-def _inactive_counts(
-    p: Polymatroid, internal: bool, external: bool
-) -> tuple[Iterator[int], Iterator[int], Iterator[int]]:
-    """Per basis, in basis order: how many indices are internally inactive,
-    externally inactive, and both (three iterators).
-
-    One tally counts all three: a key k stands for its internal count, k +
-    bound for its external count and k + 2 * bound for both.  A side not
-    asked for is an empty set, so it adds no marks.
-    """
-    keys, weights, bound = _packed_keys(p)
-    marks: list[int] = []
-    for ins, ext in _inactive_by_index(keys, weights, internal, external):
-        marks += ins
-        marks += map(bound.__add__, ext)
-        marks += map((2 * bound).__add__, ins & ext)
-    get = Counter(marks).get
-    zeros = repeat(0)
-    return (
-        map(get, keys, zeros),
-        map(get, map(bound.__add__, keys), zeros),
-        map(get, map((2 * bound).__add__, keys), zeros),
-    )
-
-
-def _activity_groups(p: Polymatroid) -> Counter:
-    """How many bases share each triple (ci, ce, cb) of inactive counts
-    (internal, external, both), from one pass over both sides."""
-    return Counter(zip(*_inactive_counts(p, True, True)))
+    def tutte(self, order: Sequence[int]) -> BiPoly:
+        """The direct Tutte polynomial with the ground set read in ``order``:
+        tutte_direct of the polymatroid permuted to that order."""
+        return _tutte_of_groups(self.groups(order), self.n)
 
 
 def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:
@@ -246,19 +277,19 @@ def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:
 
 def tutte_direct(p: Polymatroid) -> BiPoly:
     """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly."""
-    return _tutte_of_groups(_activity_groups(p), p.n)
+    return TransferRelation(p).tutte(range(p.n))
 
 
 def interior_direct(p: Polymatroid) -> BiPoly:
     """x^(n - |Int(a)|) summed over the bases; coefficients are nonnegative
     and the constant term is 1."""
-    iota_bar = _inactive_counts(p, True, False)[0]
+    iota_bar = TransferRelation(p).counts(range(p.n), external=False)[0]
     return from_dict({(e, 0): c for e, c in Counter(iota_bar).items()})
 
 
 def exterior_direct(p: Polymatroid) -> BiPoly:
     """y^(n - |Ext(a)|) summed over the bases."""
-    eps_bar = _inactive_counts(p, False, True)[1]
+    eps_bar = TransferRelation(p).counts(range(p.n), internal=False)[1]
     return from_dict({(0, e): c for e, c in Counter(eps_bar).items()})
 
 
@@ -266,7 +297,7 @@ def direct_polynomials(p: Polymatroid) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_direct(p), interior_direct(p), exterior_direct(p)) from one
     pass: n - |Int(a)| and n - |Ext(a)| are the internal and external
     inactive counts that the Tutte groups already hold."""
-    groups = _activity_groups(p)
+    groups = TransferRelation(p).groups(range(p.n))
     interior: Counter = Counter()
     exterior: Counter = Counter()
     for (ci, ce, _), count in groups.items():

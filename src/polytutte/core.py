@@ -124,8 +124,8 @@ class RankTable:
 
     def __init__(self, n: int, values: Sequence[int], *, validate: bool = True):
         f = _table_values(n, values, typed=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
+        _set_table_n(self, n)
+        _set_table_f(self, f)
         if validate:
             self.validate()
 
@@ -133,8 +133,8 @@ class RankTable:
     def _trusted(cls, n: int, f: tuple[int, ...]) -> "RankTable":
         """A table the package computed itself: 2^n integers, not checked."""
         table = object.__new__(cls)
-        object.__setattr__(table, "n", n)
-        object.__setattr__(table, "f", f)
+        _set_table_n(table, n)
+        _set_table_f(table, f)
         return table
 
     def __setattr__(self, name, value):
@@ -207,6 +207,12 @@ class RankTable:
         return RankTable._trusted(n, _table_values(n, values, typed=True)).validate()
 
 
+# The slots are set through their member descriptors, which skip the
+# raising __setattr__ and cost less than object.__setattr__.
+_set_table_n = RankTable.n.__set__
+_set_table_f = RankTable.f.__set__
+
+
 def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]:
     """The values as a tuple, after checking n, their count and, unless
     ``typed`` says the caller has, that each is exactly an int (one scan in
@@ -265,10 +271,10 @@ class Polymatroid:
         return p
 
     def _init(self, n: int, rows: list[Vector], table: RankTable | None) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", tuple(rows))
-        object.__setattr__(self, "_set", None)  # built by the first membership test
-        object.__setattr__(self, "_rank", table)
+        _set_n(self, n)
+        _set_bases(self, tuple(rows))
+        _set_members(self, None)  # built by the first membership test
+        _set_rank(self, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polymatroid is immutable")
@@ -297,7 +303,7 @@ class Polymatroid:
         except (SubmodularityFailure, SizeLimitExceeded):
             count = None
         if count == len(rows):
-            object.__setattr__(self, "_rank", g)
+            _set_rank(self, g)
             return
         witness = _exchange_witness(rows, frozenset(rows))
         if witness is None:
@@ -312,7 +318,7 @@ class Polymatroid:
         members = self._set
         if members is None:
             members = frozenset(self.bases)
-            object.__setattr__(self, "_set", members)
+            _set_members(self, members)
         return tuple(v) in members
 
     def __len__(self) -> int:
@@ -346,7 +352,7 @@ class Polymatroid:
         cached = self._rank
         if cached is None:
             cached = rank_from_bases(self)
-            object.__setattr__(self, "_rank", cached)
+            _set_rank(self, cached)
         return cached
 
     def slice_range(self, t: int) -> range:
@@ -473,6 +479,11 @@ class Polymatroid:
         p._validate()
         return p
 
+
+_set_n = Polymatroid.n.__set__  # slot setters, as for RankTable
+_set_bases = Polymatroid.bases.__set__
+_set_members = Polymatroid._set.__set__
+_set_rank = Polymatroid._rank.__set__
 
 _INT = frozenset([int])  # exactly int: bool and other subclasses are not coordinates
 _LIST = frozenset([list])

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from polytutte import acceptance
-from polytutte.activity import TightFamily
+from polytutte.activity import TightFamily, TransferRelation
 from polytutte.core import Polymatroid, RankTable, _subset_sums, enumerate_bases
 from polytutte.formulas import random_rank_table
 from polytutte.recursion import dc_polynomials, exterior_dc, interior_dc, tutte_dc
@@ -90,26 +90,40 @@ def test_corpus_hypergraph_tables_are_built_once(monkeypatch):
 U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
-def _patch_transfers(monkeypatch, basis, change):
-    real = acceptance.transfers
-    monkeypatch.setattr(
-        acceptance, "transfers", lambda p, a: change(real(p, a)) if a == basis else real(p, a)
-    )
+def _patch_relation(monkeypatch, pair, change):
+    """Make criterion 8's relation hold change(lanes) for one pair."""
+
+    class Patched(TransferRelation):
+        __slots__ = ()
+
+        def __missing__(self, key):
+            lanes = super().__missing__(key)
+            if key == pair:
+                lanes = self[key] = change(lanes)
+            return lanes
+
+    monkeypatch.setattr(acceptance, "TransferRelation", Patched)
 
 
 def test_structure_check_catches_a_dropped_transfer(monkeypatch):
-    # (0, 0, 1) -> (0, 1, 0) is the only step into {2}; (0, 0, 1) -> (1, 0, 0)
-    # keeps index 3 internally inactive, so only the tight-set side can notice
-    _patch_transfers(monkeypatch, (0, 0, 1), lambda moves: [m for m in moves if m != (1, 2)])
-    with pytest.raises(AssertionError, match="no exchange step into non-tight 10 "):
+    # (0, 0, 1), basis 0, steps to (0, 1, 0) only through S(3, 2) (the
+    # 0-based pair (2, 1)), the only step into {2}; (0, 0, 1) -> (1, 0, 0)
+    # keeps index 3 internally inactive, so only the tight-set side can
+    # notice
+    assert U13.bases[0] == (0, 0, 1)
+    acceptance._check_structure_one(U13, ())
+    _patch_relation(monkeypatch, (2, 1), lambda lanes: lanes & ~1)
+    with pytest.raises(AssertionError, match=r"no exchange step into non-tight 10 for \(0, 0, 1\) "):
         acceptance._check_structure_one(U13, ())
 
 
 def test_structure_check_catches_a_transfer_into_a_tight_set(monkeypatch):
-    # a claimed step (0, 1, 0) -> (-1, 1, 1) enters the tight set {2, 3};
-    # index 3 is externally inactive already, so the activities agree
-    _patch_transfers(monkeypatch, (0, 1, 0), lambda moves: moves + [(2, 0)])
-    with pytest.raises(AssertionError, match="exchange step into tight 110 "):
+    # a claimed step (0, 1, 0) -> (-1, 1, 1), basis 1 in S(1, 3) (the
+    # 0-based pair (0, 2)), enters the tight set {2, 3}; index 3 is
+    # externally inactive already, so the activities agree
+    assert U13.bases[1] == (0, 1, 0)
+    _patch_relation(monkeypatch, (0, 2), lambda lanes: lanes | 1 << 8)
+    with pytest.raises(AssertionError, match=r"exchange step into tight 110 for \(0, 1, 0\) "):
         acceptance._check_structure_one(U13, ())
 
 
@@ -207,3 +221,28 @@ def test_translation_check_catches_a_doubly_shifted_table(monkeypatch):
             m.setattr(Polymatroid, "translate", doubled)
             violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
         assert list(violated) == ["translation"], p
+
+
+# -- criterion 3 re-keys one drawn order -----------------------------------------------
+
+
+def test_permutation_check_catches_a_lossy_permute(monkeypatch):
+    # every order is read off the relation of p itself, so only the first
+    # drawn order, checked through p.permute(w), can see a broken permute
+    real = Polymatroid.permute
+
+    def lossy(self, w):
+        q = real(self, w)
+        return Polymatroid._trusted(list(q.bases[1:]), q.n, None)
+
+    rng = Random(7)
+    for n in (2, 3, 4, 5):
+        p = enumerate_bases(random_rank_table(rng, n))
+        assert len(p) > 1
+        polys = dc_polynomials(p)
+        assert acceptance.invariance_violations(p, polys, Random(n), ["permutation"]) == {}
+        with monkeypatch.context() as m:
+            m.setattr(Polymatroid, "permute", lossy)
+            violated = acceptance.invariance_violations(p, polys, Random(n), ["permutation"])
+        assert list(violated) == ["permutation"], p
+        assert violated["permutation"].startswith("w=(")
