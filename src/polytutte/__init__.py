@@ -18,15 +18,10 @@ from .core import (
     slice_rank,
 )
 from .activity import (
-    ActivityProfile,
-    TightFamily,
-    activities,
-    activities_from_tight_sets,
     direct_polynomials,
     exterior_direct,
     interior_direct,
     tight_sets,
-    transfers,
     tutte_direct,
 )
 from .recursion import (
@@ -62,17 +57,13 @@ from .formulas import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityProfile",
     "BiPoly",
     "Hypergraph",
     "Polymatroid",
     "RankTable",
-    "TightFamily",
     "X",
     "X_PLUS_Y_MINUS_1",
     "Y",
-    "activities",
-    "activities_from_tight_sets",
     "binomial",
     "classical_tutte",
     "coefficient_report",
@@ -99,7 +90,6 @@ __all__ = [
     "second_band_univariate",
     "slice_rank",
     "tight_sets",
-    "transfers",
     "top_coefficient",
     "tutte_dc",
     "tutte_direct",

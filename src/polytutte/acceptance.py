@@ -63,13 +63,14 @@ from .core import (
     Polymatroid,
     RankTable,
     Vector,
+    _enumerates_to,
     _mask_of,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
     slice_rank,
 )
-from .errors import NonzeroEmptySet, SizeLimitExceeded, SubmodularityFailure, ValidationError
+from .errors import ValidationError
 from .formulas import (
     binomial,
     ceiling_prefix,
@@ -282,7 +283,7 @@ def invariance_violations(
                     moved = tutte_dc(q)
                 except ValidationError:  # the carried table is no polymatroid's
                     moved = None
-                if moved != t or (draw == 0 and not _carries_its_bases(q)):
+                if moved != t or (draw == 0 and not _enumerates_to(q.rank_table(), q.bases)):
                     witness = f"c={c}"
                     break
             ok = not witness
@@ -322,17 +323,6 @@ def invariance_violations(
         if not ok:
             violated[prop] = witness
     return violated
-
-
-def _carries_its_bases(q: Polymatroid) -> bool:
-    """Is q's carried table submodular, with f(empty) = 0, and does it
-    enumerate to exactly q's bases?  By the round trip (see core) that holds
-    exactly when the table is ``rank_from_bases(q)``; the enumeration stops
-    once it holds more than len(q) bases."""
-    try:
-        return enumerate_bases(q.rank_table().validate(), len(q)).bases == q.bases
-    except (SubmodularityFailure, NonzeroEmptySet, SizeLimitExceeded):
-        return False
 
 
 def check_invariances(corpus: Corpus, rng: Random) -> str:
@@ -605,7 +595,7 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
     # membership (a + e_j - e_k is in P exactly when a is in S(k, j)).
     rows = [bytearray(len(p)) for _ in range(full_mask + 1)]
     for k, a in enumerate(p.bases):
-        for mask in tight_sets(p, a).masks:
+        for mask in tight_sets(p, a):
             rows[mask][k] = 1
     tight = [int.from_bytes(row, "little") for row in rows]
     relation = TransferRelation(p)
@@ -620,7 +610,8 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
             if bad:
                 raise AssertionError(f"tight family not a lattice for {basis(bad)} on {p}")
     # i is internally active exactly when some tight set's complement has
-    # minimum i, externally exactly when some nonempty tight set has minimum i
+    # minimum i, externally exactly when some nonempty tight set has minimum i;
+    # the inactive lanes are the ones the direct route counts
     int_active = [0] * n
     ext_active = [0] * n
     for mask in range(full_mask + 1):
@@ -630,10 +621,7 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
         if comp:
             int_active[(comp & -comp).bit_length() - 1] |= tight[mask]
     for i in range(n):
-        int_inactive = ext_inactive = 0
-        for j in range(i):
-            int_inactive |= relation[i, j]
-            ext_inactive |= relation[j, i]
+        int_inactive, ext_inactive = relation.inactive(i, range(i))
         # on each side exactly one of the two holds, in every lane
         bad = every & ~((int_inactive ^ int_active[i]) & (ext_inactive ^ ext_active[i]))
         if bad:

@@ -36,14 +36,12 @@ relation takes at most n(n - 1) |B| bytes, 3.1 MB for the 12,870 bases of
 U(8,16): one byte per basis and pair, where a collection of inactive keys
 would take a pointer and an integer object per entry.
 
-transfers(p, a) lists every pair (j, k) with a + e_j - e_k in P, and
-activities(p, a) reads the activities of one basis off that list.  An
-independent characterization through tight sets (subsets whose coordinate
-sum meets the rank, read off the rank table alone) is provided as a
-cross-check oracle: i is externally active iff some tight set has minimum
-i, and internally active iff some tight set's complement has minimum i.  A
-proper nonempty set S is tight exactly when no transfer moves mass into
-it, from outside S to inside.
+tight_sets(p, a) lists the subsets whose coordinate sum meets the rank, read
+off the rank table alone: i is externally active iff some tight set has
+minimum i, and internally active iff some tight set's complement has minimum
+i, and a proper nonempty set S is tight exactly when no transfer moves mass
+into it, from outside S to inside.  Criterion 8 checks the relation against
+these tight sets for every basis at once.
 
 All functions are pure, and the results are exact term maps, independent
 of the order in which bases or groups are summed.
@@ -52,78 +50,19 @@ of the order in which bases or groups are summed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq, le, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, add_scaled_into, cached_power, from_dict
 from .core import Polymatroid, Vector, _subset_sums
 from .errors import NotABasis
 
 
-@dataclass(frozen=True)
-class ActivityProfile:
-    """Activity record of one basis.
-
-    oi/oe/ie split [n] into internal-only, external-only and doubly active
-    indices; iota_bar and eps_bar are the co-counts n - |Int| and n - |Ext|
-    that grade the interior and exterior polynomials.
-    """
-
-    basis: Vector
-    int_set: frozenset[int]
-    ext_set: frozenset[int]
-
-    @property
-    def oi(self) -> int:
-        return len(self.int_set - self.ext_set)
-
-    @property
-    def oe(self) -> int:
-        return len(self.ext_set - self.int_set)
-
-    @property
-    def ie(self) -> int:
-        return len(self.int_set & self.ext_set)
-
-    @property
-    def iota_bar(self) -> int:
-        return len(self.basis) - len(self.int_set)
-
-    @property
-    def eps_bar(self) -> int:
-        return len(self.basis) - len(self.ext_set)
-
-    @classmethod
-    def from_transfers(cls, basis: Vector, moves: list[tuple[int, int]]) -> "ActivityProfile":
-        """The profile of a basis given its transfers (see ``transfers``):
-        i is internally inactive when some (j, i) with j < i is a transfer,
-        externally inactive when some (i, j) with j < i is."""
-        int_inactive = {k for j, k in moves if j < k}
-        ext_inactive = {j for j, k in moves if k < j}
-        labels = range(len(basis))
-        return cls(
-            basis,
-            frozenset(i + 1 for i in labels if i not in int_inactive),
-            frozenset(i + 1 for i in labels if i not in ext_inactive),
-        )
-
-
-@dataclass(frozen=True)
-class TightFamily:
-    """All subsets (as masks, sorted) whose coordinate sum meets the rank.
-
-    The family is a lattice: closed under union and intersection, and always
-    contains the empty set and the full ground set.
-    """
-
-    basis: Vector
-    masks: tuple[int, ...]
-
-
-def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
-    """Every subset I with sum_{i in I} a_i = f(I), tested over all masks.
+def tight_sets(p: Polymatroid, a: Vector) -> tuple[int, ...]:
+    """Every subset I with sum_{i in I} a_i = f(I), as sorted masks, tested
+    over all masks.  The family is a lattice: closed under union and
+    intersection, and always holds the empty set and the full ground set.
 
     It reads the rank table alone: the bases of P are the integer points of
     its base polyhedron, a(S) <= f(S) for every S and a([n]) = f([n]),
@@ -133,51 +72,7 @@ def tight_sets(p: Polymatroid, a: Vector) -> TightFamily:
     sums = _subset_sums(a)
     if len(a) != p.n or sums[-1] != f[-1] or not all(map(le, sums, f)):
         raise NotABasis(f"{a} is not a basis")
-    return TightFamily(a, tuple(compress(range(1 << p.n), map(eq, sums, f))))
-
-
-def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:
-    """Every 0-based pair (j, k), j != k, with a + e_j - e_k in P, ordered by
-    j and then k."""
-    a = tuple(a)
-    if a not in p:
-        raise NotABasis(f"{a} is not a basis")
-    v = list(a)
-    out = []
-    for j in range(len(v)):
-        v[j] += 1
-        for k in range(len(v)):
-            if k != j:
-                v[k] -= 1
-                if tuple(v) in p:
-                    out.append((j, k))
-                v[k] += 1
-        v[j] -= 1
-    return out
-
-
-def activities(p: Polymatroid, a: Vector) -> ActivityProfile:
-    """Internal/external activity of a basis, from its transfers."""
-    a = tuple(a)
-    return ActivityProfile.from_transfers(a, transfers(p, a))
-
-
-def activities_from_tight_sets(family: TightFamily) -> ActivityProfile:
-    """Activity via the tight-set characterization (independent oracle).
-
-    i is externally active iff i = min(I) for some nonempty tight I, and
-    internally active iff i = min([n] - J) for some tight J != [n].
-    """
-    full = (1 << len(family.basis)) - 1
-    int_set = set()
-    ext_set = set()
-    for mask in family.masks:
-        if mask:
-            ext_set.add((mask & -mask).bit_length())
-        comp = full ^ mask
-        if comp:
-            int_set.add((comp & -comp).bit_length())
-    return ActivityProfile(family.basis, frozenset(int_set), frozenset(ext_set))
+    return tuple(compress(range(1 << p.n), map(eq, sums, f)))
 
 
 def _packed_keys(p: Polymatroid) -> tuple[list[int], list[int]]:
@@ -223,6 +118,21 @@ class TransferRelation(dict):
         )
         return lanes
 
+    def inactive(
+        self, i: int, before: Iterable[int], internal: bool = True, external: bool = True
+    ) -> tuple[int, int]:
+        """The lanes of the bases in which index i is internally inactive,
+        the OR of S(i, j) over j in ``before``, and externally inactive, the
+        OR of S(j, i).  A side not asked for is 0."""
+        ins = ext = 0
+        if internal:
+            for j in before:
+                ins |= self[i, j]
+        if external:
+            for j in before:
+                ext |= self[j, i]
+        return ins, ext
+
     def counts(
         self, order: Sequence[int], internal: bool = True, external: bool = True
     ) -> tuple[bytes, bytes, bytes]:
@@ -230,23 +140,14 @@ class TransferRelation(dict):
         inactive, externally inactive, and both, when the ground set is read
         in ``order`` (0-based indices, first to last): one byte each.
 
-        Index order[k] is internally inactive in the bases of the OR of
-        S(order[k], order[j]) over j < k, and externally inactive in those of
-        the OR of S(order[j], order[k]).  The counts are sums of these lane
-        integers, at most n - 1 <= 15 per lane (the first index is never
-        inactive), so no lane carries into the next.  A side not asked for
-        counts 0.
+        Index order[k] is inactive on the lanes that ``inactive`` gives for
+        the indices before it.  The counts are sums of these lane integers,
+        at most n - 1 <= 15 per lane (the first index is never inactive), so
+        no lane carries into the next.  A side not asked for counts 0.
         """
         ci = ce = cb = 0
         for k in range(1, len(order)):
-            i = order[k]
-            ins = ext = 0
-            if internal:
-                for j in order[:k]:
-                    ins |= self[i, j]
-            if external:
-                for j in order[:k]:
-                    ext |= self[j, i]
+            ins, ext = self.inactive(order[k], order[:k], internal, external)
             ci += ins
             ce += ext
             cb += ins & ext

@@ -44,6 +44,8 @@ time:
     vectors than were given).  This is the basis exchange axiom, since the
     sets that satisfy it are exactly the integer points of integral base
     polyhedra.  On success the polymatroid keeps g as its rank_table().
+    _enumerates_to is this round trip, and criterion 3 runs it on the table
+    that a translate carries.
 
 A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
@@ -295,14 +297,7 @@ class Polymatroid:
             if sum(v) != total:
                 raise UnequalSums(rows[0], v)
         g = rank_from_bases(self)
-        try:
-            g.validate()
-            # the bases lie in the base polyhedron of g, so its enumeration
-            # holds them, and equals them exactly when it is no longer
-            count = len(_enumerate(g.f, self.n, len(rows)))
-        except (SubmodularityFailure, SizeLimitExceeded):
-            count = None
-        if count == len(rows):
+        if _enumerates_to(g, rows):
             _set_rank(self, g)
             return
         witness = _exchange_witness(rows, frozenset(rows))
@@ -704,6 +699,19 @@ def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
         if len(acc) > limit:
             raise SizeLimitExceeded(limit)
     return acc
+
+
+def _enumerates_to(table: RankTable, bases: Sequence[Vector]) -> bool:
+    """Does the table validate and enumerate to exactly ``bases`` (sorted
+    and distinct)?  By the round trip, that holds exactly when the bases
+    form a polymatroid and the table is their rank_from_bases.  The
+    enumeration stops once it holds more vectors than ``bases``."""
+    try:
+        table.validate()
+        rows = _enumerate(table.f, table.n, len(bases))
+    except (NonzeroEmptySet, SubmodularityFailure, SizeLimitExceeded):
+        return False
+    return len(rows) == len(bases) and sorted(rows) == list(bases)
 
 
 # -- exhaustive small-case generator -----------------------------------------------

@@ -157,10 +157,6 @@ def hypergraph_rank(h: Hypergraph, edges: Iterable[int]) -> int:
         if not 1 <= k <= h.num_edges:
             raise ValidationError(f"hyperedge index {k} outside 1..{h.num_edges}")
         mask |= 1 << (k - 1)
-    return _rank_of_mask(h, mask)
-
-
-def _rank_of_mask(h: Hypergraph, mask: int) -> int:
     # covered - components = covered - (chosen + covered - forest edges)
     return _incidence_forest(h, mask) - bin(mask).count("1")
 
@@ -194,9 +190,7 @@ def rank_table(h: Hypergraph) -> RankTable:
         kept.append(merged)
         components.append(tuple(kept))
         values.append(value + merged.bit_count() - 1)
-    table = RankTable(n, values, validate=False)
-    table.validate()  # submodularity of the rank is asserted, not assumed
-    return table
+    return RankTable(n, values)  # submodularity of the rank is asserted, not assumed
 
 
 def hypertree_polymatroid(h: Hypergraph) -> Polymatroid:

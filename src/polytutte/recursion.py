@@ -47,7 +47,11 @@ over 2^n lanes per level, run in C, however many bases the polymatroid has.
 A table that no polymatroid has can break these invariants; the engine
 raises ``ValidationError`` where that shows (a normalized value outside
 0..f(E), a nonzero one-element slice, a root polynomial beyond its lane
-bound) and otherwise returns a polynomial that means nothing.
+bound) and otherwise returns a polynomial that means nothing.  Those three
+symptoms are all it refuses: U(2,4) with f({4}) lowered to 0, built with
+``RankTable(..., validate=False)``, still gets a T.  Validating such a table
+first is the caller's responsibility; the public constructors and every
+table the package builds itself are polymatroids'.
 
 Polynomials as lanes.  Below the root a polynomial is one integer: the
 coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
@@ -260,7 +264,9 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
     slice recursion: I and X are read off T's decode at the root.
 
-    ``p`` is a polymatroid or its rank table.
+    ``p`` is a polymatroid or its rank table.  A table built with
+    ``validate=False`` must be a polymatroid's: the engine refuses only
+    three visible symptoms of one that is not (see the module docstring).
     """
     table = p.rank_table()
     key = memo_key(table)

@@ -1,6 +1,7 @@
-"""Independent checks that tests compare polytutte.core with: the axioms of
-rank tables and basis sets, subset-wise maxima of basis vectors, and basis
-enumeration by an exchange closure.
+"""Independent checks that tests compare polytutte with: the axioms of
+rank tables and basis sets, subset-wise maxima of basis vectors, basis
+enumeration by an exchange closure, and the activity of one basis, from its
+transfers or from its tight sets.
 
 These are the definitions themselves, with no shortcut, so they cost what
 the definitions cost; tests run them on small inputs only.
@@ -17,7 +18,7 @@ from polytutte.core import (
     Vector,
     _exchange_witness,
 )
-from polytutte.errors import SizeLimitExceeded, ValidationError
+from polytutte.errors import NotABasis, SizeLimitExceeded, ValidationError
 from polytutte.hypergraph import forest_size
 
 
@@ -142,3 +143,55 @@ def exchange_closure(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Po
                     if len(seen) > max_bases:
                         raise SizeLimitExceeded(max_bases)
     return Polymatroid(seen, validate=False)
+
+
+def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:
+    """Every 0-based pair (j, k), j != k, with a + e_j - e_k in P, ordered by
+    j and then k: one membership test per pair."""
+    a = tuple(a)
+    if a not in p:
+        raise NotABasis(f"{a} is not a basis")
+    v = list(a)
+    out = []
+    for j in range(len(v)):
+        v[j] += 1
+        for k in range(len(v)):
+            if k != j:
+                v[k] -= 1
+                if tuple(v) in p:
+                    out.append((j, k))
+                v[k] += 1
+        v[j] -= 1
+    return out
+
+
+def activities(p: Polymatroid, a: Vector) -> tuple[frozenset[int], frozenset[int]]:
+    """(Int(a), Ext(a)), 1-based, by the definition: i is internally inactive
+    when some transfer (j, i) has j < i, externally inactive when some
+    (i, j) has j < i."""
+    moves = transfers(p, a)
+    int_inactive = {k for j, k in moves if j < k}
+    ext_inactive = {j for j, k in moves if k < j}
+    labels = range(p.n)
+    return (
+        frozenset(i + 1 for i in labels if i not in int_inactive),
+        frozenset(i + 1 for i in labels if i not in ext_inactive),
+    )
+
+
+def activities_from_tight_sets(
+    masks: Sequence[int], n: int
+) -> tuple[frozenset[int], frozenset[int]]:
+    """(Int(a), Ext(a)) from the tight sets of a: i is externally active iff
+    i = min(I) for some nonempty tight I, and internally active iff
+    i = min([n] - J) for some tight J != [n]."""
+    full = (1 << n) - 1
+    int_set = set()
+    ext_set = set()
+    for mask in masks:
+        if mask:
+            ext_set.add((mask & -mask).bit_length())
+        comp = full ^ mask
+        if comp:
+            int_set.add((comp & -comp).bit_length())
+    return frozenset(int_set), frozenset(ext_set)

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 from polytutte import acceptance
-from polytutte.activity import TightFamily, TransferRelation
+from polytutte.activity import TransferRelation
 from polytutte.core import Polymatroid, RankTable, _subset_sums, enumerate_bases
 from polytutte.formulas import random_rank_table
 from polytutte.recursion import dc_polynomials, exterior_dc, interior_dc, tutte_dc
@@ -131,8 +131,8 @@ def test_structure_check_catches_a_dropped_tight_set(monkeypatch):
     real = acceptance.tight_sets
 
     def drop_one(p, a):
-        family = real(p, a)
-        return TightFamily(family.basis, family.masks[:1] + family.masks[2:])
+        masks = real(p, a)
+        return masks[:1] + masks[2:]
 
     acceptance._check_structure_one(U13, ())
     monkeypatch.setattr(acceptance, "tight_sets", drop_one)

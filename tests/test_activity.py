@@ -8,15 +8,13 @@ from random import Random
 import pytest
 
 from polytutte.acceptance import build_corpus
+from oracles import activities, activities_from_tight_sets, transfers
 from polytutte.activity import (
     TransferRelation,
-    activities,
-    activities_from_tight_sets,
     direct_polynomials,
     exterior_direct,
     interior_direct,
     tight_sets,
-    transfers,
     tutte_direct,
 )
 from polytutte.bipoly import parse
@@ -30,35 +28,30 @@ U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 SCALED2 = Polymatroid([(2, 0), (1, 1), (0, 2)])
 
 
-def masks_to_sets(masks):
-    return {frozenset(i + 1 for i in range(8) if m & (1 << i)) for m in masks}
-
-
 # -- tight sets --------------------------------------------------------------
 
 
 def test_tight_sets_first_basis():
-    fam = tight_sets(U12, (1, 0))
-    assert masks_to_sets(fam.masks) == {frozenset(), frozenset({1}), frozenset({1, 2})}
+    assert tight_sets(U12, (1, 0)) == (0, 1, 3)  # {}, {1}, {1, 2}
 
 
 def test_tight_sets_second_basis():
-    fam = tight_sets(U12, (0, 1))
-    assert masks_to_sets(fam.masks) == {frozenset(), frozenset({2}), frozenset({1, 2})}
+    assert tight_sets(U12, (0, 1)) == (0, 2, 3)  # {}, {2}, {1, 2}
 
 
 def test_tight_sets_contain_extremes():
     for p in (U12, U13, SCALED2):
         full = (1 << p.n) - 1
         for a in p:
-            fam = tight_sets(p, a)
-            assert 0 in fam.masks and full in fam.masks
+            masks = tight_sets(p, a)
+            assert masks == tuple(sorted(set(masks)))
+            assert 0 in masks and full in masks
 
 
 def test_tight_sets_lattice_closure():
     for p in (U12, U13, SCALED2):
         for a in p:
-            masks = set(tight_sets(p, a).masks)
+            masks = set(tight_sets(p, a))
             for i in masks:
                 for j in masks:
                     assert (i | j) in masks and (i & j) in masks
@@ -72,43 +65,37 @@ def test_tight_sets_rejects_non_basis():
             tight_sets(U12, a)
 
 
-# -- activities ----------------------------------------------------------------
+# -- activities, by the per-basis definition in oracles.py --------------------
 
 
 def test_activities_pair_first():
-    prof = activities(U12, (1, 0))
-    assert prof.int_set == {1, 2} and prof.ext_set == {1}
-    assert (prof.oi, prof.oe, prof.ie) == (1, 0, 1)
+    assert activities(U12, (1, 0)) == ({1, 2}, {1})
 
 
 def test_activities_pair_second():
-    prof = activities(U12, (0, 1))
-    assert prof.int_set == {1} and prof.ext_set == {1, 2}
-    assert (prof.oi, prof.oe, prof.ie) == (0, 1, 1)
+    assert activities(U12, (0, 1)) == ({1}, {1, 2})
 
 
 def test_activities_singleton():
-    p = Polymatroid([(7,)])
-    prof = activities(p, (7,))
-    assert prof.int_set == prof.ext_set == {1}
-    assert (prof.oi, prof.oe, prof.ie) == (0, 0, 1)
+    assert activities(Polymatroid([(7,)]), (7,)) == ({1}, {1})
 
 
 def test_index_one_always_doubly_active():
     for p in (U12, U13, SCALED2):
         for a in p:
-            prof = activities(p, a)
-            assert 1 in prof.int_set and 1 in prof.ext_set
+            int_set, ext_set = activities(p, a)
+            assert 1 in int_set and 1 in ext_set
 
 
 def test_activity_counts_consistent():
+    # the relation's counts per basis are n - |Int|, n - |Ext| and the
+    # indices inactive on both sides, n - |Int + Ext|
     for p in (U12, U13, SCALED2):
-        for a in p:
-            prof = activities(p, a)
-            assert prof.oi + prof.ie == len(prof.int_set)
-            assert prof.oe + prof.ie == len(prof.ext_set)
-            assert prof.iota_bar == p.n - len(prof.int_set)
-            assert prof.eps_bar == p.n - len(prof.ext_set)
+        counts = zip(*TransferRelation(p).counts(range(p.n)))
+        for a, (ci, ce, cb) in zip(p.bases, counts):
+            int_set, ext_set = activities(p, a)
+            n = p.n
+            assert (ci, ce, cb) == (n - len(int_set), n - len(ext_set), n - len(int_set | ext_set))
 
 
 def test_activities_reject_non_basis():
@@ -131,15 +118,14 @@ def test_transfers_reject_non_basis():
 
 
 def test_tight_characterization_on_pair():
-    prof = activities_from_tight_sets(tight_sets(U12, (1, 0)))
-    assert prof.int_set == {1, 2} and prof.ext_set == {1}
+    assert activities_from_tight_sets(tight_sets(U12, (1, 0)), 2) == ({1, 2}, {1})
 
 
 def test_tight_characterization_exhaustive_small():
     for n in (1, 2, 3):
         for p in enumerate_small_polymatroids(n, 2):
             for a in p:
-                assert activities(p, a) == activities_from_tight_sets(tight_sets(p, a))
+                assert activities(p, a) == activities_from_tight_sets(tight_sets(p, a), n)
 
 
 # -- direct Tutte polynomial ---------------------------------------------------------
@@ -247,11 +233,7 @@ def lane_bytes(lanes, size):
 def inactive_lanes(relation, i):
     """The lanes of the bases internally and externally inactive at the
     0-based index i, in the natural order."""
-    ins = ext = 0
-    for j in range(i):
-        ins |= relation[i, j]
-        ext |= relation[j, i]
-    return ins, ext
+    return relation.inactive(i, range(i))
 
 
 def bulk_activity_sets(p):
@@ -299,8 +281,7 @@ def test_relation_lanes_match_the_transfers(activity_family):
 
 def test_bulk_activity_matches_the_per_basis_definition(activity_family):
     for p in activity_family:
-        per_basis = [activities(p, a) for a in p.bases]
-        assert bulk_activity_sets(p) == [(a.int_set, a.ext_set) for a in per_basis], p
+        assert bulk_activity_sets(p) == [activities(p, a) for a in p.bases], p
         assert direct_polynomials(p) == (tutte_direct(p), interior_direct(p), exterior_direct(p)), p
 
 

@@ -4,7 +4,9 @@
 and ``perfbench/expected.json`` stores the sha256 of every command's stdout.
 Running the tiny size at seed 1 through ``cli.main`` must give those
 digests, so a change to a generator or to one printed byte fails here, not
-only in a benchmark run.  Nothing is written under ``perfbench/``.
+only in a benchmark run.  Every name that ``perfbench/tracer.py`` wraps must
+still exist, or its per-layer metric would read 0.  Nothing is written
+under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +51,15 @@ def test_tiny_inputs_reproduce_stored_digests(gen, tmp_path, capsys, workload):
         assert code == 0, cmd
         got[cmd["id"]] = hashlib.sha256(out.encode()).hexdigest()
     assert got == stored["digests"]
+
+
+def test_every_traced_name_exists(tmp_path):
+    # install() rebinds module attributes, so it runs in a process of its own
+    paths = [str(BENCH.parent / "src"), str(BENCH), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = "from tracer import Tracer; t = Tracer(); t.install(); print(t.absent)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

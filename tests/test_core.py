@@ -17,6 +17,7 @@ from oracles import (
     submodularity_failure,
 )
 from polytutte import core
+from polytutte.acceptance import build_corpus
 from polytutte.core import (
     Polymatroid,
     RankTable,
@@ -83,6 +84,37 @@ def test_exchange_failure_requires_midpoint():
 def test_empty_set_rejected():
     with pytest.raises(EmptyBasisSet):
         Polymatroid([])
+
+
+def test_enumerates_to_is_the_round_trip():
+    # the check shared by basis validation and criterion 3's translate check
+    members = [p for p in build_corpus().randoms if len(p) > 1]
+    for p in members:
+        assert core._enumerates_to(rank_from_bases(p), p.bases), p
+    # f(empty) = 1 on U(1,2)'s table: the enumeration never reads f(empty),
+    # so only the validation sees it
+    assert core._enumerate((1, 1, 1, 1), 2, 2) == [(0, 1), (1, 0)]
+    assert not core._enumerates_to(RankTable(2, [1, 1, 1, 1], validate=False), U12.bases)
+    # U(2,4) with f({4}) lowered to 0 is not submodular, yet it enumerates
+    # to the three bases of U(2,3) with a 0 appended
+    u24 = RankTable(4, [min(bin(m).count("1"), 2) for m in range(16)])
+    f = list(u24.f)
+    f[8] = 0
+    rows = sorted(core._enumerate(f, 4, 10))
+    assert len(rows) == 3
+    assert not core._enumerates_to(RankTable(4, f, validate=False), rows)
+    # a table with more bases than given stops at the cap
+    bases = enumerate_bases(u24).bases
+    with pytest.raises(SizeLimitExceeded):
+        core._enumerate(u24.f, 4, len(bases) - 1)
+    assert not core._enumerates_to(u24, bases[1:])
+    # one translate's table against another translate's bases: as many
+    # bases, other vectors, which a count alone would not see
+    p = max(members, key=len)
+    q, r = p.translate((1,) + (0,) * (p.n - 1)), p.translate((0,) * (p.n - 1) + (1,))
+    assert len(q) == len(r) and q.bases != r.bases
+    assert core._enumerates_to(q.rank_table(), q.bases)
+    assert not core._enumerates_to(q.rank_table(), r.bases)
 
 
 # -- rank recovery ----------------------------------------------------------------
