@@ -99,7 +99,7 @@ class TransferRelation(dict):
     keys moved by w_j - w_i, and kept.  ``every`` has a 1 in each lane.
     """
 
-    __slots__ = ("n", "every", "_keys", "_weights", "_member")
+    __slots__ = ("n", "every", "_keys", "_weights", "_member", "_last")
 
     def __init__(self, p: Polymatroid):
         super().__init__()
@@ -109,6 +109,7 @@ class TransferRelation(dict):
         self._keys = keys
         self._weights = weights
         self._member = frozenset(keys).__contains__
+        self._last = (None, None)  # the groups of the last tutte call and their T
 
     def __missing__(self, pair: tuple[int, int]) -> int:
         i, j = pair
@@ -161,8 +162,16 @@ class TransferRelation(dict):
 
     def tutte(self, order: Sequence[int]) -> BiPoly:
         """The direct Tutte polynomial with the ground set read in ``order``:
-        tutte_direct of the polymatroid permuted to that order."""
-        return _tutte_of_groups(self.groups(order), self.n)
+        tutte_direct of the polymatroid permuted to that order.  An order
+        whose groups equal the last call's returns that call's polynomial
+        without expanding it again; many orders of one polymatroid share
+        the natural order's groups."""
+        groups = self.groups(order)
+        last, poly = self._last
+        if groups != last:
+            poly = _tutte_of_groups(groups, self.n)
+            self._last = (groups, poly)
+        return poly
 
 
 def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:

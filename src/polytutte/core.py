@@ -37,7 +37,11 @@ time:
 
   * a rank table needs f(empty) = 0 and local submodularity,
     f(S + i) + f(S + j) >= f(S + i + j) + f(S) for every S and i < j outside
-    S, which is equivalent to submodularity over all pairs of subsets;
+    S, which is equivalent to submodularity over all pairs of subsets.  The
+    table is packed into the lanes of one integer (_pack_table, the layout
+    of rank_from_bases and the slice recursion), and each pair i < j is
+    checked for every S at once, as one guard-bit borrow: C(n, 2) checks of
+    a few big-integer operations each (see RankTable.validate);
   * a basis set needs equal coordinate sums and a round trip: its subset-wise
     maxima g = rank_from_bases must be locally submodular and enumerate back
     to exactly the given bases (the enumeration stops once it holds more
@@ -78,7 +82,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, compress
-from operator import add, ge, mul, sub
+from operator import add, mul
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -147,28 +151,49 @@ class RankTable:
 
         f(S + i) + f(S + j) >= f(S + i + j) + f(S) for every S and every pair
         i < j outside S is equivalent to submodularity over all mask pairs
-        (Schrijver, Combinatorial Optimization, 2003).  Stated as "the gain
-        f(S + i) - f(S) does not grow when j joins S", it is C(n, 2) * 2^(n-2)
-        comparisons, made in C through bit-pattern selectors, instead of the
-        about 4^n / 2 of the pairwise definition.
+        (Schrijver, Combinatorial Optimization, 2003), and is C(n, 2) checks
+        of the whole table instead of the about 4^n / 2 comparisons of the
+        pairwise definition.
+
+        Each check is one guard-bit borrow in packed lanes.  F holds
+        f(S) - min(f) in lane S of 2^n lanes of w bits, wide enough that a
+        sum of two values stays below the guard, the top bit of each lane;
+        F >> i stands for F shifted right by 2^i lanes, so that its lane S
+        holds f(S + i) when S lacks i.  In
+
+            ((F >> i) + (F >> j) + G) - ((F >> i >> j) + F),
+
+        with G the guards, lane S is 2^(w - 1) + f(S + i) + f(S + j)
+        - f(S + i + j) - f(S) in every lane, which lies in [0, 2^w), so no
+        lane borrows from the next, and its guard survives exactly when the
+        inequality holds.  The lanes that hold i or j read unrelated values
+        and are masked off.  A failed pair names the first witness in the
+        order of the pairwise scan: the pairs (i, j) in lexicographic order,
+        then the smallest S, the lowest cleared guard.  The check holds
+        about 2n + 4 integers the size of the packed table (the n shifts of
+        F and the n guard masks), so lanes over 8 bytes cost time and
+        memory in proportion to their width.
         """
         f = self.f
         if f[0] != 0:
             raise NonzeroEmptySet(f"f(empty set) = {f[0]}, expected 0")
         n = self.n
-        inner = [_bit_selectors(n - 1, k) for k in range(n - 1)]
+        low = min(f)  # at most f(empty) = 0
+        size = _lane_size((max(f) - low).bit_length() + 2)
+        bits = size << 3
+        table = _pack_table([v - low for v in f] if low else f, n, size)
+        guard, free = _free_guards(n, size)
+        shifted = [table >> (bits << i) for i in range(n)]
         for i in range(n - 1):
-            without, with_ = _bit_selectors(n, i)
-            # gain[S] = f(S + i) - f(S) over the masks S without i, renumbered
-            # to n - 1 bits: element j > i is bit j - 1 there
-            gain = list(map(sub, compress(f, with_), compress(f, without)))
-            for k in range(i, n - 1):
-                without, with_ = inner[k]
-                if not all(map(ge, compress(gain, without), compress(gain, with_))):
-                    a, b = 1 << i, 1 << (k + 1)
-                    s = next(s for s in range(1 << n) if not s & (a | b)
-                             and f[s | a] + f[s | b] < f[s | a | b] + f[s])
-                    raise SubmodularityFailure(s | a, s | b)
+            fi = shifted[i]
+            base = fi + guard - table  # lane S: guard + f(S + i) - f(S)
+            for j in range(i + 1, n):
+                check = free[i] & free[j]
+                r = base + shifted[j] - (fi >> (bits << j))
+                if (r & check) != check:
+                    bad = check & ~r
+                    s = ((bad & -bad).bit_length() - 1) // bits
+                    raise SubmodularityFailure(s | 1 << i, s | 1 << j)
         return self
 
     def value(self, elements: Iterable[int]) -> int:
@@ -232,7 +257,8 @@ def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]
 def _bit_selectors(m: int, k: int) -> tuple[bytes, bytes]:
     """Selectors over the masks 0..2^m - 1, for itertools.compress: the
     masks without bit k, and the masks with it, in the same order (cached:
-    at most 2 * 16 * 2^16 bytes for the largest ground set)."""
+    only _slice_table reads them, for slice_rank at t < n, so at most n - 1
+    pairs of 2^n bytes per ground-set size, 2 MB for n = 16)."""
     half = 1 << k
     reps = 1 << (m - k - 1)
     return (b"\1" * half + b"\0" * half) * reps, (b"\0" * half + b"\1" * half) * reps
@@ -597,9 +623,9 @@ def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Struct | None]
     bytes.
 
     ONES has a 1 in every lane and the guards are the lanes' top bits.  The
-    layout is shared by ``rank_from_bases`` and the slice recursion (cached:
-    four sizes per n in practice, at most 15 * 16 * 2^16 bytes of
-    indicators for n = 16)."""
+    layout is shared by ``rank_from_bases``, ``_pack_table`` (so by
+    ``RankTable.validate``) and the slice recursion (cached: four sizes per
+    n in practice, at most 15 * 16 * 2^16 bytes of indicators for n = 16)."""
     one = (1).to_bytes(size, "little")
     zero = bytes(size)
     ones = int.from_bytes(one * (1 << n), "little")
@@ -612,6 +638,35 @@ def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Struct | None]
 
 
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}  # standard sizes under "<"
+
+
+def _lane_size(bits: int) -> int:
+    """The lane size in bytes, 1, 2, 4, 8, 16, ..., that holds ``bits``."""
+    return 1 << ((bits + 7) // 8 - 1).bit_length()
+
+
+def _pack_table(values: Sequence[int], n: int, size: int) -> int:
+    """2^n values, each below the guard bit of a lane of ``size`` bytes, as
+    one integer with value S in lane S: by ``_lanes``' struct up to 8
+    bytes, by joining the bytes of each value above."""
+    if size in _SIGNED:
+        data = _lanes(n, size)[3].pack(*values)
+    else:
+        data = b"".join([v.to_bytes(size, "little") for v in values])
+    return int.from_bytes(data, "little")
+
+
+def _free_guards(n: int, size: int) -> tuple[int, list[int]]:
+    """The guard bits of all 2^n lanes of ``size`` bytes, and for each i
+    the guards of the lanes without i (built per call, not cached: lanes
+    above 8 bytes can be arbitrarily wide)."""
+    guard = bytes(size - 1) + b"\x80"
+    zero = bytes(size)
+    free = [
+        int.from_bytes((guard * (1 << i) + zero * (1 << i)) * (1 << (n - i - 1)), "little")
+        for i in range(n)
+    ]
+    return int.from_bytes(guard * (1 << n), "little"), free
 
 
 def _subset_sums(v: Sequence[int]) -> list[int]:

@@ -23,9 +23,11 @@ I and to the y^(n-j) term of X.  ``dc_polynomials`` returns (T, I, X), and
 ``tutte_dc``, ``interior_dc`` and ``exterior_dc`` each pick one of them.
 
 Tables as lanes.  A normalized table is one integer with 2^n lanes of L bits,
-lane S holding f(S), in the layout of ``core.rank_from_bases``; ONES, the
-guard bits (the top bit of each lane) and IND_s (1 in the lanes of the sets
-that hold s) come from ``core._lanes``.  L is the smallest of 8, 16, 32, ...
+lane S holding f(S), in the layout of ``core.rank_from_bases``, packed by
+``core._pack_table``, which also packs the tables that
+``RankTable.validate`` checks; ONES, the guard bits (the top bit of each
+lane) and IND_s (1 in the lanes of the sets that hold s) come from
+``core._lanes``.  L is the smallest of 8, 16, 32, ...
 bits that holds the root's normalized f(E) below the guard bit; no slice
 below the root exceeds that value, so L holds for the whole run.
 
@@ -101,7 +103,15 @@ from operator import sub
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, cached_power, from_dict
-from .core import MAX_GROUND_SET, Polymatroid, RankTable, _lanes, _subset_sums
+from .core import (
+    MAX_GROUND_SET,
+    Polymatroid,
+    RankTable,
+    _lane_size,
+    _lanes,
+    _pack_table,
+    _subset_sums,
+)
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
 
@@ -171,13 +181,6 @@ _STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
 def _packed_power(pl: int, k: int) -> int:
     """(x + y - 1)^k packed in lanes of ``pl`` bits."""
     return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
-
-
-def _pack_table(key: tuple[int, ...], n: int, size: int) -> int:
-    """The normalized table ``key`` in 2^n lanes of ``size`` bytes."""
-    lanes = _lanes(n, size)[3]
-    data = lanes.pack(*key) if lanes else b"".join(v.to_bytes(size, "little") for v in key)
-    return int.from_bytes(data, "little")
 
 
 def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
@@ -276,7 +279,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     n = table.n
     if min(key) < 0 or max(key) > key[-1]:  # a polymatroid's normalized f is 0..f(E)
         raise ValidationError(f"{table} is not a polymatroid rank table")
-    size = 1 << ((key[-1].bit_length() + 8) // 8 - 1).bit_length()  # f(E) below the guard
+    size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
     bound = 3 ** n
     for t in range(n):
         bound *= key[1 << t] + 1

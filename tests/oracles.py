@@ -33,6 +33,19 @@ def submodularity_failure(f) -> tuple[int, int] | None:
     return None
 
 
+def local_submodularity_witness(f, n: int) -> tuple[int, int] | None:
+    """The first (S + i, S + j) with f(S + i) + f(S + j) < f(S + i + j) + f(S),
+    scanning the pairs i < j in lexicographic order and, for each pair, the
+    masks S without i and j upward; None if there is none."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = 1 << i, 1 << j
+            for s in range(1 << n):
+                if not s & (a | b) and f[s | a] + f[s | b] < f[s | a | b] + f[s]:
+                    return s | a, s | b
+    return None
+
+
 def table_category(f) -> str | None:
     """The error category the rank-table axioms give, or None if they hold."""
     if f[0] != 0:

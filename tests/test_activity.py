@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from polytutte import activity
 from polytutte.acceptance import build_corpus
 from oracles import activities, activities_from_tight_sets, transfers
 from polytutte.activity import (
@@ -314,3 +315,27 @@ def test_every_order_of_the_small_corpus_members():
             assert relation.tutte([k - 1 for k in w]) == tutte_direct(p.permute(w)) == t, (p, w)
             orders += 1
     assert orders > 10000
+
+
+def test_an_order_with_the_last_groups_is_not_expanded_again(monkeypatch):
+    # every order's polynomial equals a fresh expansion of its groups, and
+    # an order whose groups equal the previous order's expands nothing
+    expansions = []
+    real = activity._tutte_of_groups
+    monkeypatch.setattr(
+        activity, "_tutte_of_groups", lambda groups, n: expansions.append(groups) or real(groups, n)
+    )
+    orders = changes = 0
+    for p in build_corpus().members():
+        if p.n > 4:
+            continue
+        relation = TransferRelation(p)
+        last = None
+        for w in itertools.permutations(range(p.n)):
+            groups = relation.groups(w)
+            assert relation.tutte(w) == real(groups, p.n), (p, w)
+            changes += groups != last
+            last = groups
+            orders += 1
+    # 9,580 expansions for the 17,866 orders in permutation order
+    assert len(expansions) == changes < orders * 0.6 and orders > 10000

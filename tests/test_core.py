@@ -13,6 +13,7 @@ from oracles import (
     exchange_closure,
     greedy_basis,
     in_polytope,
+    local_submodularity_witness as oracle_witness,
     rank_by_maxima,
     submodularity_failure,
 )
@@ -41,6 +42,7 @@ from polytutte.errors import (
     ValidationError,
 )
 from polytutte.formulas import random_rank_table
+from polytutte.recursion import uniform_matroid
 
 
 def table(n, values):
@@ -233,6 +235,62 @@ def test_submodularity_failure_witness():
     with pytest.raises(SubmodularityFailure) as e:
         RankTable(2, [0, 0, 0, 1])
     assert {e.value.i_mask, e.value.j_mask} == {1, 2}
+
+
+# c * U(1, 2), [0, c, c, 0] (the segment from (c, -c) to (-c, c)) and the
+# violating [0, c, c, 2c + 1], for c on both sides of every lane width of 1,
+# 2, 4, 8, 16 and 128 bytes.  The segment's f({1}) + f({2}) - f(E) - f(empty)
+# is 2c, twice the largest value: the most that a lane must hold below its
+# guard bit
+LANE_EDGES = (1, 31, 32, 63, 64, 127, 128, (1 << 29) - 1, 1 << 29, 1 << 31, (1 << 61) - 1,
+              1 << 62, 1 << 70, 10 ** 300)
+
+
+def test_validation_at_every_lane_width(monkeypatch):
+    sizes = set()
+    real = core._pack_table
+    monkeypatch.setattr(core, "_pack_table", lambda v, n, size: sizes.add(size) or real(v, n, size))
+    for c in LANE_EDGES:
+        RankTable(2, [0, c, c, c])
+        RankTable(2, [0, c, c, 0])
+        with pytest.raises(SubmodularityFailure) as e:
+            RankTable(2, [0, c, c, 2 * c + 1])
+        assert (e.value.i_mask, e.value.j_mask) == (1, 2)
+        assert str(e.value) == "submodularity fails for masks 1, 2"
+        # with f({1}) = -c < 0
+        RankTable(2, [0, -c, c, 0])
+        with pytest.raises(SubmodularityFailure):
+            RankTable(2, [0, -c, c, 1])
+    assert sizes == {1, 2, 4, 8, 16, 128}
+
+
+def test_validation_of_a_wide_three_element_table():
+    for c in LANE_EDGES:
+        p = Polymatroid([(c, -c, 0), (0, c, -c), (-c, 0, c)], validate=False)
+        f = list(rank_from_bases(p).f)
+        RankTable(3, f)
+        RankTable(3, list(rank_from_bases(p.translate((-3 * c, c, 0))).f))
+        f[7] = c + 1  # f({1, 3}) + f({2, 3}) = 2c < f(E) + f({3})
+        with pytest.raises(SubmodularityFailure) as e:
+            RankTable(3, f)
+        assert (e.value.i_mask, e.value.j_mask) == oracle_witness(f, 3) == (5, 6)
+
+
+def test_validation_of_one_element_tables():
+    for v in (0, 5, -5, -(10 ** 300), 10 ** 300):
+        RankTable(1, [0, v])
+    with pytest.raises(NonzeroEmptySet):
+        RankTable(1, [-1, 0])
+
+
+def test_lowered_uniform_matroid_names_the_first_witness():
+    f = list(uniform_matroid(8, 16).f)
+    RankTable(16, f)
+    f[0b1010101] -= 1
+    with pytest.raises(SubmodularityFailure) as e:
+        RankTable(16, f)
+    assert (e.value.i_mask, e.value.j_mask) == (85, 86)
+    assert str(e.value) == "submodularity fails for masks 85, 86"
 
 
 # -- greedy -------------------------------------------------------------------------

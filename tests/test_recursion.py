@@ -16,7 +16,7 @@ from polytutte.core import (
     enumerate_small_polymatroids,
     slice_rank,
 )
-from polytutte import recursion
+from polytutte import core, recursion
 from oracles import is_matroid_rank, spanning_forest_rank
 from polytutte.errors import DegreeExceedsN, NotAMatroid, ValidationError
 from polytutte.recursion import (
@@ -177,7 +177,7 @@ def test_table_lanes_follow_the_rank_from_bases_layout():
     key = (0, 3, 5, 7)
     for size, big in ((1, 100), (2, 30000), (4, 1 << 30), (8, 1 << 62), (16, 1 << 70)):
         lanes = key[:3] + (big,)
-        packed = recursion._pack_table(lanes, 2, size)
+        packed = core._pack_table(lanes, 2, size)
         assert packed == sum(v << 8 * size * m for m, v in enumerate(lanes))
 
 

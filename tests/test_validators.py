@@ -7,8 +7,14 @@ from random import Random
 
 import pytest
 
-from oracles import basis_set_category, table_category
-from polytutte.core import Polymatroid, RankTable, enumerate_small_polymatroids, rank_from_bases
+from oracles import basis_set_category, local_submodularity_witness, table_category
+from polytutte.core import (
+    Polymatroid,
+    RankTable,
+    _subset_sums,
+    enumerate_small_polymatroids,
+    rank_from_bases,
+)
 from polytutte.errors import ValidationError
 from polytutte.formulas import random_rank_table
 
@@ -80,6 +86,63 @@ def test_random_rank_tables_agree_with_all_pairs_oracle(n):
             g = list(f)
             g[rng.randrange(1, len(g))] += rng.choice((1, -1))
             assert table_verdict(n, g) == table_category(g), (n, g)
+
+
+def exact_verdict(n, f):
+    """(class name, masks, message) of the error RankTable(n, f) raises, or
+    None."""
+    try:
+        RankTable(n, f)
+    except ValidationError as exc:
+        masks = (exc.i_mask, exc.j_mask) if exc.category == "SubmodularityFailure" else None
+        return exc.category, masks, str(exc)
+    return None
+
+
+def oracle_verdict(n, f):
+    if f[0] != 0:
+        return "NonzeroEmptySet", None, f"f(empty set) = {f[0]}, expected 0"
+    witness = local_submodularity_witness(f, n)
+    if witness is None:
+        return None
+    a, b = witness
+    return "SubmodularityFailure", witness, f"submodularity fails for masks {a}, {b}"
+
+
+def test_validation_names_the_witness_of_the_pairwise_scan():
+    # the packed check raises what the plain pair-then-S scan finds: the
+    # same class, the same masks and the same message, and passes exactly
+    # when the scan finds nothing
+    verdicts = []
+    for p in small_family():
+        f = p.rank_table()
+        for values in [list(f.f), *perturbed(f.f)]:
+            got = exact_verdict(f.n, values)
+            assert got == oracle_verdict(f.n, values), (f.n, values)
+            verdicts.append(got and got[0])
+    assert {None, "NonzeroEmptySet", "SubmodularityFailure"} == set(verdicts)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_validation_witness_on_random_and_translated_tables(n):
+    rng = Random(100 + n)
+    rejected = 0
+    for _ in range(8):
+        f = list(random_rank_table(rng, n, size_budget=10**9).f)
+        # a translate with f({1}) < 0, so that the minimum is negative
+        c = [-100] + [rng.randint(-40, 10) for _ in range(n - 1)]
+        shifted_f = [a + b for a, b in zip(f, _subset_sums(c))]
+        for g in (f, shifted_f):
+            candidates = [g]
+            for _ in range(4):
+                h = list(g)
+                h[rng.randrange(1, len(h))] += rng.choice((1, -1, 5))
+                candidates.append(h)
+            for h in candidates:
+                got = exact_verdict(n, h)
+                assert got == oracle_verdict(n, h), (n, h)
+                rejected += got is not None
+    assert rejected > 0
 
 
 def test_basis_sets_agree_with_pairwise_exchange_oracle():
