@@ -10,8 +10,8 @@ The slices at the interval ends are the deletion and contraction of t.  The
 weight w(j) is x at the lowest level alpha (the deletion end), y at the
 highest level beta (the contraction end) and 1 at every level between; a
 single level (alpha = beta) takes x + y - 1 alone.  The base case, one
-basis, is (x + y - 1)^n.  The engine, ``_levels`` with its memoized entry
-``_rec``, runs this recursion once per table.
+basis, is (x + y - 1)^n.  The engine, the one node function ``_node``, runs
+this recursion once per table.
 
 The interior and exterior polynomials are specializations of T,
 
@@ -38,11 +38,12 @@ slice is ``without``, the top level w = f({t}) is ``with - w * ONES``, and
 each level between is the lane-wise minimum of ``without`` and
 ``with - j * ONES``, taken as ``rank_from_bases`` takes its maximum:
 subtracting with the guards set borrows from a lane's guard exactly where
-``without`` is smaller.  With gamma_s = f(E) - f(E - s - t), read once per
-node from the lanes at E - t and E - t - s, the slice at level j has
-alpha_s = max(0, gamma_s - j), so normalizing it subtracts
-sum of alpha_s * IND_s.  A top coordinate of width 0 is dropped: the node is
-x + y - 1 times the polynomial of the low half.  The result
+``without`` is smaller.  With gamma_s = f(E - t) - f(E - t - s), read in
+place as the lanes at E - t and E - t - s of ``without`` (a shift and a mask
+each), the slice at level j has alpha_s = max(0, gamma_s - j), so
+normalizing it subtracts the sum of alpha_s * IND_s over the nonzero gammas;
+most nodes have none and skip it.  A top coordinate of width 0 is dropped: the
+node is x + y - 1 times the polynomial of the low half.  The result
 does not depend on the pivot order (the tests sum the formula at every
 pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
@@ -76,11 +77,13 @@ stored under ``memo_key(table)``, the normalized table as a tuple, so
 translates of a polymatroid share entries, and maps to the decoded (T, I, X);
 every node below it is stored under (L, PL, packed table) and maps to the
 packed T, which is the evaluation at 2^PL and so is only shared between runs
-of the same L and PL.  The cache is an LRU map bounded at
-``DEFAULT_MEMO_CAPACITY`` entries, safe to share between threads, and
-``clear_caches`` empties it; exactness is unaffected by eviction.  The
-direct evaluation in ``activity`` stays on basis activities, and this module
-imports nothing from it, so the two routes remain independent.
+of the same L and PL.  ``_node`` looks each child up inline, one
+``LRUCache.get`` each; an empty child is the cached power, with no entry.
+The cache is an LRU map bounded at ``DEFAULT_MEMO_CAPACITY`` entries, safe
+to share between threads, and ``clear_caches`` empties it; exactness is
+unaffected by eviction.  The direct evaluation in ``activity`` stays on
+basis activities, and this module imports nothing from it, so the two
+routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -130,11 +133,10 @@ class LRUCache:
 
     def get(self, key):
         with self._lock:
-            try:
+            value = self._data.get(key)
+            if value is not None:
                 self._data.move_to_end(key)
-            except KeyError:
-                return None
-            return self._data[key]
+            return value
 
     def put(self, key, value) -> None:
         with self._lock:
@@ -213,54 +215,52 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     )
 
 
-def _rec(table: int, n: int, size: int, pl: int) -> int:
-    """The packed T of a packed normalized table, memoized."""
-    if not table:  # a single basis
-        return _packed_power(pl, n)
-    if n == 1:  # a polymatroid's normalized one-element table is zero
-        raise ValidationError("the table is not a polymatroid rank table")
-    key = (size, pl, table)
-    hit = _cache.get(key)
-    if hit is None:
-        hit = _levels(table, n, size, pl)
-        _cache.put(key, hit)
-    return hit
-
-
-def _levels(table: int, n: int, size: int, pl: int) -> int:
-    """One node of the recursion: the weighted sum over the slices of the
-    top coordinate t = n of a nonzero packed normalized table."""
+def _node(table: int, n: int, size: int, pl: int) -> int:
+    """The packed T of a nonzero packed normalized table: the weighted sum
+    over the slices of the top coordinate t = n, each child looked up in the
+    memo and computed on a miss."""
     m = n - 1
     bits = size << 3
-    split = bits << m
-    with_ = table >> split
-    without = table ^ (with_ << split)
-    width = with_ & ((1 << bits) - 1)  # f({t})
-    if not width:
-        rest = _rec(without, m, size, pl)
-        return (rest << _STRIDE * pl) + (rest << pl) - rest  # (x + y - 1) * rest, as shifts
-    ones, guard, indicators, _ = _lanes(m, size)
-    data = without.to_bytes(size << m, "little")
-    full = (1 << m) - 1
-    top = int.from_bytes(data[full * size:], "little")  # f(E - t) = f(E)
-    gammas = []
-    for s in range(m):
-        at = (full ^ (1 << s)) * size
-        gammas.append(top - int.from_bytes(data[at:at + size], "little"))
-    low = bits - 1
-    parts = []
+    lane = (1 << bits) - 1
+    with_ = table >> (bits << m)
+    without = table ^ (with_ << (bits << m))
+    width = with_ & lane  # f({t})
+    pairs = []  # (gamma_s, IND_s) for every positive gamma_s
+    if width:
+        ones, guard, indicators, _ = _lanes(m, size)
+        full = (1 << m) - 1
+        top = without >> bits * full  # f(E - t) = f(E)
+        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
+        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
     for j in range(width + 1):
-        if j:
+        if not j:
+            g = without
+        else:
             g = with_ - j * ones
             if j < width:
                 sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
-                g = without ^ ((without ^ g) & (sel - (sel >> low)))
+                g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
+        if pairs:
+            g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
+        if not g:  # a single basis
+            value = _packed_power(pl, m)
+        elif m == 1:  # a polymatroid's normalized one-element table is zero
+            raise ValidationError("the table is not a polymatroid rank table")
         else:
-            g = without
-        g -= sum((gamma - j) * ind for gamma, ind in zip(gammas, indicators) if gamma > j)
-        parts.append(_rec(g, m, size, pl))
-    lo, *mid, hi = parts
-    return (lo << _STRIDE * pl) + sum(mid) + (hi << pl)  # x * lo + mid + y * hi
+            key = (size, pl, g)
+            value = _cache.get(key)
+            if value is None:
+                value = _node(g, m, size, pl)
+                _cache.put(key, value)
+        if not j:
+            total = value << _STRIDE * pl  # x * lo
+        elif j < width:
+            total += value
+        else:
+            total += value << pl  # y * hi
+    if not width:  # a single level takes x + y - 1, as shifts
+        total += (value << pl) - value
+    return total
 
 
 def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
@@ -285,7 +285,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
     packed = _pack_table(key, n, size)
-    value = _levels(packed, n, size, pl) if packed else _packed_power(pl, n)
+    value = _node(packed, n, size, pl) if packed else _packed_power(pl, n)
     result = _unpack_poly(value, n, pl)
     _cache.put(key, result)
     return result

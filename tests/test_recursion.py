@@ -19,6 +19,7 @@ from polytutte.core import (
 from polytutte import core, recursion
 from oracles import is_matroid_rank, spanning_forest_rank
 from polytutte.errors import DegreeExceedsN, NotAMatroid, ValidationError
+from polytutte.formulas import random_rank_table
 from polytutte.recursion import (
     LRUCache,
     classical_tutte,
@@ -261,6 +262,122 @@ def test_lru_eviction():
     cache.put("c", 3)
     assert cache.get("a") is None
     assert cache.get("b") == 2 and cache.get("c") == 3
+    # a hit makes "b" the most recent entry, so a put on the full cache
+    # evicts "c"; the miss on "a" above inserted nothing
+    assert cache.get("b") == 2
+    cache.put("d", 4)
+    assert len(cache) == 2
+    assert cache.get("c") is None
+    assert cache.get("b") == 2 and cache.get("d") == 4
+
+
+# -- the node kernel against the list route -----------------------------------------
+
+K4 = graphic_matroid(4, list(itertools.combinations(range(1, 5), 2)))
+
+
+def _rank_files_table() -> RankTable:
+    """The first n = 10 draw of ``random_rank_table`` from Random(1) at the
+    settings of the benchmark's rank-files inputs: 3,820 bases."""
+    table = random_rank_table(
+        Random(1), 10, size_budget=10**7, max_weight=3, max_universe=6, allow_translation=False
+    )
+    assert len(enumerate_bases(table)) == 3820
+    return table
+
+
+def _unpack_table(packed: int, size: int) -> tuple[tuple[int, ...], int]:
+    """A packed nonzero normalized table as (values, n): its top lane, f(E),
+    is nonzero, so its bit length fixes the number of lanes."""
+    bits = 8 * size
+    count = -(-packed.bit_length() // bits)
+    n = count.bit_length() - 1
+    assert count == 1 << n
+    return tuple(packed >> bits * mask & (1 << bits) - 1 for mask in range(count)), n
+
+
+def _list_children(f: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The normalized slices of f at t = n, level by level, by the list route;
+    f is normalized, so the levels are 0..f({n})."""
+    return [
+        recursion._normalized(core._slice_table(f, n, n, j), n - 1)
+        for j in range(f[1 << (n - 1)] + 1)
+    ]
+
+
+def _stored_nodes(monkeypatch, table: RankTable) -> list[tuple[int, int, int]]:
+    """The (lane size, polynomial lane width, packed table) keys that one
+    cold ``dc_polynomials(table)`` stores below its root."""
+    stored = []
+    put = recursion._cache.put
+
+    def recording(key, value):
+        stored.append(key)
+        put(key, value)
+
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(recursion._cache, "put", recording)
+        dc_polynomials(table)
+    assert stored.pop() == memo_key(table)  # the root is stored last
+    return stored
+
+
+def test_node_children_match_the_list_route(monkeypatch):
+    # every table the engine memoizes is a slice of the root or of another
+    # memoized table, built by the list route, and every such slice that is
+    # nonzero with two or more elements is memoized: the in-place gamma read
+    # and the skipped normalization give the list route's children exactly
+    narrow = [p.rank_table() for p in small_corpus()]
+    tables = narrow + [_with_wide_pair(t) for t in narrow[::10]]
+    tables += [uniform_matroid(4, 8), K4]
+    sizes = set()
+    for table in tables:
+        nodes = _stored_nodes(monkeypatch, table)
+        assert len(set(nodes)) == len(nodes)
+        assert len({pl for _, pl, _ in nodes}) <= 1
+        key = memo_key(table)
+        size = core._lane_size(key[-1].bit_length() + 1)
+        parents = [(key, table.n)]
+        for node_size, _, packed in nodes:
+            assert node_size == size
+            parents.append(_unpack_table(packed, size))
+        expected = {
+            core._pack_table(child, n - 1, size)
+            for f, n in parents
+            for child in _list_children(f, n)
+            if n > 2 and any(child)
+        }
+        assert {packed for _, _, packed in nodes} == expected, table
+        sizes.add(size)
+    assert sizes == {1, 2}
+
+
+MEMO_COUNTS = {  # (hits, misses) of one cold dc_polynomials, the root lookup included
+    "U(4,8)": (9, 16),
+    "K4": (3, 12),
+    "rank-files": (157, 77),
+}
+
+
+def test_memo_lookups_are_pinned(monkeypatch):
+    # counted as the benchmark's tracer counts them, at LRUCache.get: a
+    # lookup that bypasses get, or a change in the set of nodes, moves them
+    counts = {"hits": 0, "misses": 0}
+    get = LRUCache.get
+
+    def counted_get(cache, key):
+        value = get(cache, key)
+        counts["misses" if value is None else "hits"] += 1
+        return value
+
+    monkeypatch.setattr(LRUCache, "get", counted_get)
+    tables = {"U(4,8)": uniform_matroid(4, 8), "K4": K4, "rank-files": _rank_files_table()}
+    for name, table in tables.items():
+        clear_caches()
+        counts.update(hits=0, misses=0)
+        dc_polynomials(table)
+        assert (counts["hits"], counts["misses"]) == MEMO_COUNTS[name], name
 
 
 def test_shared_cache_is_thread_safe_and_deterministic():
