@@ -63,7 +63,6 @@ from .core import (
     Polymatroid,
     RankTable,
     Vector,
-    _enumerates_to,
     _mask_of,
     enumerate_bases,
     enumerate_small_polymatroids,
@@ -261,14 +260,15 @@ def invariance_violations(
     once.  A translate is compared through the table it carries
     (``tutte_dc``), because the direct route cannot see a translation: it
     keys bases relative to each coordinate's minimum.  The memo key is
-    normalized the same way, so the first translate's table must also
-    validate and enumerate to exactly its bases.  Every drawn order is read
-    off one ``TransferRelation`` of p, and the first is also run through
-    ``tutte_direct(p.permute(w))``, which re-keys a permuted copy.  Duality
-    covers T and both the interior and exterior polynomials.  Reversal
-    compares I and X with T's reversals; on the output of ``dc_polynomials``
-    it checks the decode that reads I and X off T.  Returns each violated
-    property with its witness ("" for the properties that have none).
+    normalized the same way, so the first translate's table must also equal
+    the rank_from_bases of its bases, the one table they have.  Every drawn
+    order is read off one ``TransferRelation`` of p, and the first is also
+    run through ``tutte_direct(p.permute(w))``, which re-keys a permuted
+    copy.  Duality covers T and both the interior and exterior polynomials.
+    Reversal compares I and X with T's reversals; on the output of
+    ``dc_polynomials`` it checks the decode that reads I and X off T.
+    Returns each violated property with its witness ("" for the properties
+    that have none).
     """
     t, interior, exterior = polys
     n = p.n
@@ -283,7 +283,7 @@ def invariance_violations(
                     moved = tutte_dc(q)
                 except ValidationError:  # the carried table is no polymatroid's
                     moved = None
-                if moved != t or (draw == 0 and not _enumerates_to(q.rank_table(), q.bases)):
+                if moved != t or (draw == 0 and rank_from_bases(q) != q.rank_table()):
                     witness = f"c={c}"
                     break
             ok = not witness

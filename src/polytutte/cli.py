@@ -18,8 +18,9 @@ Inputs are JSON files; the kind is auto-detected from the shape
 ({"n", "bases"}, {"n", "f"}, {"vertices", "hyperedges"}, or the explicit
 bipartite {"E", "V", "edges"} form) and can be forced with --as.  Rank
 tables and hypergraphs are enumerated to their basis sets only by the
-commands that read bases (validate, --method direct|both, check, monotone);
-the others run on the rank table, so --max-bases caps only that enumeration.
+commands that read bases (--method direct|both, check, monotone); validate
+counts their bases on the table, and the others run on the rank table, so
+--max-bases caps only that enumeration and validate's count.
 
 Exit codes: 0 ok; 1 a checked property/verdict failed; 2 malformed input;
 3 validation error; 4 enumeration size limit; 5 internal error, including
@@ -46,6 +47,7 @@ from .core import (
     MAX_GROUND_SET,
     Polymatroid,
     RankTable,
+    count_bases,
     enumerate_bases,
     surviving_labels,
 )
@@ -167,17 +169,24 @@ def _poly_json(p: BiPoly) -> dict:
 
 def cmd_validate(args) -> int:
     loaded = load_input(args.input, args)
-    p = loaded.polymatroid
+    table = loaded.table
+    if loaded.bases is not None:
+        count = len(loaded.bases)
+    else:  # counted, not enumerated, under the same --max-bases cap
+        count = count_bases(table, loaded.max_bases + 1)
+        if count > loaded.max_bases:
+            raise SizeLimitExceeded(loaded.max_bases)
+    n, total = table.n, table.full_rank()
     payload = {
         "kind": loaded.kind,
-        "n": p.n,
-        "bases": len(p),
-        "total": p.total(),
+        "n": n,
+        "bases": count,
+        "total": total,
     }
     lines = [
         f"kind: {loaded.kind}",
-        f"ground set: {p.n} elements",
-        f"bases: {len(p)} (coordinate sum {p.total()})",
+        f"ground set: {n} elements",
+        f"bases: {count} (coordinate sum {total})",
     ]
     if loaded.hypergraph is not None:
         h = loaded.hypergraph
@@ -406,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized checks (default pinned for reproducibility)")
     parser.add_argument("--max-bases", type=int, default=DEFAULT_MAX_BASES,
                         help="cap on basis vectors enumerated from a rank table or "
-                             "hypergraph (only commands that read bases enumerate)")
+                             "hypergraph (only commands that read bases enumerate), "
+                             "and on the bases that validate counts")
     parser.add_argument("--max-n", type=int, default=MAX_GROUND_SET,
                         help="cap on ground set size")
     sub = parser.add_subparsers(dest="command", required=True)

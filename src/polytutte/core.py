@@ -43,13 +43,14 @@ time:
     checked for every S at once, as one guard-bit borrow: C(n, 2) checks of
     a few big-integer operations each (see RankTable.validate);
   * a basis set needs equal coordinate sums and a round trip: its subset-wise
-    maxima g = rank_from_bases must be locally submodular and enumerate back
-    to exactly the given bases (the enumeration stops once it holds more
-    vectors than were given).  This is the basis exchange axiom, since the
-    sets that satisfy it are exactly the integer points of integral base
-    polyhedra.  On success the polymatroid keeps g as its rank_table().
-    _enumerates_to is this round trip, and criterion 3 runs it on the table
-    that a translate carries.
+    maxima g = rank_from_bases must be locally submodular and have exactly
+    as many bases as were given.  The given vectors lie in g's base
+    polyhedron (each b(S) <= g(S), and b(E) = g(E) by the equal sums), so a
+    count decides that they are all of its integer points; count_bases
+    counts on packed slices, builds no vector and stops one past the number
+    given.  This is the basis exchange axiom, since the sets that satisfy
+    it are exactly the integer points of integral base polyhedra.  On
+    success the polymatroid keeps g as its rank_table().
 
 A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, compress
-from operator import add, mul
+from operator import add, mul, sub
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
@@ -313,9 +314,12 @@ class Polymatroid:
         A finite set satisfies the exchange axiom exactly when it is the set
         of integer points of an integral base polyhedron (an M-convex set;
         Murota, Discrete Convex Analysis, 2003), that is, when its subset-wise
-        maxima g are submodular and enumerate back to it.  On success g is
-        kept as rank_table().  The pairwise search runs only on failure, to
-        name an ExchangeFailure witness.
+        maxima g are submodular and it is all of g's bases.  The equal sums
+        put every given vector among g's bases (without them, {(2, 0),
+        (0, 2), (0, 0)} would pass: its g has three bases), so the check is
+        a count, capped one past the number given.  On success g is kept as
+        rank_table().  The pairwise search runs only on failure, to name an
+        ExchangeFailure witness.
         """
         rows = self.bases
         total = sum(rows[0])
@@ -323,9 +327,14 @@ class Polymatroid:
             if sum(v) != total:
                 raise UnequalSums(rows[0], v)
         g = rank_from_bases(self)
-        if _enumerates_to(g, rows):
-            _set_rank(self, g)
-            return
+        try:
+            g.validate()
+        except SubmodularityFailure:
+            pass
+        else:
+            if count_bases(g, len(rows) + 1) == len(rows):
+                _set_rank(self, g)
+                return
         witness = _exchange_witness(rows, frozenset(rows))
         if witness is None:
             raise RuntimeError(
@@ -756,17 +765,85 @@ def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
     return acc
 
 
-def _enumerates_to(table: RankTable, bases: Sequence[Vector]) -> bool:
-    """Does the table validate and enumerate to exactly ``bases`` (sorted
-    and distinct)?  By the round trip, that holds exactly when the bases
-    form a polymatroid and the table is their rank_from_bases.  The
-    enumeration stops once it holds more vectors than ``bases``."""
-    try:
-        table.validate()
-        rows = _enumerate(table.f, table.n, len(bases))
-    except (NonzeroEmptySet, SubmodularityFailure, SizeLimitExceeded):
-        return False
-    return len(rows) == len(bases) and sorted(rows) == list(bases)
+def count_bases(table: RankTable, cap: int) -> int:
+    """The number of bases of a validated table, or ``cap`` (at least 1)
+    once that number reaches ``cap``.
+
+    The recursion of enumerate_bases, on packed lanes and with no vectors:
+    the translation-normalized table is packed by _pack_table, the pivot is
+    the top coordinate, and the slice at each level is taken as the slice
+    recursion takes it (see _count_node).  A normalized table on at most two
+    elements has f({1}) = f({2}) = f(E), so f(E) + 1 bases, the closed form
+    f({1}) + f({2}) - f(E) + 1.  Child counts are memoized within the call.
+
+    Every level has at least one basis, so a count that stops at ``cap``
+    visits at most ``cap`` levels per node, however far apart the bases
+    are: without the cap, two bases 10^6 apart would cost 10^6 levels.
+    """
+    n = table.n
+    key = _normalized(table.f, n)
+    if n <= 2:
+        return min(key[-1] + 1, cap)
+    size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
+    return _count_node(_pack_table(key, n, size), n, size, cap, {})
+
+
+def _count_node(table: int, n: int, size: int, cap: int, memo: dict) -> int:
+    """min(cap, the number of bases) of a packed normalized table on n >= 3
+    elements.
+
+    The pivot is t = n: ``without`` is the low half of the lanes, the level-0
+    slice; the level-j slice is the lane-wise minimum of ``without`` and
+    ``with - j * ONES``, by a guard-bit borrow, and is normalized by
+    subtracting (gamma_s - j) * IND_s for every gamma_s = f(E - t) -
+    f(E - t - s) above j (recursion._node takes the same slices)."""
+    m = n - 1
+    bits = size << 3
+    lane = (1 << bits) - 1
+    with_ = table >> (bits << m)
+    without = table ^ (with_ << (bits << m))
+    width = with_ & lane  # f({t})
+    pairs = []  # (gamma_s, IND_s) for every positive gamma_s
+    if width:
+        ones, guard, indicators, _ = _lanes(m, size)
+        full = (1 << m) - 1
+        top = without >> bits * full  # f(E - t) = f(E)
+        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
+        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
+    total = 0
+    for j in range(width + 1):
+        if not j:
+            g = without
+        else:
+            g = with_ - j * ones
+            if j < width:
+                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
+                g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
+        if pairs:
+            g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
+        if m == 2:  # f(E) + 1 bases, f(E) in lane 3
+            total += (g >> 3 * bits) + 1
+        elif not g:  # a single basis
+            total += 1
+        else:
+            count = memo.get((m, g))
+            if count is None:
+                count = memo[m, g] = _count_node(g, m, size, cap, memo)
+            total += count
+        if total >= cap:
+            return cap
+    return total
+
+
+def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
+    """f(S) minus the sum of alpha_t = f(E) - f(E - t) over S: the table of
+    the translate whose every coordinate has minimum 0."""
+    full = (1 << n) - 1
+    top = f[full]
+    alphas = [top - f[full ^ (1 << t)] for t in range(n)]
+    if not any(alphas):
+        return tuple(f)
+    return tuple(map(sub, f, _subset_sums(alphas)))
 
 
 # -- exhaustive small-case generator -----------------------------------------------

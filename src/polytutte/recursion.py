@@ -47,7 +47,8 @@ node is x + y - 1 times the polynomial of the low half.  The result
 does not depend on the pivot order (the tests sum the formula at every
 pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
-A table that no polymatroid has can break these invariants; the engine
+``core.count_bases`` takes the same slices, in a loop of its own, to count
+bases.  A table that no polymatroid has can break these invariants; the engine
 raises ``ValidationError`` where that shows (a normalized value outside
 0..f(E), a nonzero one-element slice, a root polynomial beyond its lane
 bound) and otherwise returns a polynomial that means nothing.  Those three
@@ -102,7 +103,6 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from functools import lru_cache
-from operator import sub
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, cached_power, from_dict
@@ -112,8 +112,8 @@ from .core import (
     RankTable,
     _lane_size,
     _lanes,
+    _normalized,
     _pack_table,
-    _subset_sums,
 )
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
@@ -165,15 +165,6 @@ def memo_key(table: RankTable) -> tuple[int, ...]:
     f(E - t) over S, the table of the translate whose every coordinate has
     minimum 0, so two translates of the same polymatroid share keys."""
     return _normalized(table.f, table.n)
-
-
-def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    top = f[full]
-    alphas = [top - f[full ^ (1 << t)] for t in range(n)]
-    if not any(alphas):
-        return tuple(f)
-    return tuple(map(sub, f, _subset_sums(alphas)))
 
 
 _STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
@@ -277,7 +268,8 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     if hit is not None:
         return hit
     n = table.n
-    if min(key) < 0 or max(key) > key[-1]:  # a polymatroid's normalized f is 0..f(E)
+    # a polymatroid's normalized f is 0..f(E), with f(empty) = 0
+    if key[0] or min(key) < 0 or max(key) > key[-1]:
         raise ValidationError(f"{table} is not a polymatroid rank table")
     size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
     bound = 3 ** n

@@ -223,6 +223,27 @@ def test_translation_check_catches_a_doubly_shifted_table(monkeypatch):
         assert list(violated) == ["translation"], p
 
 
+def test_translation_check_catches_another_translates_bases(monkeypatch):
+    # the table of p + c with the bases of p + c + e_n: as many bases as the
+    # table has, other vectors, which a count alone would not see
+    real = Polymatroid.translate
+
+    def moved(self, c):
+        q = real(self, c)
+        r = real(self, (*c[:-1], c[-1] + 1))
+        assert len(r) == len(q) and r.bases != q.bases
+        return Polymatroid._trusted(list(r.bases), q.n, q.rank_table())
+
+    rng = Random(5)
+    for n in (1, 2, 3, 4, 5):
+        p = enumerate_bases(random_rank_table(rng, n))
+        polys = dc_polynomials(p)
+        with monkeypatch.context() as m:
+            m.setattr(Polymatroid, "translate", moved)
+            violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
+        assert list(violated) == ["translation"], p
+
+
 # -- criterion 3 re-keys one drawn order -----------------------------------------------
 
 

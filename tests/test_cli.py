@@ -265,15 +265,17 @@ def test_non_integer_json_is_rejected(files, capsys, case):
 
 
 def test_exchange_failure_far_apart_is_quick(files, capsys):
-    # the rank-table round trip stops at the first basis past the given count
+    # the round trip's count stops one past the given count, although the
+    # top coordinate spans 10^5 to 10^9 levels
     path = files["dir"] / "far.json"
-    path.write_text(json.dumps({"n": 2, "bases": [[0, 0], [100000, -100000]]}))
-    start = time.perf_counter()
-    code, _, err = run(capsys, "validate", str(path))
-    assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
-    assert time.perf_counter() - start < 2.0
-    code, _, err = run(capsys, "--max-bases", "1", "validate", str(path))
-    assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
+    for far in ([100000, -100000], [0, 10 ** 6, -(10 ** 6)], [0, 0, 10 ** 9, -(10 ** 9)]):
+        path.write_text(json.dumps({"n": len(far), "bases": [[0] * len(far), far]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
+        assert time.perf_counter() - start < 2.0
+        code, _, err = run(capsys, "--max-bases", "1", "validate", str(path))
+        assert code == EXIT_VALIDATION and "category=ExchangeFailure" in err
 
 
 def test_max_bases_does_not_change_basis_validation(files, capsys):
@@ -306,6 +308,50 @@ def test_validate_rank_table_at_ground_set_cap(files, capsys):
 
 
 # -- other commands -----------------------------------------------------------------------
+
+
+# input, text output and JSON output of validate
+_VALIDATE_CASES = {
+    "u48": (
+        {"n": 8, "f": [min(bin(m).count("1"), 4) for m in range(1 << 8)]},
+        "kind: rank\nground set: 8 elements\nbases: 70 (coordinate sum 4)\n",
+        '{"bases": 70, "kind": "rank", "n": 8, "total": 4}\n',
+    ),
+    "k4": (
+        {"vertices": [1, 2, 3, 4], "hyperedges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
+        "kind: hypergraph\nground set: 6 elements\nbases: 16 (coordinate sum 3)\n"
+        "hypergraph: 4 vertices, 6 hyperedges\n",
+        '{"bases": 16, "hyperedges": 6, "kind": "hypergraph", "n": 6, "total": 3, "vertices": 4}\n',
+    ),
+    "hypertree": (
+        {
+            "vertices": ["a", "b", "c", "d"],
+            "hyperedges": [["a", "b", "c"], ["b", "c", "d"], ["a", "d"], ["a", "b", "c", "d"]],
+        },
+        "kind: hypergraph\nground set: 4 elements\nbases: 14 (coordinate sum 3)\n"
+        "hypergraph: 4 vertices, 4 hyperedges\n",
+        '{"bases": 14, "hyperedges": 4, "kind": "hypergraph", "n": 4, "total": 3, "vertices": 4}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _VALIDATE_CASES)
+def test_validate_output_is_pinned(files, capsys, name):
+    # validate counts a table's bases under --max-bases: the cap is met at
+    # the count and trips one below it, with the enumeration's message
+    data, text, payload = _VALIDATE_CASES[name]
+    path = files["dir"] / f"{name}.json"
+    path.write_text(json.dumps(data))
+    count = json.loads(payload)["bases"]
+    for cap in ([], ["--max-bases", str(count)]):
+        assert run(capsys, *cap, "validate", str(path)) == (EXIT_OK, text, "")
+        assert run(capsys, *cap, "--format", "json", "validate", str(path)) == (EXIT_OK, payload, "")
+    for fmt in ([], ["--format", "json"]):
+        assert run(capsys, "--max-bases", str(count - 1), *fmt, "validate", str(path)) == (
+            EXIT_LIMIT,
+            "",
+            f"error: category=SizeLimitExceeded: enumeration exceeded the cap of {count - 1} bases\n",
+        )
 
 
 def test_validate_summary(files, capsys):
@@ -502,12 +548,14 @@ def test_table_commands_enumerate_no_bases(files, capsys, monkeypatch):
         ["connectivity", files["k22"]],
         ["interior", files["k22"]],
         ["coeffs", files["k22"]],
+        ["validate", files["u13_rank"]],
+        ["validate", files["k22"]],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK and out and "MISMATCH" not in out
     assert calls == []
     # the commands that read bases still enumerate
-    code, _, _ = run(capsys, "validate", files["u13_rank"])
+    code, _, _ = run(capsys, "tutte", "--method", "both", files["u13_rank"])
     assert code == EXIT_OK and len(calls) == 1
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import time
 import tracemalloc
 from random import Random
 
@@ -22,6 +24,7 @@ from polytutte.acceptance import build_corpus
 from polytutte.core import (
     Polymatroid,
     RankTable,
+    count_bases,
     enumerate_bases,
     enumerate_small_polymatroids,
     rank_from_bases,
@@ -42,7 +45,7 @@ from polytutte.errors import (
     ValidationError,
 )
 from polytutte.formulas import random_rank_table
-from polytutte.recursion import uniform_matroid
+from polytutte.recursion import graphic_matroid, uniform_matroid
 
 
 def table(n, values):
@@ -88,35 +91,92 @@ def test_empty_set_rejected():
         Polymatroid([])
 
 
-def test_enumerates_to_is_the_round_trip():
-    # the check shared by basis validation and criterion 3's translate check
+def test_basis_validation_is_a_capped_count():
+    # the round trip: g = rank_from_bases(B) must validate and have exactly
+    # |B| bases, counted one past |B| at most
     members = [p for p in build_corpus().randoms if len(p) > 1]
     for p in members:
-        assert core._enumerates_to(rank_from_bases(p), p.bases), p
-    # f(empty) = 1 on U(1,2)'s table: the enumeration never reads f(empty),
-    # so only the validation sees it
+        g = rank_from_bases(p)
+        assert count_bases(g.validate(), len(p) + 1) == len(p), p
+        assert Polymatroid(p.bases).rank_table() == g
+    # f(empty) = 1 on U(1,2)'s table: neither the enumeration nor the count
+    # reads f(empty), so only the validation sees it
     assert core._enumerate((1, 1, 1, 1), 2, 2) == [(0, 1), (1, 0)]
-    assert not core._enumerates_to(RankTable(2, [1, 1, 1, 1], validate=False), U12.bases)
+    assert count_bases(RankTable(2, [1, 1, 1, 1], validate=False), 3) == 2
+    with pytest.raises(NonzeroEmptySet):
+        RankTable(2, [1, 1, 1, 1])
     # U(2,4) with f({4}) lowered to 0 is not submodular, yet it enumerates
-    # to the three bases of U(2,3) with a 0 appended
+    # to the three bases of U(2,3) with a 0 appended: the validation refuses
+    # it before any count
     u24 = RankTable(4, [min(bin(m).count("1"), 2) for m in range(16)])
     f = list(u24.f)
     f[8] = 0
-    rows = sorted(core._enumerate(f, 4, 10))
-    assert len(rows) == 3
-    assert not core._enumerates_to(RankTable(4, f, validate=False), rows)
-    # a table with more bases than given stops at the cap
+    assert len(core._enumerate(f, 4, 10)) == 3
+    with pytest.raises(SubmodularityFailure):
+        RankTable(4, f)
+    # a table with more bases than given: the count stops one past them,
+    # as the enumeration stops at its cap
     bases = enumerate_bases(u24).bases
     with pytest.raises(SizeLimitExceeded):
         core._enumerate(u24.f, 4, len(bases) - 1)
-    assert not core._enumerates_to(u24, bases[1:])
-    # one translate's table against another translate's bases: as many
-    # bases, other vectors, which a count alone would not see
-    p = max(members, key=len)
-    q, r = p.translate((1,) + (0,) * (p.n - 1)), p.translate((0,) * (p.n - 1) + (1,))
-    assert len(q) == len(r) and q.bases != r.bases
-    assert core._enumerates_to(q.rank_table(), q.bases)
-    assert not core._enumerates_to(q.rank_table(), r.bases)
+    assert count_bases(u24, len(bases) - 1) == len(bases) - 1
+    gap = Polymatroid([(3, 0, 0), (0, 3, 0)], validate=False)
+    assert count_bases(rank_from_bases(gap).validate(), 3) == 3  # g has (2, 1, 0), (1, 2, 0)
+    with pytest.raises(ExchangeFailure):
+        Polymatroid(gap.bases)
+
+
+def test_basis_validation_builds_no_vectors(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("basis validation enumerated the table")
+
+    monkeypatch.setattr(core, "_enumerate", refuse)
+    for p in [U12, U13, SCALED2, *build_corpus().randoms[:40]]:
+        assert Polymatroid.from_json(p.to_json()) == p
+    for rows in ([[2, 0], [0, 2]], [[0, 0, 0, 0], [0, 0, 10 ** 9, -(10 ** 9)]]):
+        with pytest.raises(ExchangeFailure):
+            Polymatroid.from_json({"n": len(rows[0]), "bases": rows})
+
+
+def test_count_bases_matches_the_enumeration():
+    # the small corpus, which holds every enumerate_small_polymatroids(3, 3)
+    # member, seeded random n = 4..8 tables and translates of them by
+    # negative vectors, the corpus hypertrees, U(4,8) and K4
+    corpus = build_corpus()
+    tables = [p.rank_table() for p in corpus.members()]
+    assert {p.rank_table() for p in enumerate_small_polymatroids(3, 3)} <= set(tables)
+    rng = Random(19)
+    for n in range(4, 9):
+        for _ in range(4):
+            p = enumerate_bases(random_rank_table(rng, n, size_budget=300))
+            tables.append(p.rank_table())
+            tables.append(p.translate([rng.randint(-9, -1) for _ in range(n)]).rank_table())
+    tables += corpus.tables.values()
+    k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    tables += [uniform_matroid(4, 8), graphic_matroid(4, k4)]
+    for t in tables:
+        count = len(enumerate_bases(t))
+        assert count_bases(t, 10 ** 9) == count, t
+        for cap in range(1, count + 2):
+            assert count_bases(t, cap) == min(count, cap), (t, cap)
+
+
+def test_count_bases_of_uniform_matroids_up_to_the_ground_set_cap():
+    for n in (9, 12, 16):
+        for d in (1, n // 2, n - 1):
+            assert count_bases(uniform_matroid(d, n), 10 ** 9) == math.comb(n, d)
+    assert count_bases(uniform_matroid(8, 16), 1000) == 1000
+
+
+def test_count_bases_stops_at_the_cap_on_far_apart_bases():
+    # the top coordinate has 10^6 + 1 levels; the cap stops the count after
+    # three of them
+    for n in (3, 4):
+        far = (0,) * (n - 2) + (10 ** 6, -(10 ** 6))
+        g = rank_from_bases(Polymatroid([(0,) * n, far], validate=False))
+        start = time.perf_counter()
+        assert count_bases(g.validate(), 3) == 3
+        assert time.perf_counter() - start < 0.5
 
 
 # -- rank recovery ----------------------------------------------------------------

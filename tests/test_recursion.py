@@ -149,11 +149,17 @@ def test_unprojected_slice_differs_by_one_factor():
 
 
 def test_dc_refuses_tables_no_polymatroid_has():
-    # f({1}) + f({2}) < f(E) normalizes to negative values, and a raised
-    # f({1, 2}) = 3 exceeds f(E) = 2 in U(2, 4)
+    # f({1}) + f({2}) < f(E) normalizes to negative values, a raised
+    # f({1, 2}) = 3 exceeds f(E) = 2 in U(2, 4), and a one-element table
+    # with f(empty) != 0 normalizes to a nonzero f(empty)
     bumped = list(uniform_matroid(2, 4).f)
     bumped[3] += 1
-    for bad in (RankTable(2, [0, 1, 1, 3], validate=False), RankTable(4, bumped, validate=False)):
+    for bad in (
+        RankTable(2, [0, 1, 1, 3], validate=False),
+        RankTable(4, bumped, validate=False),
+        RankTable(1, [1, 1], validate=False),
+        RankTable(1, [2, 1], validate=False),
+    ):
         for dc in (tutte_dc, interior_dc, exterior_dc):
             with pytest.raises(ValidationError):
                 dc(bad)
