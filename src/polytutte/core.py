@@ -82,7 +82,7 @@ construction and safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from operator import add, mul, sub
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
@@ -252,17 +252,6 @@ def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]
     if not (typed or _INT.issuperset(map(type, f))):
         raise ValidationError("rank values must be integers")
     return f
-
-
-@lru_cache(maxsize=None)
-def _bit_selectors(m: int, k: int) -> tuple[bytes, bytes]:
-    """Selectors over the masks 0..2^m - 1, for itertools.compress: the
-    masks without bit k, and the masks with it, in the same order (cached:
-    only _slice_table reads them, for slice_rank at t < n, so at most n - 1
-    pairs of 2^n bytes per ground-set size, 2 MB for n = 16)."""
-    half = 1 << k
-    reps = 1 << (m - k - 1)
-    return (b"\1" * half + b"\0" * half) * reps, (b"\0" * half + b"\1" * half) * reps
 
 
 def json_int(value, what: str) -> int:
@@ -716,8 +705,7 @@ def _slice_table(f: Sequence[int], n: int, t: int, j: int) -> list[int]:
     if t == n:  # the masks without t come first, those with it after them
         without, with_ = f[:tbit], f[tbit:]
     else:
-        pick_without, pick_with = _bit_selectors(n, t - 1)
-        without, with_ = compress(f, pick_without), compress(f, pick_with)
+        without, with_ = zip(*[(f[s], f[s | tbit]) for s in range(1 << n) if not s & tbit])
     if j <= f[-1] - f[-1 - tbit]:
         return list(without)
     if j >= f[tbit]:
@@ -774,7 +762,10 @@ def count_bases(table: RankTable, cap: int) -> int:
     the top coordinate, and the slice at each level is taken as the slice
     recursion takes it (see _count_node).  A normalized table on at most two
     elements has f({1}) = f({2}) = f(E), so f(E) + 1 bases, the closed form
-    f({1}) + f({2}) - f(E) + 1.  Child counts are memoized within the call.
+    f({1}) + f({2}) - f(E) + 1.  Child counts are memoized within the call,
+    keyed by the packed slice alone: the lane size is fixed for the call, and
+    a nonzero normalized table's top lane, f(E), is positive, so the slice's
+    bit length fixes its number of elements.
 
     Every level has at least one basis, so a count that stops at ``cap``
     visits at most ``cap`` levels per node, however far apart the bases
@@ -826,9 +817,9 @@ def _count_node(table: int, n: int, size: int, cap: int, memo: dict) -> int:
         elif not g:  # a single basis
             total += 1
         else:
-            count = memo.get((m, g))
+            count = memo.get(g)
             if count is None:
-                count = memo[m, g] = _count_node(g, m, size, cap, memo)
+                count = memo[g] = _count_node(g, m, size, cap, memo)
             total += count
         if total >= cap:
             return cap

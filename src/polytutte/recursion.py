@@ -73,15 +73,17 @@ so PL is the smallest multiple of 64 above the bit length of
 Coefficients of the polynomials below the root may exceed it; they are never
 decoded.
 
-Memo.  One module-wide cache holds every entry.  The root of a call is
-stored under ``memo_key(table)``, the normalized table as a tuple, so
-translates of a polymatroid share entries, and maps to the decoded (T, I, X);
-every node below it is stored under (L, PL, packed table) and maps to the
-packed T, which is the evaluation at 2^PL and so is only shared between runs
-of the same L and PL.  ``_node`` looks each child up inline, one
-``LRUCache.get`` each; an empty child is the cached power, with no entry.
-The cache is an LRU map bounded at ``DEFAULT_MEMO_CAPACITY`` entries, safe
-to share between threads, and ``clear_caches`` empties it; exactness is
+Memo.  Each ``dc_polynomials`` call memoizes the nodes below its root in a
+plain dict of its own, keyed by the packed table alone, as
+``core.count_bases`` does (L and PL are fixed within the call, and a packed
+table's bit length fixes its number of elements), so no node outlives its
+call.  ``_node`` looks each child up inline; an empty child is the cached
+power, with no entry.  The module-wide cache holds roots only: the
+root of a call is stored under ``memo_key(table)``, the normalized table as
+a tuple, so translates of a polymatroid share it, and maps to the decoded
+(T, I, X).  A call takes one lookup there and, on a miss, one store.  The
+cache is an LRU map bounded at ``DEFAULT_MEMO_CAPACITY`` roots, safe to
+share between threads, and ``clear_caches`` empties it; exactness is
 unaffected by eviction.  The direct evaluation in ``activity`` stays on
 basis activities, and this module imports nothing from it, so the two
 routes remain independent.
@@ -105,7 +107,7 @@ from collections import Counter, OrderedDict
 from functools import lru_cache
 from typing import Sequence
 
-from .bipoly import BiPoly, X, Y, cached_power, from_dict
+from .bipoly import BiPoly, X, Y, add_scaled_into, cached_power, from_dict
 from .core import (
     MAX_GROUND_SET,
     Polymatroid,
@@ -206,10 +208,11 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     )
 
 
-def _node(table: int, n: int, size: int, pl: int) -> int:
+def _node(table: int, n: int, size: int, pl: int, memo: dict) -> int:
     """The packed T of a nonzero packed normalized table: the weighted sum
-    over the slices of the top coordinate t = n, each child looked up in the
-    memo and computed on a miss."""
+    over the slices of the top coordinate t = n, each child looked up in
+    ``memo``, the call's node dict keyed by the packed table, and computed
+    and stored there on a miss."""
     m = n - 1
     bits = size << 3
     lane = (1 << bits) - 1
@@ -238,11 +241,9 @@ def _node(table: int, n: int, size: int, pl: int) -> int:
         elif m == 1:  # a polymatroid's normalized one-element table is zero
             raise ValidationError("the table is not a polymatroid rank table")
         else:
-            key = (size, pl, g)
-            value = _cache.get(key)
+            value = memo.get(g)
             if value is None:
-                value = _node(g, m, size, pl)
-                _cache.put(key, value)
+                value = memo[g] = _node(g, m, size, pl, memo)
         if not j:
             total = value << _STRIDE * pl  # x * lo
         elif j < width:
@@ -256,7 +257,9 @@ def _node(table: int, n: int, size: int, pl: int) -> int:
 
 def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
-    slice recursion: I and X are read off T's decode at the root.
+    slice recursion: I and X are read off T's decode at the root.  The
+    nodes below the root are memoized for this call only; the shared cache
+    keeps the decoded root, under ``memo_key``.
 
     ``p`` is a polymatroid or its rank table.  A table built with
     ``validate=False`` must be a polymatroid's: the engine refuses only
@@ -277,7 +280,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
     packed = _pack_table(key, n, size)
-    value = _node(packed, n, size, pl) if packed else _packed_power(pl, n)
+    value = _node(packed, n, size, pl, {}) if packed else _packed_power(pl, n)
     result = _unpack_poly(value, n, pl)
     _cache.put(key, result)
     return result
@@ -315,10 +318,10 @@ def tutte_to_matroid_form(t: BiPoly, n: int, d: int) -> BiPoly:
     """
     if t.has_negative_exponents() or t.total_degree() > n:
         raise DegreeExceedsN(f"polynomial does not fit degree bound {n}")
-    total = BiPoly.zero()
+    acc: dict[tuple[int, int], int] = {}
     for (i, j), c in t.items():
-        total = total + BiPoly.monomial(c, i, j) * cached_power(_XYXY, n - i - j)
-    return total.shift(d - n, -d)
+        add_scaled_into(acc, cached_power(_XYXY, n - i - j), c, i + d - n, j - d)
+    return from_dict(acc)
 
 
 def matroid_form(p: Polymatroid | RankTable, d: int | None = None) -> BiPoly:
@@ -365,11 +368,10 @@ def classical_tutte(table: RankTable) -> BiPoly:
     f = table.f
     full_rank = f[(1 << n) - 1]
     counts = Counter((full_rank - r, mask.bit_count() - r) for mask, r in enumerate(f))
-    total = BiPoly.zero()
+    acc: dict[tuple[int, int], int] = {}
     for (a, b), c in counts.items():
-        xs = cached_power(_X_MINUS_1, a)
-        total = total + BiPoly.constant(c) * xs * cached_power(_Y_MINUS_1, b)
-    return total
+        add_scaled_into(acc, cached_power(_X_MINUS_1, a) * cached_power(_Y_MINUS_1, b), c, 0, 0)
+    return from_dict(acc)
 
 
 def uniform_matroid(d: int, n: int) -> RankTable:

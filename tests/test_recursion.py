@@ -311,79 +311,81 @@ def _list_children(f: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _stored_nodes(monkeypatch, table: RankTable) -> list[tuple[int, int, int]]:
-    """The (lane size, polynomial lane width, packed table) keys that one
-    cold ``dc_polynomials(table)`` stores below its root."""
-    stored = []
-    put = recursion._cache.put
+def _node_calls(monkeypatch, table: RankTable) -> list[int]:
+    """The packed tables that ``recursion._node`` receives during one
+    ``dc_polynomials(table)``, in call order, the root first; the recursion
+    calls ``_node`` through the module global, so the wrapper sees every
+    node."""
+    calls = []
+    node = recursion._node
 
-    def recording(key, value):
-        stored.append(key)
-        put(key, value)
+    def recording(packed, *args):
+        calls.append(packed)
+        return node(packed, *args)
 
-    clear_caches()
     with monkeypatch.context() as patch:
-        patch.setattr(recursion._cache, "put", recording)
+        patch.setattr(recursion, "_node", recording)
         dc_polynomials(table)
-    assert stored.pop() == memo_key(table)  # the root is stored last
-    return stored
+    return calls
 
 
 def test_node_children_match_the_list_route(monkeypatch):
-    # every table the engine memoizes is a slice of the root or of another
-    # memoized table, built by the list route, and every such slice that is
-    # nonzero with two or more elements is memoized: the in-place gamma read
-    # and the skipped normalization give the list route's children exactly
+    # every table the engine computes below the root is a slice of the root
+    # or of another computed table, built by the list route, and every such
+    # slice that is nonzero with two or more elements is computed once: the
+    # in-place gamma read and the skipped normalization give the list
+    # route's children exactly
     narrow = [p.rank_table() for p in small_corpus()]
     tables = narrow + [_with_wide_pair(t) for t in narrow[::10]]
     tables += [uniform_matroid(4, 8), K4]
     sizes = set()
     for table in tables:
-        nodes = _stored_nodes(monkeypatch, table)
-        assert len(set(nodes)) == len(nodes)
-        assert len({pl for _, pl, _ in nodes}) <= 1
         key = memo_key(table)
         size = core._lane_size(key[-1].bit_length() + 1)
-        parents = [(key, table.n)]
-        for node_size, _, packed in nodes:
-            assert node_size == size
-            parents.append(_unpack_table(packed, size))
+        clear_caches()
+        nodes = _node_calls(monkeypatch, table)
+        if not any(key):  # a single basis: no node at all
+            assert nodes == []
+            continue
+        assert nodes.pop(0) == core._pack_table(key, table.n, size)
+        assert len(set(nodes)) == len(nodes)
+        parents = [(key, table.n)] + [_unpack_table(packed, size) for packed in nodes]
         expected = {
             core._pack_table(child, n - 1, size)
             for f, n in parents
             for child in _list_children(f, n)
             if n > 2 and any(child)
         }
-        assert {packed for _, _, packed in nodes} == expected, table
+        assert set(nodes) == expected, table
         sizes.add(size)
     assert sizes == {1, 2}
 
 
-MEMO_COUNTS = {  # (hits, misses) of one cold dc_polynomials, the root lookup included
-    "U(4,8)": (9, 16),
-    "K4": (3, 12),
-    "rank-files": (157, 77),
+NODE_COUNTS = {  # _node calls of one cold dc_polynomials, the root included
+    "U(4,8)": 16,
+    "K4": 12,
+    "rank-files": 77,
 }
 
 
 def test_memo_lookups_are_pinned(monkeypatch):
-    # counted as the benchmark's tracer counts them, at LRUCache.get: a
-    # lookup that bypasses get, or a change in the set of nodes, moves them
-    counts = {"hits": 0, "misses": 0}
-    get = LRUCache.get
-
-    def counted_get(cache, key):
-        value = get(cache, key)
-        counts["misses" if value is None else "hits"] += 1
-        return value
-
-    monkeypatch.setattr(LRUCache, "get", counted_get)
+    # each node is computed once per call, so a change in the set of nodes,
+    # or a node computed twice, moves these counts; the shared cache keeps
+    # the root alone
     tables = {"U(4,8)": uniform_matroid(4, 8), "K4": K4, "rank-files": _rank_files_table()}
     for name, table in tables.items():
         clear_caches()
-        counts.update(hits=0, misses=0)
-        dc_polynomials(table)
-        assert (counts["hits"], counts["misses"]) == MEMO_COUNTS[name], name
+        assert len(_node_calls(monkeypatch, table)) == NODE_COUNTS[name], name
+        assert len(recursion._cache) == 1
+
+
+def test_nodes_are_memoized_per_call(monkeypatch):
+    # U(4,8) is a slice of a slice of U(5,10), in the same lane widths, yet
+    # a call after U(5,10) computes all its nodes again
+    clear_caches()
+    dc_polynomials(uniform_matroid(5, 10))
+    assert len(_node_calls(monkeypatch, uniform_matroid(4, 8))) == NODE_COUNTS["U(4,8)"]
+    assert len(recursion._cache) == 2
 
 
 def test_shared_cache_is_thread_safe_and_deterministic():
