@@ -46,10 +46,11 @@ time:
     maxima g = rank_from_bases must be locally submodular and have exactly
     as many bases as were given.  The given vectors lie in g's base
     polyhedron (each b(S) <= g(S), and b(E) = g(E) by the equal sums), so a
-    count decides that they are all of its integer points; count_bases
-    counts on packed slices, builds no vector and stops one past the number
-    given.  This is the basis exchange axiom, since the sets that satisfy
-    it are exactly the integer points of integral base polyhedra.  On
+    count decides that they are all of its integer points.  count_bases is
+    the slice engine of the Tutte recursion at x = y = 1, where T is the
+    number of bases: it builds no vector, and every node stops at the cap,
+    one past the number given.  This is the basis exchange axiom, since the
+    sets that satisfy it are exactly the integer points of integral base polyhedra.  On
     success the polymatroid keeps g as its rank_table().
 
 A failed check names a witness: a violating pair of subsets, or, searched
@@ -654,6 +655,71 @@ def _pack_table(values: Sequence[int], n: int, size: int) -> int:
     return int.from_bytes(data, "little")
 
 
+_STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
+
+
+@lru_cache(maxsize=None)
+def _packed_power(pl: int, k: int) -> int:
+    """(x + y - 1)^k packed in lanes of ``pl`` bits."""
+    return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
+
+
+def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) -> int:
+    """The packed T of a packed normalized table on n >= 2 elements (see the
+    recursion module), or ``cap`` once a running total reaches it: the
+    weighted sum over the slices of the top coordinate t = n, each child
+    looked up in ``memo``, the call's node dict keyed by the packed table,
+    and computed and stored there on a miss.  At PL = 0 the packed T is
+    T(1, 1), the number of bases, which count_bases caps; the Tutte
+    polynomial takes an infinite cap."""
+    m = n - 1
+    bits = size << 3
+    lane = (1 << bits) - 1
+    with_ = table >> (bits << m)
+    without = table ^ (with_ << (bits << m))
+    width = with_ & lane  # f({t})
+    if m == 1:  # lanes 0, c, c, c, so T = (x + y + c - 1)(x + y - 1)
+        if without != width << bits or with_ != without | width:
+            raise ValidationError("the table is not a polymatroid rank table")
+        return _packed_power(pl, 2) + width * _packed_power(pl, 1)
+    if width >= cap:  # width + 1 levels, each with a basis
+        return cap
+    pairs = []  # (gamma_s, IND_s) for every positive gamma_s
+    if width:
+        ones, guard, indicators, _ = _lanes(m, size)
+        full = (1 << m) - 1
+        top = without >> bits * full  # f(E - t) = f(E)
+        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
+        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
+    for j in range(width + 1):
+        if not j:
+            g = without
+        else:
+            g = with_ - j * ones
+            if j < width:
+                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
+                g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
+        if pairs:
+            g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
+        if not g:  # a single basis
+            value = _packed_power(pl, m)
+        else:
+            value = memo.get(g)
+            if value is None:
+                value = memo[g] = _node(g, m, size, pl, memo, cap)
+        if not j:
+            total = value << _STRIDE * pl  # x * lo
+        elif j < width:
+            total += value
+        else:
+            total += value << pl  # y * hi
+        if total >= cap:
+            return cap
+    if not width:  # a single level takes x + y - 1, as shifts
+        total += (value << pl) - value
+    return total
+
+
 def _free_guards(n: int, size: int) -> tuple[int, list[int]]:
     """The guard bits of all 2^n lanes of ``size`` bytes, and for each i
     the guards of the lanes without i (built per call, not cached: lanes
@@ -757,73 +823,20 @@ def count_bases(table: RankTable, cap: int) -> int:
     """The number of bases of a validated table, or ``cap`` (at least 1)
     once that number reaches ``cap``.
 
-    The recursion of enumerate_bases, on packed lanes and with no vectors:
-    the translation-normalized table is packed by _pack_table, the pivot is
-    the top coordinate, and the slice at each level is taken as the slice
-    recursion takes it (see _count_node).  A normalized table on at most two
-    elements has f({1}) = f({2}) = f(E), so f(E) + 1 bases, the closed form
-    f({1}) + f({2}) - f(E) + 1.  Child counts are memoized within the call,
-    keyed by the packed slice alone: the lane size is fixed for the call, and
-    a nonzero normalized table's top lane, f(E), is positive, so the slice's
-    bit length fixes its number of elements.
-
-    Every level has at least one basis, so a count that stops at ``cap``
-    visits at most ``cap`` levels per node, however far apart the bases
-    are: without the cap, two bases 10^6 apart would cost 10^6 levels.
+    T(1, 1) is the number of bases, so this is the slice engine ``_node``
+    at PL = 0 on the packed translation-normalized table.  A normalized
+    table on at most two elements has f(E) + 1 bases and is counted here.
+    Every level has a basis, so a node returns ``cap`` before it builds a
+    lane when its top coordinate has ``cap`` levels or more, and as soon as
+    its running total reaches ``cap``: uncapped, two bases 10^6 apart would
+    cost 10^6 levels.
     """
     n = table.n
     key = _normalized(table.f, n)
     if n <= 2:
         return min(key[-1] + 1, cap)
     size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
-    return _count_node(_pack_table(key, n, size), n, size, cap, {})
-
-
-def _count_node(table: int, n: int, size: int, cap: int, memo: dict) -> int:
-    """min(cap, the number of bases) of a packed normalized table on n >= 3
-    elements.
-
-    The pivot is t = n: ``without`` is the low half of the lanes, the level-0
-    slice; the level-j slice is the lane-wise minimum of ``without`` and
-    ``with - j * ONES``, by a guard-bit borrow, and is normalized by
-    subtracting (gamma_s - j) * IND_s for every gamma_s = f(E - t) -
-    f(E - t - s) above j (recursion._node takes the same slices)."""
-    m = n - 1
-    bits = size << 3
-    lane = (1 << bits) - 1
-    with_ = table >> (bits << m)
-    without = table ^ (with_ << (bits << m))
-    width = with_ & lane  # f({t})
-    pairs = []  # (gamma_s, IND_s) for every positive gamma_s
-    if width:
-        ones, guard, indicators, _ = _lanes(m, size)
-        full = (1 << m) - 1
-        top = without >> bits * full  # f(E - t) = f(E)
-        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
-        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
-    total = 0
-    for j in range(width + 1):
-        if not j:
-            g = without
-        else:
-            g = with_ - j * ones
-            if j < width:
-                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
-                g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
-        if pairs:
-            g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
-        if m == 2:  # f(E) + 1 bases, f(E) in lane 3
-            total += (g >> 3 * bits) + 1
-        elif not g:  # a single basis
-            total += 1
-        else:
-            count = memo.get(g)
-            if count is None:
-                count = memo[g] = _count_node(g, m, size, cap, memo)
-            total += count
-        if total >= cap:
-            return cap
-    return total
+    return _node(_pack_table(key, n, size), n, size, 0, {}, cap)
 
 
 def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:

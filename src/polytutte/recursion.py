@@ -10,8 +10,9 @@ The slices at the interval ends are the deletion and contraction of t.  The
 weight w(j) is x at the lowest level alpha (the deletion end), y at the
 highest level beta (the contraction end) and 1 at every level between; a
 single level (alpha = beta) takes x + y - 1 alone.  The base case, one
-basis, is (x + y - 1)^n.  The engine, the one node function ``_node``, runs
-this recursion once per table.
+basis, is (x + y - 1)^n.  The engine, the one node function ``core._node``,
+runs this recursion once per table, for T here and for the basis count in
+``core.count_bases``.
 
 The interior and exterior polynomials are specializations of T,
 
@@ -47,15 +48,17 @@ node is x + y - 1 times the polynomial of the low half.  The result
 does not depend on the pivot order (the tests sum the formula at every
 pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
-``core.count_bases`` takes the same slices, in a loop of its own, to count
-bases.  A table that no polymatroid has can break these invariants; the engine
+A two-element node takes a closed form: a normalized polymatroid's table on
+two elements has lanes 0, c, c, c, and its T is (x + y + c - 1)(x + y - 1).
+A table that no polymatroid has can break these invariants; the engine
 raises ``ValidationError`` where that shows (a normalized value outside
-0..f(E), a nonzero one-element slice, a root polynomial beyond its lane
-bound) and otherwise returns a polynomial that means nothing.  Those three
-symptoms are all it refuses: U(2,4) with f({4}) lowered to 0, built with
-``RankTable(..., validate=False)``, still gets a T.  Validating such a table
-first is the caller's responsibility; the public constructors and every
-table the package builds itself are polymatroids'.
+0..f(E), a two-element node not of the form 0, c, c, c, a root polynomial
+beyond its lane bound) and otherwise returns a polynomial that means
+nothing.  Those three symptoms are all it refuses: U(2,4) with f({4})
+lowered to 0, built with ``RankTable(..., validate=False)``, still gets a
+T.  Validating such a table first is the caller's responsibility; the
+public constructors and every table the package builds itself are
+polymatroids'.
 
 Polynomials as lanes.  Below the root a polynomial is one integer: the
 coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
@@ -71,15 +74,18 @@ value, and a normalized polymatroid has at most prod_t (f({t}) + 1) bases;
 so PL is the smallest multiple of 64 above the bit length of
 3^n * prod_t (f({t}) + 1), which bounds every coefficient of T.
 Coefficients of the polynomials below the root may exceed it; they are never
-decoded.
+decoded.  At PL = 0 packing is evaluation at x = y = 1, where T is the
+number of bases: ``core.count_bases`` runs the engine at PL = 0 with a
+finite cap, which a node returns once its running total reaches it, or at
+once if its top coordinate has that many levels.  T takes an infinite cap.
 
 Memo.  Each ``dc_polynomials`` call memoizes the nodes below its root in a
-plain dict of its own, keyed by the packed table alone, as
-``core.count_bases`` does (L and PL are fixed within the call, and a packed
-table's bit length fixes its number of elements), so no node outlives its
-call.  ``_node`` looks each child up inline; an empty child is the cached
-power, with no entry.  The module-wide cache holds roots only: the
-root of a call is stored under ``memo_key(table)``, the normalized table as
+plain dict of its own, keyed by the packed table alone (L and PL are fixed
+within the call, and a packed table's bit length fixes its number of
+elements), so no node outlives its call.  ``_node`` looks each child up
+inline; an empty child is the cached power, with no entry.  The module-wide
+cache holds roots only: the root of a call is stored under
+``memo_key(table)``, the normalized table as
 a tuple, so translates of a polymatroid share it, and maps to the decoded
 (T, I, X).  A call takes one lookup there and, on a miss, one store.  The
 cache is an LRU map bounded at ``DEFAULT_MEMO_CAPACITY`` roots, safe to
@@ -102,20 +108,21 @@ the independent oracle for that identity.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter, OrderedDict
-from functools import lru_cache
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, add_scaled_into, cached_power, from_dict
 from .core import (
-    MAX_GROUND_SET,
+    _STRIDE,
     Polymatroid,
     RankTable,
     _lane_size,
-    _lanes,
+    _node,
     _normalized,
     _pack_table,
+    _packed_power,
 )
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
@@ -169,15 +176,6 @@ def memo_key(table: RankTable) -> tuple[int, ...]:
     return _normalized(table.f, table.n)
 
 
-_STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
-
-
-@lru_cache(maxsize=None)
-def _packed_power(pl: int, k: int) -> int:
-    """(x + y - 1)^k packed in lanes of ``pl`` bits."""
-    return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
-
-
 def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     """Decode a packed T of total degree at most n into (T, I, X): the
     coefficient c of x^i y^j adds c to the x^(n-i) term of I and to the
@@ -208,53 +206,6 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     )
 
 
-def _node(table: int, n: int, size: int, pl: int, memo: dict) -> int:
-    """The packed T of a nonzero packed normalized table: the weighted sum
-    over the slices of the top coordinate t = n, each child looked up in
-    ``memo``, the call's node dict keyed by the packed table, and computed
-    and stored there on a miss."""
-    m = n - 1
-    bits = size << 3
-    lane = (1 << bits) - 1
-    with_ = table >> (bits << m)
-    without = table ^ (with_ << (bits << m))
-    width = with_ & lane  # f({t})
-    pairs = []  # (gamma_s, IND_s) for every positive gamma_s
-    if width:
-        ones, guard, indicators, _ = _lanes(m, size)
-        full = (1 << m) - 1
-        top = without >> bits * full  # f(E - t) = f(E)
-        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
-        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
-    for j in range(width + 1):
-        if not j:
-            g = without
-        else:
-            g = with_ - j * ones
-            if j < width:
-                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
-                g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
-        if pairs:
-            g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
-        if not g:  # a single basis
-            value = _packed_power(pl, m)
-        elif m == 1:  # a polymatroid's normalized one-element table is zero
-            raise ValidationError("the table is not a polymatroid rank table")
-        else:
-            value = memo.get(g)
-            if value is None:
-                value = memo[g] = _node(g, m, size, pl, memo)
-        if not j:
-            total = value << _STRIDE * pl  # x * lo
-        elif j < width:
-            total += value
-        else:
-            total += value << pl  # y * hi
-    if not width:  # a single level takes x + y - 1, as shifts
-        total += (value << pl) - value
-    return total
-
-
 def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
     slice recursion: I and X are read off T's decode at the root.  The
@@ -280,7 +231,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
     packed = _pack_table(key, n, size)
-    value = _node(packed, n, size, pl, {}) if packed else _packed_power(pl, n)
+    value = _node(packed, n, size, pl, {}, math.inf) if packed else _packed_power(pl, n)
     result = _unpack_poly(value, n, pl)
     _cache.put(key, result)
     return result

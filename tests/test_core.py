@@ -179,6 +179,32 @@ def test_count_bases_stops_at_the_cap_on_far_apart_bases():
         assert time.perf_counter() - start < 0.5
 
 
+def test_count_bases_caps_before_building_wide_lanes(monkeypatch):
+    # n = 16 with two bases 10^300 apart: the table needs 128-byte lanes,
+    # but the top coordinate's 10^300 + 1 levels reach the cap before the
+    # root builds a lane constant, so no lanes that wide are cached
+    far = (0,) * 14 + (10 ** 300, -(10 ** 300))
+    g = rank_from_bases(Polymatroid([(0,) * 16, far], validate=False))
+    sizes = []
+    real = core._lanes
+    monkeypatch.setattr(core, "_lanes", lambda n, size: sizes.append(size) or real(n, size))
+    assert count_bases(g, 3) == 3
+    assert max(sizes, default=1) <= 8, sizes
+
+
+def test_count_bases_stops_at_the_cap_across_many_nodes():
+    # f({t}) up to 200 on 10 elements: the full count would visit millions
+    # of levels below the root, and each node returns the cap as soon as its
+    # running total reaches it
+    table = random_rank_table(
+        Random(11), 10, size_budget=10**40, max_weight=200, max_universe=12,
+        allow_translation=False,
+    )
+    start = time.perf_counter()
+    assert count_bases(table, 10 ** 6 + 1) == 10 ** 6 + 1
+    assert time.perf_counter() - start < 0.5
+
+
 # -- rank recovery ----------------------------------------------------------------
 
 

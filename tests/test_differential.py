@@ -14,10 +14,10 @@ from random import Random
 
 import pytest
 
-from polytutte import recursion
+from polytutte import core, recursion
 from polytutte.activity import direct_polynomials, exterior_direct, interior_direct, tutte_direct
 from polytutte.bipoly import from_dict
-from polytutte.core import RankTable, enumerate_bases
+from polytutte.core import RankTable, count_bases, enumerate_bases
 from polytutte.errors import SizeLimitExceeded
 from polytutte.formulas import binomial, random_rank_table
 from polytutte.hypergraph import random_hypergraph, rank_table
@@ -92,13 +92,32 @@ def test_direct_equals_dc_on_five_times_u1_16(monkeypatch):
 @pytest.mark.parametrize("c, size", [(127, 1), (128, 2), (32767, 2), (32768, 4)])
 def test_direct_equals_dc_across_table_lane_widths(monkeypatch, c, size):
     # f(E) = c sits just below or just above the guard bit of 1-, 2- and
-    # 4-byte table lanes, and every level between the ends takes a minimum
+    # 4-byte table lanes, and every level between the ends takes a minimum;
+    # the lane size is read where the engine receives it, as core._lanes
+    # also serves rank_from_bases
     sizes = set()
-    real = recursion._lanes
-    monkeypatch.setattr(recursion, "_lanes", lambda n, s: sizes.add(s) or real(n, s))
+    real = core._node
+
+    def recording(packed, n, size, *rest):
+        sizes.add(size)
+        return real(packed, n, size, *rest)
+
+    monkeypatch.setattr(core, "_node", recording)
+    monkeypatch.setattr(recursion, "_node", recording)
     table = _scaled_rank_one(c, 2)
     _assert_routes_agree(table, enumerate_bases(table, 40000))
     assert sizes == {size}
+
+
+@pytest.mark.parametrize("c", [1, 127, 128, 300, 32767, 40000])
+def test_two_element_nodes_take_the_closed_form(c):
+    # every child of c * U(1, 3) is c' * U(1, 2), whose T is
+    # (x + y + c' - 1)(x + y - 1); at x = y = 1 the count is
+    # sum over c' = 0..c of c' + 1
+    table = _scaled_rank_one(c, 3)
+    assert count_bases(table, 10 ** 12) == (c + 1) * (c + 2) // 2
+    if c <= 300:
+        _assert_routes_agree(table, enumerate_bases(table))
 
 
 def _networkx_tutte(num_vertices, edges):

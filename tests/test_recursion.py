@@ -151,7 +151,9 @@ def test_unprojected_slice_differs_by_one_factor():
 def test_dc_refuses_tables_no_polymatroid_has():
     # f({1}) + f({2}) < f(E) normalizes to negative values, a raised
     # f({1, 2}) = 3 exceeds f(E) = 2 in U(2, 4), and a one-element table
-    # with f(empty) != 0 normalizes to a nonzero f(empty)
+    # with f(empty) != 0 normalizes to a nonzero f(empty); 3 * U(1, 2) with
+    # a loop 3 whose f({2, 3}) is raised to 4 normalizes to 0, 4, 3, 4 on
+    # its level-0 slice, a two-element node not of the form 0, c, c, c
     bumped = list(uniform_matroid(2, 4).f)
     bumped[3] += 1
     for bad in (
@@ -159,6 +161,7 @@ def test_dc_refuses_tables_no_polymatroid_has():
         RankTable(4, bumped, validate=False),
         RankTable(1, [1, 1], validate=False),
         RankTable(1, [2, 1], validate=False),
+        RankTable(3, [0, 3, 3, 3, 0, 3, 4, 3], validate=False),
     ):
         for dc in (tutte_dc, interior_dc, exterior_dc):
             with pytest.raises(ValidationError):
@@ -312,18 +315,19 @@ def _list_children(f: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 
 
 def _node_calls(monkeypatch, table: RankTable) -> list[int]:
-    """The packed tables that ``recursion._node`` receives during one
-    ``dc_polynomials(table)``, in call order, the root first; the recursion
-    calls ``_node`` through the module global, so the wrapper sees every
-    node."""
+    """The packed tables that ``core._node`` receives during one
+    ``dc_polynomials(table)``, in call order, the root first: the root is
+    called through ``recursion``'s import of ``_node`` and every child
+    through ``core``'s module global, so the wrapper replaces both."""
     calls = []
-    node = recursion._node
+    node = core._node
 
     def recording(packed, *args):
         calls.append(packed)
         return node(packed, *args)
 
     with monkeypatch.context() as patch:
+        patch.setattr(core, "_node", recording)
         patch.setattr(recursion, "_node", recording)
         dc_polynomials(table)
     return calls
