@@ -69,7 +69,7 @@ from .core import (
     rank_from_bases,
     slice_rank,
 )
-from .errors import ValidationError
+from .errors import SizeLimitExceeded, ValidationError
 from .formulas import (
     binomial,
     ceiling_prefix,
@@ -260,8 +260,8 @@ def invariance_violations(
     once.  A translate is compared through the table it carries
     (``tutte_dc``), because the direct route cannot see a translation: it
     keys bases relative to each coordinate's minimum.  The memo key is
-    normalized the same way, so the first translate's table must also equal
-    the rank_from_bases of its bases, the one table they have.  Every drawn
+    normalized the same way, so the first translate's table must also
+    enumerate to exactly its bases, the one table that does.  Every drawn
     order is read off one ``TransferRelation`` of p, and the first is also
     run through ``tutte_direct(p.permute(w))``, which re-keys a permuted
     copy.  Duality covers T and both the interior and exterior polynomials.
@@ -280,10 +280,12 @@ def invariance_violations(
                 c = tuple(rng.randint(-3, 3) for _ in range(n))
                 q = p.translate(c)
                 try:
-                    moved = tutte_dc(q)
-                except ValidationError:  # the carried table is no polymatroid's
-                    moved = None
-                if moved != t or (draw == 0 and rank_from_bases(q) != q.rank_table()):
+                    kept = tutte_dc(q) == t and (
+                        draw or enumerate_bases(q.rank_table(), len(q)).bases == q.bases
+                    )
+                except (ValidationError, SizeLimitExceeded):  # no polymatroid's, or not q's
+                    kept = False
+                if not kept:
                     witness = f"c={c}"
                     break
             ok = not witness

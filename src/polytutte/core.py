@@ -53,6 +53,9 @@ time:
     sets that satisfy it are exactly the integer points of integral base polyhedra.  On
     success the polymatroid keeps g as its rank_table().
 
+The slice engine's one entry, _engine, validates any table that has not
+passed validate(), which marks the tables it passes.
+
 A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
 exchange.
@@ -126,9 +129,10 @@ def _mask_of(elements: Iterable[int], n: int) -> int:
 
 
 class RankTable:
-    """Dense integer rank function f: 2^[n] -> Z, indexed by subset mask."""
+    """Dense integer rank function f: 2^[n] -> Z, indexed by subset mask;
+    only validate() sets ``_valid``, once the table passes."""
 
-    __slots__ = ("n", "f")
+    __slots__ = ("n", "f", "_valid")
 
     def __init__(self, n: int, values: Sequence[int], *, validate: bool = True):
         f = _table_values(n, values, typed=False)
@@ -196,6 +200,7 @@ class RankTable:
                     bad = check & ~r
                     s = ((bad & -bad).bit_length() - 1) // bits
                     raise SubmodularityFailure(s | 1 << i, s | 1 << j)
+        _set_table_valid(self, True)
         return self
 
     def value(self, elements: Iterable[int]) -> int:
@@ -240,6 +245,7 @@ class RankTable:
 # raising __setattr__ and cost less than object.__setattr__.
 _set_table_n = RankTable.n.__set__
 _set_table_f = RankTable.f.__set__
+_set_table_valid = RankTable._valid.__set__
 
 
 def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]:
@@ -307,7 +313,9 @@ class Polymatroid:
         maxima g are submodular and it is all of g's bases.  The equal sums
         put every given vector among g's bases (without them, {(2, 0),
         (0, 2), (0, 0)} would pass: its g has three bases), so the check is
-        a count, capped one past the number given.  On success g is kept as
+        a count, capped one past the number given, after a coordinate
+        spanning |B| or more values (a polymatroid's takes each value
+        between its extremes on some basis).  On success g is kept as
         rank_table().  The pairwise search runs only on failure, to name an
         ExchangeFailure witness.
         """
@@ -316,15 +324,14 @@ class Polymatroid:
         for v in rows[1:]:
             if sum(v) != total:
                 raise UnequalSums(rows[0], v)
-        g = rank_from_bases(self)
-        try:
-            g.validate()
-        except SubmodularityFailure:
-            pass
-        else:
-            if count_bases(g, len(rows) + 1) == len(rows):
-                _set_rank(self, g)
-                return
+        if all(max(col) - min(col) < len(rows) for col in zip(*rows)):
+            g = rank_from_bases(self)
+            try:
+                if count_bases(g, len(rows) + 1) == len(rows):
+                    _set_rank(self, g)
+                    return
+            except SubmodularityFailure:
+                pass
         witness = _exchange_witness(rows, frozenset(rows))
         if witness is None:
             raise RuntimeError(
@@ -664,6 +671,18 @@ def _packed_power(pl: int, k: int) -> int:
     return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
 
 
+def _engine(table: RankTable, key: tuple[int, ...], pl: int, cap: int | float) -> int:
+    """``_node`` on ``table``, whose ``_normalized`` values are ``key``:
+    the one entry into the slice engine, which validates a table that has
+    not passed validate(), so the engine walks only polymatroids' tables."""
+    if not getattr(table, "_valid", False):
+        table.validate()
+    n = table.n
+    size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
+    packed = _pack_table(key, n, size)
+    return _node(packed, n, size, pl, {}, cap) if packed else _packed_power(pl, n)
+
+
 def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) -> int:
     """The packed T of a packed normalized table on n >= 2 elements (see the
     recursion module), or ``cap`` once a running total reaches it: the
@@ -679,8 +698,6 @@ def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) 
     without = table ^ (with_ << (bits << m))
     width = with_ & lane  # f({t})
     if m == 1:  # lanes 0, c, c, c, so T = (x + y + c - 1)(x + y - 1)
-        if without != width << bits or with_ != without | width:
-            raise ValidationError("the table is not a polymatroid rank table")
         return _packed_power(pl, 2) + width * _packed_power(pl, 1)
     if width >= cap:  # width + 1 levels, each with a basis
         return cap
@@ -820,23 +837,17 @@ def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
 
 
 def count_bases(table: RankTable, cap: int) -> int:
-    """The number of bases of a validated table, or ``cap`` (at least 1)
-    once that number reaches ``cap``.
+    """The number of bases of a polymatroid's table (validated if it is
+    not yet), or ``cap`` (at least 1) once that number reaches ``cap``.
 
-    T(1, 1) is the number of bases, so this is the slice engine ``_node``
-    at PL = 0 on the packed translation-normalized table.  A normalized
-    table on at most two elements has f(E) + 1 bases and is counted here.
+    T(1, 1) is the number of bases, so this is the slice engine at PL = 0.
     Every level has a basis, so a node returns ``cap`` before it builds a
     lane when its top coordinate has ``cap`` levels or more, and as soon as
     its running total reaches ``cap``: uncapped, two bases 10^6 apart would
     cost 10^6 levels.
     """
-    n = table.n
-    key = _normalized(table.f, n)
-    if n <= 2:
-        return min(key[-1] + 1, cap)
-    size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
-    return _node(_pack_table(key, n, size), n, size, 0, {}, cap)
+    # min: a two-element root takes its closed form whatever the cap
+    return min(_engine(table, _normalized(table.f, table.n), 0, cap), cap)
 
 
 def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ The slices at the interval ends are the deletion and contraction of t.  The
 weight w(j) is x at the lowest level alpha (the deletion end), y at the
 highest level beta (the contraction end) and 1 at every level between; a
 single level (alpha = beta) takes x + y - 1 alone.  The base case, one
-basis, is (x + y - 1)^n.  The engine, the one node function ``core._node``,
-runs this recursion once per table, for T here and for the basis count in
-``core.count_bases``.
+basis, is (x + y - 1)^n.  The engine, the one node function ``core._node``
+behind the one entry ``core._engine``, runs this recursion once per table,
+for T here and for the basis count in ``core.count_bases``.
 
 The interior and exterior polynomials are specializations of T,
 
@@ -50,15 +50,8 @@ pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
 A two-element node takes a closed form: a normalized polymatroid's table on
 two elements has lanes 0, c, c, c, and its T is (x + y + c - 1)(x + y - 1).
-A table that no polymatroid has can break these invariants; the engine
-raises ``ValidationError`` where that shows (a normalized value outside
-0..f(E), a two-element node not of the form 0, c, c, c, a root polynomial
-beyond its lane bound) and otherwise returns a polynomial that means
-nothing.  Those three symptoms are all it refuses: U(2,4) with f({4})
-lowered to 0, built with ``RankTable(..., validate=False)``, still gets a
-T.  Validating such a table first is the caller's responsibility; the
-public constructors and every table the package builds itself are
-polymatroids'.
+The engine's one entry, ``core._engine``, validates any table not yet
+validated, so every node it walks is a polymatroid's.
 
 Polynomials as lanes.  Below the root a polynomial is one integer: the
 coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
@@ -114,16 +107,7 @@ from collections import Counter, OrderedDict
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, add_scaled_into, cached_power, from_dict
-from .core import (
-    _STRIDE,
-    Polymatroid,
-    RankTable,
-    _lane_size,
-    _node,
-    _normalized,
-    _pack_table,
-    _packed_power,
-)
+from .core import _STRIDE, Polymatroid, RankTable, _engine, _normalized
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
 
@@ -184,10 +168,7 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     step = pl >> 3
     half = 1 << (pl - 1)
     bias = int.from_bytes(half.to_bytes(step, "little") * count, "little")
-    try:
-        data = (value + bias).to_bytes(count * step, "little")
-    except OverflowError:  # coefficients beyond the bound: the table was no polymatroid's
-        raise ValidationError("the table is not a polymatroid rank table") from None
+    data = (value + bias).to_bytes(count * step, "little")
     terms = {}
     interior = [0] * (n + 1)
     exterior = [0] * (n + 1)
@@ -212,9 +193,9 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     nodes below the root are memoized for this call only; the shared cache
     keeps the decoded root, under ``memo_key``.
 
-    ``p`` is a polymatroid or its rank table.  A table built with
-    ``validate=False`` must be a polymatroid's: the engine refuses only
-    three visible symptoms of one that is not (see the module docstring).
+    ``p`` is a polymatroid or its rank table.  A table that has not passed
+    ``validate()`` is validated on a cache miss, and one that fails raises
+    its error: a hit's key is the normalized table of one that passed.
     """
     table = p.rank_table()
     key = memo_key(table)
@@ -222,17 +203,11 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     if hit is not None:
         return hit
     n = table.n
-    # a polymatroid's normalized f is 0..f(E), with f(empty) = 0
-    if key[0] or min(key) < 0 or max(key) > key[-1]:
-        raise ValidationError(f"{table} is not a polymatroid rank table")
-    size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
     bound = 3 ** n
     for t in range(n):
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
-    packed = _pack_table(key, n, size)
-    value = _node(packed, n, size, pl, {}, math.inf) if packed else _packed_power(pl, n)
-    result = _unpack_poly(value, n, pl)
+    result = _unpack_poly(_engine(table, key, pl, math.inf), n, pl)
     _cache.put(key, result)
     return result
 

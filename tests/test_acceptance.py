@@ -244,6 +244,41 @@ def test_translation_check_catches_another_translates_bases(monkeypatch):
         assert list(violated) == ["translation"], p
 
 
+def test_translation_check_enumerates_the_carried_table(monkeypatch):
+    # the round trip of the first translate enumerates its carried table,
+    # capped at its number of bases, and builds no table from the bases; a
+    # carried table lowered by 1 at one mask, and bases short of the
+    # table's, are each reported with their c= witness
+    def refuse(q):
+        raise AssertionError("the translation leg called rank_from_bases")
+
+    real = Polymatroid.translate
+
+    def lowered(self, c):
+        q = real(self, c)
+        f = list(q.rank_table().f)
+        f[1] -= 1
+        return Polymatroid._trusted(list(q.bases), q.n, RankTable._trusted(q.n, tuple(f)))
+
+    def short(self, c):
+        q = real(self, c)
+        return Polymatroid._trusted(list(q.bases[1:]), q.n, q.rank_table())
+
+    monkeypatch.setattr(acceptance, "rank_from_bases", refuse)
+    rng = Random(5)
+    for n in (2, 3, 4, 5):
+        p = enumerate_bases(random_rank_table(rng, n))
+        assert len(p) > 1
+        polys = dc_polynomials(p)
+        assert acceptance.invariance_violations(p, polys, Random(n), ["translation"]) == {}
+        for broken in (lowered, short):
+            with monkeypatch.context() as m:
+                m.setattr(Polymatroid, "translate", broken)
+                violated = acceptance.invariance_violations(p, polys, Random(n), ["translation"])
+            assert list(violated) == ["translation"], (p, broken)
+            assert violated["translation"].startswith("c=("), (p, broken)
+
+
 # -- criterion 3 re-keys one drawn order -----------------------------------------------
 
 

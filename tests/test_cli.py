@@ -559,6 +559,21 @@ def test_table_commands_enumerate_no_bases(files, capsys, monkeypatch):
     assert code == EXIT_OK and len(calls) == 1
 
 
+def test_a_loaded_table_is_validated_once(files, capsys, monkeypatch):
+    # the load validates each table, a basis file's round-trip table
+    # included, and marks it, so the engine's entry does not check it again
+    calls = []
+    real = RankTable.validate
+    monkeypatch.setattr(RankTable, "validate", lambda self: calls.append(self) or real(self))
+    for name in ("u13_rank", "k22", "scaled"):
+        for command in ("tutte", "coeffs", "validate"):
+            recursion.clear_caches()
+            calls.clear()
+            code, out, _ = run(capsys, command, files[name])
+            assert code == EXIT_OK and "MISMATCH" not in out
+            assert len(calls) == 1, (name, command)
+
+
 def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
     cli.build_parser.cache_clear()
     built = []

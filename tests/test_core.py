@@ -99,10 +99,11 @@ def test_basis_validation_is_a_capped_count():
         g = rank_from_bases(p)
         assert count_bases(g.validate(), len(p) + 1) == len(p), p
         assert Polymatroid(p.bases).rank_table() == g
-    # f(empty) = 1 on U(1,2)'s table: neither the enumeration nor the count
-    # reads f(empty), so only the validation sees it
+    # f(empty) = 1 on U(1,2)'s table: the enumeration does not read f(empty),
+    # and the count refuses it, since it validates an unvalidated table
     assert core._enumerate((1, 1, 1, 1), 2, 2) == [(0, 1), (1, 0)]
-    assert count_bases(RankTable(2, [1, 1, 1, 1], validate=False), 3) == 2
+    with pytest.raises(NonzeroEmptySet):
+        count_bases(RankTable(2, [1, 1, 1, 1], validate=False), 3)
     with pytest.raises(NonzeroEmptySet):
         RankTable(2, [1, 1, 1, 1])
     # U(2,4) with f({4}) lowered to 0 is not submodular, yet it enumerates
@@ -136,6 +137,27 @@ def test_basis_validation_builds_no_vectors(monkeypatch):
     for rows in ([[2, 0], [0, 2]], [[0, 0, 0, 0], [0, 0, 10 ** 9, -(10 ** 9)]]):
         with pytest.raises(ExchangeFailure):
             Polymatroid.from_json({"n": len(rows[0]), "bases": rows})
+
+
+def test_a_coordinate_spanning_the_basis_count_is_refused_before_the_round_trip(monkeypatch):
+    # a polymatroid's coordinate takes every value between its extremes, so
+    # two bases 10^300 apart go straight to the witness search, and so do
+    # (2, 0), (0, 2), whose first coordinate spans 3 values over 2 bases
+    def refuse(q):
+        raise AssertionError("the round trip built g")
+
+    monkeypatch.setattr(core, "rank_from_bases", refuse)
+    zero = (0,) * 16
+    far = (0,) * 14 + (10 ** 300, -(10 ** 300))
+    with pytest.raises(ExchangeFailure) as e:
+        Polymatroid.from_json({"n": 16, "bases": [list(zero), list(far)]})
+    assert (e.value.a, e.value.b, e.value.i) == (zero, far, 16)
+    with pytest.raises(ExchangeFailure) as e:
+        Polymatroid([(2, 0), (0, 2)])
+    assert (e.value.a, e.value.b, e.value.i) == ((0, 2), (2, 0), 2)
+    monkeypatch.undo()
+    # one less than |B| values still takes the round trip
+    assert len(Polymatroid([(1, 0), (0, 1)])) == 2
 
 
 def test_count_bases_matches_the_enumeration():
@@ -184,7 +206,7 @@ def test_count_bases_caps_before_building_wide_lanes(monkeypatch):
     # but the top coordinate's 10^300 + 1 levels reach the cap before the
     # root builds a lane constant, so no lanes that wide are cached
     far = (0,) * 14 + (10 ** 300, -(10 ** 300))
-    g = rank_from_bases(Polymatroid([(0,) * 16, far], validate=False))
+    g = rank_from_bases(Polymatroid([(0,) * 16, far], validate=False)).validate()
     sizes = []
     real = core._lanes
     monkeypatch.setattr(core, "_lanes", lambda n, size: sizes.append(size) or real(n, size))

@@ -103,7 +103,6 @@ def test_direct_equals_dc_across_table_lane_widths(monkeypatch, c, size):
         return real(packed, n, size, *rest)
 
     monkeypatch.setattr(core, "_node", recording)
-    monkeypatch.setattr(recursion, "_node", recording)
     table = _scaled_rank_one(c, 2)
     _assert_routes_agree(table, enumerate_bases(table, 40000))
     assert sizes == {size}

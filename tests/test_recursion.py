@@ -18,7 +18,7 @@ from polytutte.core import (
 )
 from polytutte import core, recursion
 from oracles import is_matroid_rank, spanning_forest_rank
-from polytutte.errors import DegreeExceedsN, NotAMatroid, ValidationError
+from polytutte.errors import DegreeExceedsN, NotAMatroid, SubmodularityFailure, ValidationError
 from polytutte.formulas import random_rank_table
 from polytutte.recursion import (
     LRUCache,
@@ -149,13 +149,15 @@ def test_unprojected_slice_differs_by_one_factor():
 
 
 def test_dc_refuses_tables_no_polymatroid_has():
-    # f({1}) + f({2}) < f(E) normalizes to negative values, a raised
-    # f({1, 2}) = 3 exceeds f(E) = 2 in U(2, 4), and a one-element table
-    # with f(empty) != 0 normalizes to a nonzero f(empty); 3 * U(1, 2) with
-    # a loop 3 whose f({2, 3}) is raised to 4 normalizes to 0, 4, 3, 4 on
-    # its level-0 slice, a two-element node not of the form 0, c, c, c
+    # f({1}) + f({2}) < f(E), a raised f({1, 2}) = 3 in U(2, 4), a
+    # one-element table with f(empty) != 0, and 3 * U(1, 2) with a loop 3
+    # whose f({2, 3}) is raised to 4; U(2, 4) with f({4}) lowered to 0
+    # breaks no invariant the nodes read, so only the validation at the
+    # engine's entry refuses it, with validate()'s masks
     bumped = list(uniform_matroid(2, 4).f)
     bumped[3] += 1
+    lowered = list(uniform_matroid(2, 4).f)
+    lowered[8] = 0
     for bad in (
         RankTable(2, [0, 1, 1, 3], validate=False),
         RankTable(4, bumped, validate=False),
@@ -166,6 +168,56 @@ def test_dc_refuses_tables_no_polymatroid_has():
         for dc in (tutte_dc, interior_dc, exterior_dc):
             with pytest.raises(ValidationError):
                 dc(bad)
+    for run in (dc_polynomials, lambda t: core.count_bases(t, 100)):
+        with pytest.raises(SubmodularityFailure) as e:
+            run(RankTable(4, lowered, validate=False))
+        assert (e.value.i_mask, e.value.j_mask) == (1, 8)
+
+
+def _refusal(run, *args):
+    try:
+        run(*args)
+    except ValidationError as exc:
+        return type(exc), getattr(exc, "i_mask", None), getattr(exc, "j_mask", None)
+    return None
+
+
+def test_the_engine_refuses_exactly_what_validate_refuses():
+    # every one-mask +-1 perturbation of U(d, n), n = 3..5: a table that
+    # validate() refuses makes dc and the count raise its class with its
+    # masks, and one that it accepts gets the direct route's T and count
+    refused = 0
+    for n in range(3, 6):
+        for d in range(1, n):
+            for m in range(1 << n):
+                for step in (1, -1):
+                    f = list(uniform_matroid(d, n).f)
+                    f[m] += step
+                    expected = _refusal(RankTable, n, f)
+                    table = RankTable(n, f, validate=False)
+                    if expected:
+                        refused += 1
+                        assert _refusal(dc_polynomials, table) == expected, f
+                        assert _refusal(core.count_bases, table, 10 ** 6) == expected, f
+                    else:
+                        p = enumerate_bases(table)
+                        assert dc_polynomials(table) == direct_polynomials(p), f
+                        assert core.count_bases(table, 10 ** 6) == len(p), f
+    assert 0 < refused < 384
+
+
+def test_an_unvalidated_table_is_validated_once(monkeypatch):
+    # validate() marks the table it passes, so one count and two cold dc
+    # calls on a table built with validate=False check it once
+    calls = []
+    real = RankTable.validate
+    monkeypatch.setattr(RankTable, "validate", lambda self: calls.append(self) or real(self))
+    table = RankTable(4, uniform_matroid(2, 4).f, validate=False)
+    assert core.count_bases(table, 100) == 6
+    for _ in range(2):
+        clear_caches()
+        assert tutte_dc(table).evaluate(1, 1) == 6
+    assert calls == [table]
 
 
 def test_decode_is_exact_up_to_the_lane_bound():
@@ -317,8 +369,8 @@ def _list_children(f: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 def _node_calls(monkeypatch, table: RankTable) -> list[int]:
     """The packed tables that ``core._node`` receives during one
     ``dc_polynomials(table)``, in call order, the root first: the root is
-    called through ``recursion``'s import of ``_node`` and every child
-    through ``core``'s module global, so the wrapper replaces both."""
+    called from ``core._engine`` and every child from ``_node`` itself,
+    both through ``core``'s module global."""
     calls = []
     node = core._node
 
@@ -328,7 +380,6 @@ def _node_calls(monkeypatch, table: RankTable) -> list[int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "_node", recording)
-        patch.setattr(recursion, "_node", recording)
         dc_polynomials(table)
     return calls
 
