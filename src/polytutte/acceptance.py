@@ -53,7 +53,7 @@ import itertools
 import time
 import traceback
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from random import Random
 from typing import Callable, Sequence
 
@@ -341,14 +341,14 @@ def check_invariances(corpus: Corpus, rng: Random) -> str:
 # -- criterion 4: matroid bridge -----------------------------------------------------------
 
 
-def connected_multigraphs(max_edges: int = 4) -> list[RankTable]:
-    """Rank tables of all connected multigraphs with <= max_edges edges,
-    loops and parallel edges included, deduplicated by rank table."""
+def connected_multigraphs() -> list[RankTable]:
+    """Rank tables of all connected multigraphs with <= 4 edges, loops and
+    parallel edges included, deduplicated by rank table."""
     seen: set[tuple[int, tuple[int, ...]]] = set()
     out: list[RankTable] = []
-    for nv in range(1, max_edges + 2):
+    for nv in range(1, 6):
         pairs = [(u, v) for u in range(1, nv + 1) for v in range(u, nv + 1)]
-        for ne in range(1, max_edges + 1):
+        for ne in range(1, 5):
             for edges in itertools.combinations_with_replacement(pairs, ne):
                 if forest_size(nv + 1, edges) != nv - 1:
                     continue  # not connected
@@ -362,7 +362,7 @@ def connected_multigraphs(max_edges: int = 4) -> list[RankTable]:
 
 def check_matroid_bridge(corpus: Corpus, rng: Random) -> str:
     uniforms = [uniform_matroid(d, n) for n in range(1, 7) for d in range(n + 1)]
-    graphics = connected_multigraphs(4)
+    graphics = connected_multigraphs()
     for table in uniforms + graphics:
         if matroid_form(table) != classical_tutte(table):
             raise AssertionError(f"bridge mismatch for rank table {table}")
@@ -544,18 +544,6 @@ def _disjoint_proper_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(full) for b in range(full) if not a & b and a | b != full)
 
 
-class _Minors(dict):
-    """p.minor(A, B) under the mask key (A, B), built on first use."""
-
-    def __init__(self, p: Polymatroid):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, key: tuple[int, int]) -> Polymatroid:
-        m = self[key] = self.p._minor(*key)
-        return m
-
-
 def _labels(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -575,20 +563,20 @@ def _check_structure_one(p: Polymatroid, minor_pairs) -> None:
     # comparison is built from another polymatroid (a contraction of p, or
     # the dual).  A pair with A or B empty would compare one build with
     # itself, so it is skipped.
-    minors = _Minors(p)
+    minor = cache(p._minor)  # freed when the call returns
     for a, b in minor_pairs:
         if not a or not b:
             continue
-        if minors[a, b] != minors[0, b]._minor(_relabel(a, b, n), 0):
+        if minor(a, b) != minor(0, b)._minor(_relabel(a, b, n), 0):
             raise AssertionError(
                 f"minor order dependence for A={_labels(a)}, B={_labels(b)} on {p}"
             )
     dual = p.dual()
     full_mask = (1 << n) - 1
     for a in range(1, full_mask):
-        if minors[a, 0].dual() != dual._minor(0, a):
+        if minor(a, 0).dual() != dual._minor(0, a):
             raise AssertionError(f"dual(delete) != contract(dual) for {_labels(a)} on {p}")
-        if minors[0, a].dual() != dual._minor(a, 0):
+        if minor(0, a).dual() != dual._minor(a, 0):
             raise AssertionError(f"dual(contract) != delete(dual) for {_labels(a)} on {p}")
     # tight-set lattice, activity characterization, and S tight exactly when
     # no transfer a + e_j - e_k moves mass into S (j in S, k outside), for

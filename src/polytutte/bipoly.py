@@ -9,10 +9,10 @@ descending, then x-exponent descending.  Within one total degree the
 x-exponent determines the pair, so the order has no ties and the printed
 form is a pure function of the term map.
 
-Text form: terms joined by " + " / " - ", each term ``c*x^i*y^j`` with
-``x^1`` shortened to ``x``, unit coefficients and zero exponents omitted,
-e.g. ``x^2 + 2*x*y + y^2 - 1``.  ``parse`` accepts exactly this dialect
-(whitespace-insensitively) and round-trips with ``str``.
+Text form: ``str`` prints terms joined by " + " / " - ", each term
+``c*x^i*y^j`` with ``x^1`` shortened to ``x``, unit coefficients and zero
+exponents omitted, e.g. ``x^2 + 2*x*y + y^2 - 1``.  ``parse`` reads back
+this dialect and nothing else; its docstring states the grammar.
 
 JSON form: list of ``[i, j, "c"]`` triples in canonical order, with the
 coefficient as a decimal string; ``from_json`` reads exactly ``-?[0-9]+``
@@ -318,71 +318,36 @@ def render(p: BiPoly) -> str:
     return "".join(chunks)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[xy])(?:\^(?P<exp>-?\d+))?|(?P<op>[+\-*]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    pos = 0
-    tokens: list[tuple[str, str]] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        pos = m.end()
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int")))
-        elif m.group("var") is not None:
-            tokens.append(("pow", m.group("var") + ":" + (m.group("exp") or "1")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
+# One term of parse's grammar; one quantifier per blank run keeps a failing match linear.
+_TERM = re.compile(
+    r"\s*([+-])\s*(?:(\d+)(?:\s*\*\s*(?=[xy])|(?![xy]))|(?=[xy]))"
+    r"(?:(x)(?:\^(-?\d+))?(?:\s*\*\s*(?=y)|(?!y)))?(?:(y)(?:\^(-?\d+))?)?"
+)
 
 
 def parse(text: str) -> BiPoly:
-    """Parse the canonical text dialect produced by ``render``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
+    """Read the dialect ``render`` prints: terms, each a sign (optional on
+    the first) and c, x[^i], y[^j], x[^i]*y[^j] or c* before one of those;
+    c a run of digits, i and j optionally negative; blanks around signs,
+    numbers, variables and *, not inside x^i; repeated terms add up.  Other
+    text (y*x, x*x, 2*3, x*2, ...) or a number past the digit limit is a ParseError."""
+    text = text.strip()
+    if text[:1] not in ("+", "-"):  # "" becomes "+", which no term matches
+        text = "+" + text
     acc: dict[Exponents, int] = {}
-    idx = 0
-    first = True
-    while idx < len(tokens):
-        sign = 1
-        kind, val = tokens[idx]
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            idx += 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-' before term, got {val!r}")
-        coeff = sign
-        i = j = 0
-        saw_factor = False
-        while idx < len(tokens):
-            kind, val = tokens[idx]
-            if kind == "int":
-                coeff *= int(val)
-            elif kind == "pow":
-                var, _, e = val.partition(":")
-                if var == "x":
-                    i += int(e)
-                else:
-                    j += int(e)
-            else:
-                raise ParseError(f"expected a factor, got {val!r}")
-            saw_factor = True
-            idx += 1
-            if idx < len(tokens) and tokens[idx] == ("op", "*"):
-                idx += 1
-                if idx >= len(tokens):
-                    raise ParseError("dangling '*' in polynomial text")
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("dangling sign in polynomial text")
-        first = False
-        acc[i, j] = acc.get((i, j), 0) + coeff
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or not (m[2] or m[3] or m[5]):
+            raise ParseError(f"expected a signed term at {text[pos:pos + 40]!r}")
+        sign, c, x, i, y, j = m.groups()
+        try:  # int() refuses a number past the interpreter's digit limit
+            key = (int(i or 1) if x else 0, int(j or 1) if y else 0)
+            coeff = int(sign + (c or "1"))
+        except ValueError as exc:
+            raise ParseError(f"number too long in {m[0].strip()[:40]!r}") from exc
+        acc[key] = acc.get(key, 0) + coeff
+        pos = m.end()
     return from_dict(acc)
 
 

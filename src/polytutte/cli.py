@@ -98,11 +98,14 @@ class LoadedInput:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            # ValueError: a JSONDecodeError, a UnicodeDecodeError, or an
+            # integer literal past the interpreter's digit limit
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return data

@@ -678,6 +678,8 @@ def _engine(table: RankTable, key: tuple[int, ...], pl: int, cap: int | float) -
     if not getattr(table, "_valid", False):
         table.validate()
     n = table.n
+    if n > 2 and key[1 << n - 1] >= cap:  # the root's own cap check, before packing
+        return cap
     size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
     packed = _pack_table(key, n, size)
     return _node(packed, n, size, pl, {}, cap) if packed else _packed_power(pl, n)

@@ -77,15 +77,14 @@ plain dict of its own, keyed by the packed table alone (L and PL are fixed
 within the call, and a packed table's bit length fixes its number of
 elements), so no node outlives its call.  ``_node`` looks each child up
 inline; an empty child is the cached power, with no entry.  The module-wide
-cache holds roots only: the root of a call is stored under
-``memo_key(table)``, the normalized table as
-a tuple, so translates of a polymatroid share it, and maps to the decoded
-(T, I, X).  A call takes one lookup there and, on a miss, one store.  The
-cache is an LRU map bounded at ``DEFAULT_MEMO_CAPACITY`` roots, safe to
-share between threads, and ``clear_caches`` empties it; exactness is
-unaffected by eviction.  The direct evaluation in ``activity`` stays on
-basis activities, and this module imports nothing from it, so the two
-routes remain independent.
+cache holds roots only: the root of a call is stored under its
+``core._normalized`` table, a tuple, so translates of a polymatroid share
+it, and maps to the decoded (T, I, X).  A call takes one lookup there and,
+on a miss, one store.  The cache is an LRU map bounded at
+``DEFAULT_MEMO_CAPACITY`` roots, safe to share between threads, and
+``clear_caches`` empties it; exactness is unaffected by eviction.  The
+direct evaluation in ``activity`` stays on basis activities, and this
+module imports nothing from it, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -153,13 +152,6 @@ def clear_caches() -> None:
     _cache.clear()
 
 
-def memo_key(table: RankTable) -> tuple[int, ...]:
-    """Translation-normalized key: f(S) minus the sum of alpha_t = f(E) -
-    f(E - t) over S, the table of the translate whose every coordinate has
-    minimum 0, so two translates of the same polymatroid share keys."""
-    return _normalized(table.f, table.n)
-
-
 def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     """Decode a packed T of total degree at most n into (T, I, X): the
     coefficient c of x^i y^j adds c to the x^(n-i) term of I and to the
@@ -191,14 +183,14 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
     slice recursion: I and X are read off T's decode at the root.  The
     nodes below the root are memoized for this call only; the shared cache
-    keeps the decoded root, under ``memo_key``.
+    keeps the decoded root, under the normalized table.
 
     ``p`` is a polymatroid or its rank table.  A table that has not passed
     ``validate()`` is validated on a cache miss, and one that fails raises
     its error: a hit's key is the normalized table of one that passed.
     """
     table = p.rank_table()
-    key = memo_key(table)
+    key = _normalized(table.f, table.n)
     hit = _cache.get(key)
     if hit is not None:
         return hit

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polytutte import bipoly
 from polytutte.bipoly import BiPoly, X, X_PLUS_Y_MINUS_1, Y, parse, render
@@ -194,9 +195,60 @@ def test_parse_compact_spacing():
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "x +", "* x", "x * ", "2x", "x ^", "z + 1"]:
+    # the last rows: products outside the three term shapes, and numbers
+    # one digit past the interpreter's conversion limit
+    long = "1" * 4301
+    for bad in ["", "x +", "* x", "x * ", "2x", "x ^", "z + 1", "--x", "x ^2", "x y", "x**y",
+                "2*", "y*x", "x*x", "2*3", "x*2", "x*y*y", long, "x^" + long, long + "*x",
+                "y^-" + long]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("7", {(0, 0): 7}),
+        ("x", {(1, 0): 1}),
+        ("y^3", {(0, 3): 1}),
+        ("x^2*y", {(2, 1): 1}),
+        ("5*x", {(1, 0): 5}),
+        ("5*y^2", {(0, 2): 5}),
+        ("5*x^2*y^3", {(2, 3): 5}),
+        ("5 * x^2 * y^3", {(2, 3): 5}),
+        ("  5*x  -  y  ", {(1, 0): 5, (0, 1): -1}),
+        ("+x", {(1, 0): 1}),
+        ("- x", {(1, 0): -1}),
+        ("x^-2*y^-3 - 4*y^-1", {(-2, -3): 1, (0, -1): -4}),
+        ("x^0", {(0, 0): 1}),
+        ("1*x", {(1, 0): 1}),
+        ("x + x - 3*x*y + 1 + x*y", {(1, 0): 2, (1, 1): -2, (0, 0): 1}),
+        ("x - x", {}),
+    ],
+)
+def test_parse_accepts_every_term_shape(text, terms):
+    assert parse(text) == BiPoly(terms)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789xy^*+- ", max_size=30))
+def test_parse_ends_in_a_polynomial_or_a_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+def test_parse_is_linear_in_the_text():
+    for bad in (" " * 200_000 + "x^", "x" + " " * 200_000 + "?", "2 *" + " " * 200_000 + "z"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse(bad)
+        assert time.perf_counter() - start < 1
+    text = " + ".join(f"{k}*x^{k % 7}*y^-{k}" for k in range(1, 50_001))
+    start = time.perf_counter()
+    assert len(parse(text)) == 50_000
+    assert time.perf_counter() - start < 1
 
 
 def test_json_round_trip():

@@ -137,6 +137,28 @@ def test_deeply_nested_json_exit_code(files, capsys):
     assert "category=ParseError" in err
 
 
+LONG = "1" * 4301  # one digit past the interpreter's conversion limit
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ('{"n": 1, "bases": [[%s]]}' % LONG, ["validate"]),
+        ('{"n": 1, "f": [0, %s]}' % LONG, ["validate"]),
+        ('{"vertices": [%s], "hyperedges": [[%s]]}' % (LONG, LONG), ["validate"]),
+        ('{"targets": [[[0, 0, %s]]]}' % LONG, ["search", "--n", "1", "--targets"]),
+        ('{"targets": ["%s*x + 1"]}' % LONG, ["search", "--n", "1", "--targets"]),
+    ],
+    ids=["bases", "rank", "hypergraph", "target-triple", "target-text"],
+)
+def test_a_number_past_the_digit_limit_is_a_parse_error(files, capsys, text, argv):
+    path = files["dir"] / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: category=ParseError: ")
+
+
 def test_unexpected_exception_exit_code(files, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

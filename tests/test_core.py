@@ -214,6 +214,19 @@ def test_count_bases_caps_before_building_wide_lanes(monkeypatch):
     assert max(sizes, default=1) <= 8, sizes
 
 
+def test_count_bases_caps_before_packing_the_table(monkeypatch):
+    # the root's width, f({16}) of the normalized table, is 10^300: the
+    # count returns the cap before it packs 2^16 lanes of 128 bytes
+    far = (0,) * 14 + (10 ** 300, -(10 ** 300))
+    g = rank_from_bases(Polymatroid([(0,) * 16, far], validate=False)).validate()
+
+    def refuse(values, n, size):
+        raise AssertionError("the count packed the table")
+
+    monkeypatch.setattr(core, "_pack_table", refuse)
+    assert count_bases(g, 3) == 3
+
+
 def test_count_bases_stops_at_the_cap_across_many_nodes():
     # f({t}) up to 200 on 10 elements: the full count would visit millions
     # of levels below the root, and each node returns the cap as soon as its

@@ -29,7 +29,6 @@ from polytutte.recursion import (
     graphic_matroid,
     interior_dc,
     matroid_form,
-    memo_key,
     tutte_dc,
     tutte_to_matroid_form,
     uniform_matroid,
@@ -278,13 +277,13 @@ def test_one_cache_holds_tables_of_two_lane_widths():
 def test_memo_key_translation_invariant():
     p = Polymatroid([(2, 3), (1, 4)])
     q = p.translate((-1, -3))
-    assert memo_key(p.rank_table()) == memo_key(q.rank_table())
+    assert core._normalized(p.rank_table().f, 2) == core._normalized(q.rank_table().f, 2)
 
 
 def test_memo_key_ignores_basis_input_order():
     r = Polymatroid([(2, 0), (1, 1), (0, 2)])
     s = Polymatroid([(0, 2), (1, 1), (2, 0)])
-    assert memo_key(r.rank_table()) == memo_key(s.rank_table())
+    assert core._normalized(r.rank_table().f, 2) == core._normalized(s.rank_table().f, 2)
 
 
 def test_translated_polymatroids_share_cache():
@@ -395,7 +394,7 @@ def test_node_children_match_the_list_route(monkeypatch):
     tables += [uniform_matroid(4, 8), K4]
     sizes = set()
     for table in tables:
-        key = memo_key(table)
+        key = core._normalized(table.f, table.n)
         size = core._lane_size(key[-1].bit_length() + 1)
         clear_caches()
         nodes = _node_calls(monkeypatch, table)
