@@ -320,15 +320,15 @@ def render(p: BiPoly) -> str:
 
 # One term of parse's grammar; one quantifier per blank run keeps a failing match linear.
 _TERM = re.compile(
-    r"\s*([+-])\s*(?:(\d+)(?:\s*\*\s*(?=[xy])|(?![xy]))|(?=[xy]))"
-    r"(?:(x)(?:\^(-?\d+))?(?:\s*\*\s*(?=y)|(?!y)))?(?:(y)(?:\^(-?\d+))?)?"
+    r"\s*([+-])\s*(?:([0-9]+)(?:\s*\*\s*(?=[xy])|(?![xy]))|(?=[xy]))"
+    r"(?:(x)(?:\^(-?[0-9]+))?(?:\s*\*\s*(?=y)|(?!y)))?(?:(y)(?:\^(-?[0-9]+))?)?"
 )
 
 
 def parse(text: str) -> BiPoly:
     """Read the dialect ``render`` prints: terms, each a sign (optional on
     the first) and c, x[^i], y[^j], x[^i]*y[^j] or c* before one of those;
-    c a run of digits, i and j optionally negative; blanks around signs,
+    c a run of ASCII digits, i and j optionally negative; blanks around signs,
     numbers, variables and *, not inside x^i; repeated terms add up.  Other
     text (y*x, x*x, 2*3, x*2, ...) or a number past the digit limit is a ParseError."""
     text = text.strip()

@@ -128,6 +128,7 @@ def load_input(path: str, args: argparse.Namespace) -> LoadedInput:
     if kind == "bases":
         _check_declared_size(data, args.max_n)
         p = Polymatroid.from_json(data)
+        _check_printable(p.rank_table().full_rank())
         return LoadedInput("bases", p.rank_table(), args.max_bases, bases=p)
     if kind == "rank":
         _check_declared_size(data, args.max_n)
@@ -142,6 +143,15 @@ def load_input(path: str, args: argparse.Namespace) -> LoadedInput:
 def _check_size(n: int, max_n: int) -> None:
     if n > max_n:
         raise ValidationError(f"ground set size {n} exceeds --max-n {max_n}")
+
+
+def _check_printable(total: int) -> None:
+    """Refuse a basis file whose coordinate sum, which ``validate`` prints,
+    has more digits than the interpreter converts to text (0: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^(3 limit) < 10^limit: a shorter sum needs no power of ten
+    if limit and total.bit_length() > 3 * limit and abs(total) >= 10 ** limit:
+        raise ParseError(f"coordinate sum has more than {limit} digits")
 
 
 def _check_declared_size(data: dict, max_n: int) -> None:

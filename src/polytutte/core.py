@@ -161,16 +161,19 @@ class RankTable:
         of the whole table instead of the about 4^n / 2 comparisons of the
         pairwise definition.
 
-        Each check is one guard-bit borrow in packed lanes.  F holds
-        f(S) - min(f) in lane S of 2^n lanes of w bits, wide enough that a
-        sum of two values stays below the guard, the top bit of each lane;
-        F >> i stands for F shifted right by 2^i lanes, so that its lane S
-        holds f(S + i) when S lacks i.  In
+        Each check is one guard-bit borrow in packed lanes.  The table is
+        first normalized (``_normalized``: f less the modular function with
+        value f(E) - f(E - t) at each t), which leaves every local difference
+        as it is but shrinks a translate's table to its narrow lanes.  F
+        holds g(S) - min(g) of the normalized g in lane S of 2^n lanes of w
+        bits, wide enough that a sum of two values stays below the guard,
+        the top bit of each lane; F >> i stands for F shifted right by 2^i
+        lanes, so that its lane S holds g(S + i) when S lacks i.  In
 
             ((F >> i) + (F >> j) + G) - ((F >> i >> j) + F),
 
-        with G the guards, lane S is 2^(w - 1) + f(S + i) + f(S + j)
-        - f(S + i + j) - f(S) in every lane, which lies in [0, 2^w), so no
+        with G the guards, lane S is 2^(w - 1) + g(S + i) + g(S + j)
+        - g(S + i + j) - g(S) in every lane, which lies in [0, 2^w), so no
         lane borrows from the next, and its guard survives exactly when the
         inequality holds.  The lanes that hold i or j read unrelated values
         and are masked off.  A failed pair names the first witness in the
@@ -184,10 +187,11 @@ class RankTable:
         if f[0] != 0:
             raise NonzeroEmptySet(f"f(empty set) = {f[0]}, expected 0")
         n = self.n
-        low = min(f)  # at most f(empty) = 0
-        size = _lane_size((max(f) - low).bit_length() + 2)
+        g = _normalized(f, n)  # same local differences, narrower lanes
+        low = min(g)  # at most g(empty) = 0
+        size = _lane_size((max(g) - low).bit_length() + 2)
         bits = size << 3
-        table = _pack_table([v - low for v in f] if low else f, n, size)
+        table = _pack_table([v - low for v in g] if low else g, n, size)
         guard, free = _free_guards(n, size)
         shifted = [table >> (bits << i) for i in range(n)]
         for i in range(n - 1):

@@ -80,9 +80,11 @@ inline; an empty child is the cached power, with no entry.  The module-wide
 cache holds roots only: the root of a call is stored under its
 ``core._normalized`` table, a tuple, so translates of a polymatroid share
 it, and maps to the decoded (T, I, X).  A call takes one lookup there and,
-on a miss, one store.  The cache is an LRU map bounded at
-``DEFAULT_MEMO_CAPACITY`` roots, safe to share between threads, and
-``clear_caches`` empties it; exactness is unaffected by eviction.  The
+on a miss, one store.  The cache is a plain dict with no order and no
+lock: a store into a dict that already holds ``DEFAULT_MEMO_CAPACITY`` roots
+empties it first, and ``clear_caches`` empties it.  Each lookup and store is
+one dict call, atomic in CPython, so threads may share it; a store lost to a
+race costs a recomputation, never a wrong result.  The
 direct evaluation in ``activity`` stays on basis activities, and this
 module imports nothing from it, so the two routes remain independent.
 
@@ -101,8 +103,7 @@ the independent oracle for that identity.
 from __future__ import annotations
 
 import math
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, add_scaled_into, cached_power, from_dict
@@ -111,41 +112,7 @@ from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
 
 DEFAULT_MEMO_CAPACITY = 1 << 20
-
-
-class LRUCache:
-    """Bounded mapping with least-recently-used eviction and atomic upserts."""
-
-    def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY):
-        if capacity < 1:
-            raise ValidationError("cache capacity must be positive")
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-_cache = LRUCache()
+_cache: dict = {}
 
 
 def clear_caches() -> None:
@@ -200,7 +167,9 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
     result = _unpack_poly(_engine(table, key, pl, math.inf), n, pl)
-    _cache.put(key, result)
+    if len(_cache) >= DEFAULT_MEMO_CAPACITY:
+        _cache.clear()
+    _cache[key] = result
     return result
 
 

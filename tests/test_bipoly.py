@@ -195,12 +195,12 @@ def test_parse_compact_spacing():
 
 
 def test_parse_rejects_junk():
-    # the last rows: products outside the three term shapes, and numbers
-    # one digit past the interpreter's conversion limit
+    # the last rows: products outside the three term shapes, numbers one
+    # digit past the interpreter's conversion limit, and non-ASCII digits
     long = "1" * 4301
     for bad in ["", "x +", "* x", "x * ", "2x", "x ^", "z + 1", "--x", "x ^2", "x y", "x**y",
                 "2*", "y*x", "x*x", "2*3", "x*2", "x*y*y", long, "x^" + long, long + "*x",
-                "y^-" + long]:
+                "y^-" + long, "\u0663*x", "x^\u0663"]:
         with pytest.raises(ParseError):
             parse(bad)
 

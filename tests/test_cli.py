@@ -148,8 +148,9 @@ LONG = "1" * 4301  # one digit past the interpreter's conversion limit
         ('{"vertices": [%s], "hyperedges": [[%s]]}' % (LONG, LONG), ["validate"]),
         ('{"targets": [[[0, 0, %s]]]}' % LONG, ["search", "--n", "1", "--targets"]),
         ('{"targets": ["%s*x + 1"]}' % LONG, ["search", "--n", "1", "--targets"]),
+        ('{"n": 12, "bases": [[%s]]}' % ", ".join(["9" * 4299] * 12), ["validate"]),
     ],
-    ids=["bases", "rank", "hypergraph", "target-triple", "target-text"],
+    ids=["bases", "rank", "hypergraph", "target-triple", "target-text", "coordinate-sum"],
 )
 def test_a_number_past_the_digit_limit_is_a_parse_error(files, capsys, text, argv):
     path = files["dir"] / "long.json"

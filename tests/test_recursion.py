@@ -21,7 +21,6 @@ from oracles import is_matroid_rank, spanning_forest_rank
 from polytutte.errors import DegreeExceedsN, NotAMatroid, SubmodularityFailure, ValidationError
 from polytutte.formulas import random_rank_table
 from polytutte.recursion import (
-    LRUCache,
     classical_tutte,
     clear_caches,
     dc_polynomials,
@@ -315,20 +314,18 @@ def test_decoded_interior_and_exterior_are_reversals_of_t():
         assert exterior == t.substitute_one("x").reversed_in("y", table.n)
 
 
-def test_lru_eviction():
-    cache = LRUCache(capacity=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.put("c", 3)
-    assert cache.get("a") is None
-    assert cache.get("b") == 2 and cache.get("c") == 3
-    # a hit makes "b" the most recent entry, so a put on the full cache
-    # evicts "c"; the miss on "a" above inserted nothing
-    assert cache.get("b") == 2
-    cache.put("d", 4)
-    assert len(cache) == 2
-    assert cache.get("c") is None
-    assert cache.get("b") == 2 and cache.get("d") == 4
+def test_a_full_root_memo_is_emptied_before_a_store(monkeypatch):
+    monkeypatch.setattr(recursion, "DEFAULT_MEMO_CAPACITY", 2)
+    clear_caches()
+    first = tutte_dc(uniform_matroid(1, 3))
+    tutte_dc(uniform_matroid(2, 3))
+    assert len(recursion._cache) == 2
+    third = uniform_matroid(1, 4)
+    tutte_dc(third)
+    assert list(recursion._cache) == [core._normalized(third.f, 4)]
+    # an emptied root is recomputed, exactly
+    assert tutte_dc(uniform_matroid(1, 3)) == first
+    assert len(recursion._cache) == 2
 
 
 # -- the node kernel against the list route -----------------------------------------
