@@ -7,11 +7,13 @@ on bit i-1; rank functions are dense tables of 2^n integers indexed by mask.
 The two representations convert both ways:
 
   * rank_from_bases    f(I) = max over bases of the I-coordinate sum; each
-                       basis packs its 2^n subset sums into the fixed-width
+                       basis packs its 2^n subset sums, as offsets from
+                       each coordinate's minimum, into the fixed-width
                        lanes of one integer, and the maximum is taken over
-                       all lanes at once with a guard bit per lane.  Sums
-                       that need lanes wider than 8 bytes fall back to one
-                       list per basis, which is cheaper at that size
+                       all lanes at once with a guard bit per lane.  Only
+                       a set with n times a coordinate's max - min at
+                       2^63 or more, which no polymatroid reaches, falls
+                       back to one list of sums per basis
   * enumerate_bases    recover the basis set from a submodular table by
                        recursing on the last coordinate: the bases with the
                        last coordinate pinned to j project to the polymatroid
@@ -100,6 +102,7 @@ from .errors import (
     NonzeroEmptySet,
     OutOfRange,
     OverlappingSets,
+    ParseError,
     SizeLimitExceeded,
     SubmodularityFailure,
     UnequalSums,
@@ -236,7 +239,7 @@ class RankTable:
         try:
             n, values = data["n"], data["f"]
         except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad rank table JSON: {exc}") from exc
+            raise ParseError(f"bad rank table JSON: {exc}") from exc
         values = json_list(values, "'f'")
         if not _INT.issuperset(map(type, values)):
             for v in values:  # name the first bad slot
@@ -494,7 +497,7 @@ class Polymatroid:
         try:
             n, rows = data["n"], data["bases"]
         except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad polymatroid JSON: {exc}") from exc
+            raise ParseError(f"bad polymatroid JSON: {exc}") from exc
         n = json_int(n, "n")
         rows = json_list(rows, "'bases'")
         if not (_LIST.issuperset(map(type, rows))
@@ -578,52 +581,45 @@ def _exchange_witness(rows: Sequence[Vector], member: frozenset) -> tuple | None
 def rank_from_bases(p: Polymatroid) -> RankTable:
     """f(I) = max over bases of the I-coordinate sum, for every mask.
 
-    Each basis b becomes one integer holding all 2^n subset sums in lanes of
-    w bits, lane m at bit m * w:
+    The sums are offsets from each coordinate's minimum low_i, a modular
+    part added back at the end.  Each basis b becomes one integer holding
+    the 2^n subset sums of b - low in lanes of w bits, lane m at bit m * w:
 
-        s = bias * ONES + sum_i b_i * IND_i,
+        s = sum_i (b_i - low_i) * IND_i,
 
     where IND_i has a 1 in lane m exactly when bit i of m is set.  Every
-    subset sum lies within n * max|b_i| < 2^(w - 2) of zero, so with
-    bias = 2^(w - 2) every lane of s lies in [0, 2^(w - 1)) and its top bit,
-    the guard, is clear.  The running maximum over the bases is then a few
-    big-integer operations over all lanes at once: subtracting s from the
-    maximum with the guards set borrows from a lane's guard exactly when
-    that lane of s is larger, and the surviving guards select, lane by lane,
-    which of the two to keep.  The lanes are unpacked once at the end, by
-    struct, as signed little-endian integers of 1, 2, 4 or 8 bytes.
+    lane lies in [0, n * span], span the widest max - min of a coordinate,
+    and w is one bit more than n * span needs, so the lane's top bit, the
+    guard, is clear.  The running maximum, from 0, is then a few big-integer
+    operations over all lanes at once: subtracting s from the maximum with
+    the guards set borrows from a lane's guard exactly when that lane of s
+    is larger, and the surviving guards select, lane by lane, which of the
+    two to keep.  The lanes are unpacked once at the end, by struct.
 
-    When n * max|b_i| reaches 2^62, lanes would need more than 8 bytes, and
-    the function takes one list of 2^n subset sums per basis and their
-    elementwise maxima instead.  Lanes that wide cost more than the lists:
-    on n = 16 with three 1,000-digit vectors the packed form took over 100
-    times the time and 10 times the memory.  The choice reads only the size
-    of the coordinates, and coordinates that large are rare in practice.
-    One basis is its own table of subset sums.
+    When n * span reaches 2^63, lanes would need more than 8 bytes, and the
+    function takes the elementwise maxima of one list of subset sums per
+    basis instead.  No polymatroid gets there: its coordinates take every
+    value between their extremes, so its span is below the number of bases.
     """
     rows = p.bases
     n = p.n
-    if len(rows) == 1:
-        return RankTable._trusted(n, tuple(_subset_sums(rows[0])))
-    width = (n * max(map(abs, chain.from_iterable(rows)))).bit_length() + 2
+    lows = list(map(min, zip(*rows)))
+    width = (n * max(map(sub, map(max, zip(*rows)), lows))).bit_length() + 1
     if width > 64:
         best = _subset_sums(rows[0])
         for v in rows[1:]:
             best = [a if a > b else b for a, b in zip(best, _subset_sums(v))]
         return RankTable._trusted(n, tuple(best))
-    size = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8
+    size = _lane_size(width)
     _, guard, indicators, lanes = _lanes(n, size)
-    bias = guard >> 1
     top = 8 * size - 1
-    best = sum(map(mul, rows[0], indicators), bias)
-    for v in rows[1:]:
-        s = sum(map(mul, v, indicators), bias)
+    best = 0
+    for v in rows:
+        s = sum(map(mul, map(sub, v, lows), indicators))
         g = ((best | guard) - s) & guard  # the guards of the lanes where best >= s
         best = s ^ ((best ^ s) & (g - (g >> top)))
-    # lane - bias as a signed lane: flip bit w - 2, then copy it into bit w - 1
-    best ^= bias
-    best |= (best & bias) << 1
-    return RankTable._trusted(n, lanes.unpack(best.to_bytes(size << n, "little")))
+    best = lanes.unpack(best.to_bytes(size << n, "little"))
+    return RankTable._trusted(n, tuple(map(add, best, _subset_sums(lows))))
 
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,8 @@ import itertools
 from random import Random
 from typing import Iterable, Sequence
 
-from .core import Polymatroid, RankTable, enumerate_bases, json_list
-from .errors import ValidationError
+from .core import Polymatroid, RankTable, _mask_of, enumerate_bases, json_list
+from .errors import ParseError, ValidationError
 
 
 class Hypergraph:
@@ -110,7 +110,7 @@ class Hypergraph:
                     raise ValidationError(f"bad incidence {pair}: expected [hyperedge in 'E', vertex]")
                 incident[pair[0]].append(pair[1])
             return Hypergraph(v_names, [incident[e] for e in e_names])
-        raise ValidationError("hypergraph JSON needs 'hyperedges' or 'edges'")
+        raise ParseError("hypergraph JSON needs 'hyperedges' or 'edges'")
 
 
 def _json_names(value, what: str) -> list[str]:
@@ -152,11 +152,7 @@ def _incidence_forest(h: Hypergraph, edge_mask: int) -> int:
 
 def hypergraph_rank(h: Hypergraph, edges: Iterable[int]) -> int:
     """Covered-vertex count minus incidence components, for 1-based indices."""
-    mask = 0
-    for k in edges:
-        if not 1 <= k <= h.num_edges:
-            raise ValidationError(f"hyperedge index {k} outside 1..{h.num_edges}")
-        mask |= 1 << (k - 1)
+    mask = _mask_of(edges, h.num_edges)
     # covered - components = covered - (chosen + covered - forest edges)
     return _incidence_forest(h, mask) - bin(mask).count("1")
 
@@ -205,12 +201,7 @@ def is_connected(h: Hypergraph, removed_edges: Iterable[int] = ()) -> bool:
     graph disconnected.  A graph with no vertices at all counts as
     disconnected, one with a single vertex as connected.
     """
-    removed = 0
-    for k in removed_edges:
-        if not 1 <= k <= h.num_edges:
-            raise ValidationError(f"hyperedge index {k} outside 1..{h.num_edges}")
-        removed |= 1 << (k - 1)
-    mask = ((1 << h.num_edges) - 1) & ~removed
+    mask = ((1 << h.num_edges) - 1) & ~_mask_of(removed_edges, h.num_edges)
     total_nodes = bin(mask).count("1") + h.num_vertices
     if total_nodes == 0:
         return False

@@ -121,6 +121,24 @@ def test_bad_shape_exit_code(files, capsys):
     assert "category=ParseError" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["connectivity"], "u13_rank"),
+        (["validate", "--as", "hypergraph"], "u13_rank"),
+        (["validate", "--as", "rank"], "pair"),
+        (["validate", "--as", "bases"], "k22"),
+        (["validate"], "bad_shape"),
+    ],
+    ids=["connectivity-on-rank", "hypergraph-on-rank", "rank-on-bases", "bases-on-hypergraph",
+         "no-known-key"],
+)
+def test_a_file_missing_its_kind_keys_is_a_parse_error(files, capsys, argv, name):
+    code, out, err = run(capsys, *argv, files[name])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: category=ParseError: ")
+
+
 def test_non_utf8_file_exit_code(files, capsys):
     path = files["dir"] / "latin1.json"
     path.write_bytes(b'{"n": 1, "bases": [[1]], "name": "\xe9"}')

@@ -300,9 +300,31 @@ def test_rank_from_bases_matches_the_maxima_oracle(monkeypatch):
         p = Polymatroid(rows, validate=False)
         sizes.clear()
         assert rank_from_bases(p).f == rank_by_maxima(p.bases, n), (n, rows)
-        kernels.add(sizes[0] if sizes else "one basis" if len(p) == 1 else "wide")
-    # every lane width in bytes, the wide fallback and the one-basis case ran
-    assert kernels == {1, 2, 4, 8, "wide", "one basis"}
+        kernels.add(sizes[0] if sizes else "wide")
+    # every lane width in bytes and the wide fallback ran
+    assert kernels == {1, 2, 4, 8, "wide"}
+
+
+def test_translated_bases_keep_their_lane_size(monkeypatch):
+    # the sums are packed as offsets from each coordinate's minimum, so a
+    # translate far from zero packs in the lanes of the untranslated set
+    sizes = []
+    real = core._lanes
+    monkeypatch.setattr(core, "_lanes", lambda n, size: sizes.append(size) or real(n, size))
+    rng = Random(26)
+    tables = [random_rank_table(rng, n) for n in (2, 3, 4, 5, 6)] + [uniform_matroid(4, 8)]
+    for p in map(enumerate_bases, tables):
+        n = p.n
+        sizes.clear()
+        rank_from_bases(p)
+        (size,) = sizes
+        assert size <= 4
+        for far in (10 ** 20, 1 << 70):
+            c = tuple(far if i % 2 else -far for i in range(n))
+            for q in (p.translate(c), p.translate(tuple(-x for x in c))):
+                sizes.clear()
+                assert rank_from_bases(q).f == rank_by_maxima(q.bases, n)
+                assert sizes == [size], (n, far)
 
 
 def test_rank_from_bases_memory_on_huge_coordinates():

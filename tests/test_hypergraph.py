@@ -153,6 +153,13 @@ def test_is_connected_removal():
     assert not is_connected(K22, [1, 2])
 
 
+@pytest.mark.parametrize("index", [0, 3])
+@pytest.mark.parametrize("function", [hypergraph_rank, is_connected])
+def test_hyperedge_labels_outside_one_to_e_are_refused(function, index):
+    with pytest.raises(ValidationError, match=rf"element {index} outside 1\.\.2"):
+        function(K22, [1, index])
+
+
 # -- 4-cycles --------------------------------------------------------------------------
 
 
