@@ -45,7 +45,7 @@ from .formulas import (
     binomial,
     coefficient_report,
     coefficientwise_le,
-    exterior_ceiling_check,
+    full_rank_prefix,
     near_top_coefficient,
     near_top_univariate,
     search_by_tutte,
@@ -74,9 +74,9 @@ __all__ = [
     "direct_polynomials",
     "enumerate_bases",
     "enumerate_small_polymatroids",
-    "exterior_ceiling_check",
     "exterior_dc",
     "exterior_direct",
+    "full_rank_prefix",
     "hypergraph_rank",
     "hypertree_polymatroid",
     "interior_dc",

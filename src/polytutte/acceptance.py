@@ -31,7 +31,8 @@ Criteria (all exact integer identities, no tolerances):
                             increase for a subset pair
   7 connectivity            profile == exterior ceiling prefix; uniform
                             binomial sequences; ceiling bound; rank-fullness
-                            equivalence; positivity of covered coefficients
+                            equivalence (full-rank prefix == ceiling
+                            prefix); positivity of covered coefficients
   8 structure-oracles       slice ranks vs brute force, minor commutation,
                             duality exchange; then, for all bases at once
                             in byte lanes, tight sets (from the table)
@@ -74,7 +75,7 @@ from .formulas import (
     binomial,
     ceiling_prefix,
     coefficient_report,
-    exterior_ceiling_check,
+    full_rank_prefix,
     monotonicity_reports,
     near_top_univariate,
     random_minor_args,
@@ -423,18 +424,15 @@ def check_monotonicity(corpus: Corpus, rng: Random) -> str:
 def check_non_monotonicity(corpus: Corpus, rng: Random) -> str:
     names = list(COUNTEREXAMPLE_TARGETS)
     targets = [COUNTEREXAMPLE_TARGETS[k] for k in names]
-    matches = search_by_tutte(targets, max_n=3, max_rank=4)
-    found: dict[str, list] = {k: [] for k in names}
-    for m in matches:
-        found[names[m.target_index]].append(m)
+    found = dict(zip(names, search_by_tutte(targets, max_n=3, max_rank=4)))
     if not found["minor"]:
         raise AssertionError("search did not realize the two-element reference polynomial")
     big, small = COUNTEREXAMPLE_TARGETS["eleven-basis"], COUNTEREXAMPLE_TARGETS["two-basis"]
-    for m in found["eleven-basis"]:
-        if len(m.polymatroid) != 11:
+    for p in found["eleven-basis"]:
+        if len(p) != 11:
             raise AssertionError("eleven-basis match with wrong basis count")
-    for m in found["two-basis"]:
-        if len(m.polymatroid) != 2:
+    for p in found["two-basis"]:
+        if len(p) != 2:
             raise AssertionError("two-basis match with wrong basis count")
     if found["eleven-basis"] and found["two-basis"]:
         # the four strict coefficient increases printed for this pair/minor
@@ -486,11 +484,13 @@ def check_connectivity(corpus: Corpus, rng: Random) -> str:
             raise AssertionError(
                 f"profile {profile} != ceiling prefix {prefix} on {h}"
             )
-        # rank-fullness equivalence at every k
-        for k in range(h.num_edges + 1):
-            chk = exterior_ceiling_check(table, k, exterior=x)
-            if not chk.match:
-                raise AssertionError(f"rank/coefficient sides disagree at k={k} on {h}")
+        # rank-fullness equivalence at every k: both sides are prefixes
+        rank_side = full_rank_prefix(table)
+        coefficient_side = ceiling_prefix(x, table.full_rank(), h.num_edges)
+        if rank_side != coefficient_side:
+            raise AssertionError(
+                f"full-rank prefix {rank_side} != ceiling prefix {coefficient_side} on {h}"
+            )
         # positivity: a removable set of degree->=2 hyperedges keeps low
         # coefficients positive
         for k in range(h.num_edges + 1):

@@ -371,14 +371,10 @@ def cmd_search(args) -> int:
         raise ParseError("targets file needs a 'targets' list")
     targets = [_parse_target(t) for t in data["targets"]]
     matches = search_by_tutte(targets, max_n=args.n, max_rank=args.max_rank)
-    by_target: dict[int, list] = {i: [] for i in range(len(targets))}
-    for m in matches:
-        by_target[m.target_index].append(m)
     payload = {"targets": []}
     lines = []
-    for idx, t in enumerate(targets):
-        found = by_target[idx]
-        examples = [[list(v) for v in m.polymatroid.bases] for m in found[:3]]
+    for idx, (t, found) in enumerate(zip(targets, matches)):
+        examples = [[list(v) for v in p.bases] for p in found[:3]]
         payload["targets"].append(
             {"polynomial": str(t), "matches": len(found), "examples": examples}
         )

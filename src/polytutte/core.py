@@ -55,8 +55,9 @@ time:
     sets that satisfy it are exactly the integer points of integral base polyhedra.  On
     success the polymatroid keeps g as its rank_table().
 
-The slice engine's one entry, _engine, validates any table that has not
-passed validate(), which marks the tables it passes.
+The slice engine's one entry, _engine, walks the normalized values that
+validate() checked and keeps on the table, and validates any table that has
+not passed it.
 
 A failed check names a witness: a violating pair of subsets, or, searched
 pairwise on the failure path only, a pair of bases and an index with no
@@ -133,9 +134,10 @@ def _mask_of(elements: Iterable[int], n: int) -> int:
 
 class RankTable:
     """Dense integer rank function f: 2^[n] -> Z, indexed by subset mask;
-    only validate() sets ``_valid``, once the table passes."""
+    only validate() sets ``_key``, the normalized values it checked, once
+    the table passes."""
 
-    __slots__ = ("n", "f", "_valid")
+    __slots__ = ("n", "f", "_key")
 
     def __init__(self, n: int, values: Sequence[int], *, validate: bool = True):
         f = _table_values(n, values, typed=False)
@@ -207,7 +209,7 @@ class RankTable:
                     bad = check & ~r
                     s = ((bad & -bad).bit_length() - 1) // bits
                     raise SubmodularityFailure(s | 1 << i, s | 1 << j)
-        _set_table_valid(self, True)
+        _set_table_key(self, g)
         return self
 
     def value(self, elements: Iterable[int]) -> int:
@@ -252,7 +254,7 @@ class RankTable:
 # raising __setattr__ and cost less than object.__setattr__.
 _set_table_n = RankTable.n.__set__
 _set_table_f = RankTable.f.__set__
-_set_table_valid = RankTable._valid.__set__
+_set_table_key = RankTable._key.__set__
 
 
 def _table_values(n: int, values: Sequence[int], typed: bool) -> tuple[int, ...]:
@@ -671,12 +673,14 @@ def _packed_power(pl: int, k: int) -> int:
     return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
 
 
-def _engine(table: RankTable, key: tuple[int, ...], pl: int, cap: int | float) -> int:
-    """``_node`` on ``table``, whose ``_normalized`` values are ``key``:
-    the one entry into the slice engine, which validates a table that has
-    not passed validate(), so the engine walks only polymatroids' tables."""
-    if not getattr(table, "_valid", False):
-        table.validate()
+def _engine(table: RankTable, pl: int, cap: int | float) -> int:
+    """``_node`` on the normalized values that validate() checked and kept
+    as ``table._key``: the one entry into the slice engine, which validates
+    a table that has not passed validate(), so the engine walks only
+    polymatroids' tables."""
+    key = getattr(table, "_key", None)
+    if key is None:
+        key = table.validate()._key
     n = table.n
     if n > 2 and key[1 << n - 1] >= cap:  # the root's own cap check, before packing
         return cap
@@ -849,7 +853,7 @@ def count_bases(table: RankTable, cap: int) -> int:
     cost 10^6 levels.
     """
     # min: a two-element root takes its closed form whatever the cap
-    return min(_engine(table, _normalized(table.f, table.n), 0, cap), cap)
+    return min(_engine(table, 0, cap), cap)
 
 
 def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:
@@ -871,9 +875,11 @@ def enumerate_small_polymatroids(n: int, max_rank: int) -> Iterator[Polymatroid]
     0..max_rank, each once, each enumerated under ``DEFAULT_MAX_BASES``.
 
     Candidate tables are built mask by mask in increasing numeric order, so
-    every proper subset of a mask is assigned before it.  A mask M takes the
-    values from 0 up to the local bound, the minimum over pairs of elements
-    x, y of M of f(M - x) + f(M - y) - f(M - x - y), and at most max_rank.
+    every proper subset of a mask is assigned before it, by one loop that
+    backtracks over the masks (a recursion per mask would go 2^n deep).  A
+    mask M takes the values from 0 up to the local bound, the minimum over
+    pairs of elements x, y of M of f(M - x) + f(M - y) - f(M - x - y), and
+    at most max_rank.
     Every smaller mask was held to its own local bound, so the table is
     locally submodular below M and stays so on the subsets of M; local
     submodularity is equivalent to submodularity (see RankTable.validate),
@@ -891,15 +897,22 @@ def enumerate_small_polymatroids(n: int, max_rank: int) -> Iterator[Polymatroid]
         bits = [1 << i for i in range(n) if m >> i & 1]
         local.append([(m ^ x, m ^ y, m ^ x ^ y) for x, y in combinations(bits, 2)])
     f = [0] * size
-
-    def assign(mask: int):
+    top = [0] * size  # top[M]: the bound of M under the values below it
+    mask = 1  # the next mask to assign; f(empty) stays 0
+    while True:
         if mask == size:
             yield enumerate_bases(RankTable._trusted(n, tuple(f)))
+        else:
+            top[mask] = min([max_rank] + [f[a] + f[b] - f[c] for a, b, c in local[mask]])
+            if top[mask] >= 0:
+                mask += 1  # f[mask] starts at 0
+                continue
+        # back up to the last mask below that can still rise
+        mask -= 1
+        while mask and f[mask] == top[mask]:
+            f[mask] = 0
+            mask -= 1
+        if not mask:
             return
-        bound = min([max_rank] + [f[a] + f[b] - f[c] for a, b, c in local[mask]])
-        for v in range(bound + 1):
-            f[mask] = v
-            yield from assign(mask + 1)
-        f[mask] = 0
-
-    yield from assign(1)
+        f[mask] += 1
+        mask += 1

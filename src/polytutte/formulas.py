@@ -16,15 +16,17 @@ The generalized binomial is the falling factorial m(m-1)...(m-k+1)/k!, so
 e.g. C(-1, 2) = 1; this convention is forced by the unique-basis case where
 T = (x + y - 1)^n.
 
-Also here: the exterior-coefficient ceiling check (rank staying full under
-every k-element removal is equivalent to the first k+1 exterior coefficients
-hitting C(f([n]) + i - 1, i); the caller supplies the exterior polynomial,
-so nothing here depends on ``activity``), a coefficientwise <= comparator
-with witness, the interior/exterior monotonicity checker that the CLI's
-``monotone`` and acceptance criterion 5 share, an exhaustive search for
-polymatroids with a prescribed Tutte polynomial, and seeded random corpus
-generators (submodular tables from truncated weighted coverage functions,
-subset pairs by coordinate capping, minors).
+Also here: both sides of the exterior-coefficient ceiling, as prefixes
+(rank staying full under every removal of at most k elements,
+``full_rank_prefix``, is equivalent to the first k+1 exterior coefficients
+hitting C(f([n]) + i - 1, i), ``ceiling_prefix``; the caller supplies the
+exterior polynomial, so nothing here depends on ``activity``), a
+coefficientwise <= comparator with witness, the interior/exterior
+monotonicity checker that the CLI's ``monotone`` and acceptance criterion 5
+share, an exhaustive search for polymatroids with a prescribed Tutte
+polynomial, and seeded random corpus generators (submodular tables from
+truncated weighted coverage functions, subset pairs by coordinate capping,
+minors).
 """
 
 from __future__ import annotations
@@ -211,28 +213,15 @@ def coefficient_report(p: Polymatroid | RankTable, tutte: BiPoly) -> list[Coeffi
 # -- exterior ceiling ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CeilingCheck:
-    """Both sides of the rank-fullness / exterior-ceiling equivalence."""
+def full_rank_prefix(p: Polymatroid | RankTable) -> int:
+    """Largest k in 0..n with f([n] - J) = f([n]) for every J of at most k
+    elements, from one scan of the table.
 
-    k: int
-    rank_side: bool
-    coefficient_side: bool
-
-    @property
-    def match(self) -> bool:
-        return self.rank_side == self.coefficient_side
-
-
-def exterior_ceiling_check(p: Polymatroid | RankTable, k: int, exterior: BiPoly) -> CeilingCheck:
-    """Evaluate both sides of the equivalence independently.
-
-    Rank side: f([n] - J) = f([n]) for every J of size k (exhaustive).
-    Coefficient side: [y^i] X = C(f([n]) + i - 1, i) for every i <= k, where
-    ``exterior`` is the exterior polynomial X of ``p``.
-    Requires all basis coordinates nonnegative.  Reads only n and the rank
-    table, so ``p`` may be the table itself: the least value of coordinate t
-    is f([n]) - f([n] - t).
+    This is the rank side of the exterior-ceiling equivalence, whose
+    coefficient side is ``ceiling_prefix(X, f([n]), n)``.  Requires all
+    basis coordinates nonnegative.  Reads only n and the rank table, so
+    ``p`` may be the table itself: the least value of coordinate t is
+    f([n]) - f([n] - t).
     """
     n = p.n
     f = p.rank_table().f
@@ -240,11 +229,8 @@ def exterior_ceiling_check(p: Polymatroid | RankTable, k: int, exterior: BiPoly)
     full = f[full_mask]
     if any(full - f[full_mask ^ (1 << t)] < 0 for t in range(n)):
         raise NegativeCoordinates("ceiling check needs nonnegative bases")
-    if not 0 <= k <= n:
-        raise ValidationError(f"need 0 <= k <= n, got k={k}")
-    rank_side = all(v == full for mask, v in enumerate(f) if mask.bit_count() == n - k)
-    coeff_side = all(exterior.coeff(0, i) == binomial(full + i - 1, i) for i in range(k + 1))
-    return CeilingCheck(k, rank_side, coeff_side)
+    # removing J = [n] - S leaves S, so each S below full rank caps k at |J| - 1
+    return min((n - s.bit_count() for s, v in enumerate(f) if v != full), default=n + 1) - 1
 
 
 def ceiling_prefix(x: BiPoly, m: int, n: int) -> int:
@@ -307,24 +293,19 @@ def monotonicity_reports(
 # -- exhaustive search ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchMatch:
-    target_index: int
-    polymatroid: Polymatroid
-
-
 def search_by_tutte(
     targets: Sequence[BiPoly], max_n: int = 3, max_rank: int = 4
-) -> list[SearchMatch]:
-    """All small polymatroids whose Tutte polynomial equals one of the targets.
+) -> list[list[Polymatroid]]:
+    """For each target, the small polymatroids whose Tutte polynomial equals
+    it, in scan order; a missing target gets an empty list.
 
     Scans every polymatroid of a submodular table with n <= max_n and values
-    in 0..max_rank.  A missing target is simply absent from the result list.
+    in 0..max_rank.
     """
+    found: list[list[Polymatroid]] = [[] for _ in targets]
     wanted: dict[int, list[int]] = {}
     for idx, t in enumerate(targets):
         wanted.setdefault(t.total_degree(), []).append(idx)
-    out: list[SearchMatch] = []
     for n in range(1, max_n + 1):
         if n not in wanted:
             continue  # top-degree terms force total degree n
@@ -332,8 +313,8 @@ def search_by_tutte(
             t = tutte_dc(p)
             for idx in wanted[n]:
                 if t == targets[idx]:
-                    out.append(SearchMatch(idx, p))
-    return out
+                    found[idx].append(p)
+    return found
 
 
 # -- seeded random corpus ---------------------------------------------------------------

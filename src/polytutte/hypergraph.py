@@ -102,6 +102,8 @@ class Hypergraph:
         if "edges" in data:
             # explicit bipartite form: {"E": [...], "V": [...], "edges": [[e, v], ...]}
             e_names = _json_names(data.get("E"), "'E'")
+            if len(set(e_names)) != len(e_names):
+                raise ValidationError("duplicate hyperedge names")
             v_names = _json_names(data.get("V"), "'V'")
             incident: dict[str, list[str]] = {e: [] for e in e_names}
             for pair in json_list(data["edges"], "'edges'"):

@@ -50,8 +50,9 @@ pivot, outside the engine).  Each node costs a few big-integer operations
 over 2^n lanes per level, run in C, however many bases the polymatroid has.
 A two-element node takes a closed form: a normalized polymatroid's table on
 two elements has lanes 0, c, c, c, and its T is (x + y + c - 1)(x + y - 1).
-The engine's one entry, ``core._engine``, validates any table not yet
-validated, so every node it walks is a polymatroid's.
+The engine's one entry, ``core._engine``, walks the normalized table that
+``validate()`` checked and kept, and validates any table not yet validated,
+so every node it walks is a polymatroid's.
 
 Polynomials as lanes.  Below the root a polynomial is one integer: the
 coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
@@ -152,12 +153,15 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     nodes below the root are memoized for this call only; the shared cache
     keeps the decoded root, under the normalized table.
 
-    ``p`` is a polymatroid or its rank table.  A table that has not passed
-    ``validate()`` is validated on a cache miss, and one that fails raises
-    its error: a hit's key is the normalized table of one that passed.
+    ``p`` is a polymatroid or its rank table.  The key is the normalized
+    table that ``validate()`` kept, or one computed here for a table that
+    has not passed it, which is validated on a cache miss and raises its
+    error if it fails: a hit's key is the normalized table of one that passed.
     """
     table = p.rank_table()
-    key = _normalized(table.f, table.n)
+    key = getattr(table, "_key", None)
+    if key is None:
+        key = _normalized(table.f, table.n)
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -166,7 +170,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     for t in range(n):
         bound *= key[1 << t] + 1
     pl = (bound.bit_length() // 64 + 1) * 64
-    result = _unpack_poly(_engine(table, key, pl, math.inf), n, pl)
+    result = _unpack_poly(_engine(table, pl, math.inf), n, pl)
     if len(_cache) >= DEFAULT_MEMO_CAPACITY:
         _cache.clear()
     _cache[key] = result

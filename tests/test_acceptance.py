@@ -85,6 +85,18 @@ def test_corpus_hypergraph_tables_are_built_once(monkeypatch):
     assert [h.num_edges for h in built] == [2]  # K_{2,2} only: it is not in the corpus
 
 
+# -- criterion 7 compares the two prefixes ------------------------------------------
+
+
+def test_connectivity_check_catches_a_long_full_rank_prefix(monkeypatch):
+    corpus = acceptance.build_corpus(acceptance.DEFAULT_SEED)
+    acceptance.check_connectivity(corpus, Random(0))
+    real = acceptance.full_rank_prefix
+    monkeypatch.setattr(acceptance, "full_rank_prefix", lambda table: real(table) + 1)
+    with pytest.raises(AssertionError, match="full-rank prefix"):
+        acceptance.check_connectivity(corpus, Random(0))
+
+
 # -- criterion 8 catches a fault on either side -----------------------------------
 
 U13 = Polymatroid([(1, 0, 0), (0, 1, 0), (0, 0, 1)])

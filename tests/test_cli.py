@@ -91,6 +91,16 @@ def test_tutte_on_bipartite_form(files, capsys):
     assert out.strip() == "x^2 + 2*x*y + y^2 - x - y"
 
 
+def test_bipartite_form_refuses_a_repeated_hyperedge_name(files, capsys):
+    path = files["dir"] / "repeated.json"
+    path.write_text(
+        json.dumps({"E": ["a", "a"], "V": ["v1", "v2"], "edges": [["a", "v1"], ["a", "v2"]]})
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: category=ValidationError: duplicate hyperedge names\n"
+
+
 def test_tutte_on_rank_table(files, capsys):
     code, out, _ = run(capsys, "tutte", files["u13_rank"], "--method", "direct")
     assert code == EXIT_OK

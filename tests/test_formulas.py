@@ -8,7 +8,7 @@ import pytest
 
 from polytutte import acceptance
 from polytutte.activity import exterior_direct, interior_direct, tutte_direct
-from polytutte.bipoly import parse
+from polytutte.bipoly import X_PLUS_Y_MINUS_1, parse
 from polytutte.core import (
     Polymatroid,
     RankTable,
@@ -23,7 +23,7 @@ from polytutte.formulas import (
     coefficient_report,
     ceiling_prefix,
     coefficientwise_le,
-    exterior_ceiling_check,
+    full_rank_prefix,
     near_top_coefficient,
     near_top_univariate,
     random_minor_args,
@@ -34,7 +34,14 @@ from polytutte.formulas import (
     second_band_univariate,
     top_coefficient,
 )
-from polytutte.hypergraph import Hypergraph, hypertree_polymatroid, rank_table
+from polytutte.hypergraph import (
+    Hypergraph,
+    connectivity_profile,
+    hypertree_polymatroid,
+    random_hypergraph,
+    rank_table,
+)
+from polytutte.recursion import exterior_dc
 
 
 def exterior_ceiling_profile(p: Polymatroid) -> int:
@@ -179,45 +186,50 @@ def test_report_row_shape():
 
 
 def test_ceiling_check_uniform_three():
-    for k in (0, 1, 2):
-        chk = exterior_ceiling_check(U13, k, exterior_direct(U13))
-        assert chk.rank_side and chk.coefficient_side
+    # U(1,3) stays at full rank under any two removals: 2 on both sides
+    assert full_rank_prefix(U13) == 2
+    assert ceiling_prefix(exterior_direct(U13), 1, 3) == 2
 
 
 def test_ceiling_check_scaled_pair():
     p = Polymatroid([(2, 0), (1, 1), (0, 2)])
-    chk = exterior_ceiling_check(p, 1, exterior_direct(p))
-    assert chk.rank_side and chk.coefficient_side  # X = 1 + 2y, C(2,1) = 2
+    assert full_rank_prefix(p) == 1
+    assert exterior_ceiling_profile(p) == 1  # X = 1 + 2y, C(2,1) = 2
 
 
 def test_ceiling_check_pendant_vertex_fails_both_sides():
     h = Hypergraph(["v1", "v2", "v3"], [["v1", "v2"], ["v1", "v2", "v3"]])
     p = hypertree_polymatroid(h)
-    chk = exterior_ceiling_check(p, 1, exterior_direct(p))
-    assert not chk.rank_side and not chk.coefficient_side
-    assert chk.match
+    assert full_rank_prefix(p) == 0
+    assert exterior_ceiling_profile(p) == 0
 
 
 def test_ceiling_check_rejects_negative_bases():
     with pytest.raises(NegativeCoordinates):
-        p = Polymatroid([(-1, 0), (0, -1)])
-        exterior_ceiling_check(p, 0, exterior_direct(p))
+        full_rank_prefix(Polymatroid([(-1, 0), (0, -1)]))
 
 
 def test_ceiling_check_rejects_a_table_with_a_negative_coordinate_minimum():
     # the table of {(-1, 1), (0, 0)}: coordinate 1 reaches f([2]) - f({2}) = -1
     table = RankTable(2, [0, 0, 1, 0])
     with pytest.raises(NegativeCoordinates):
-        exterior_ceiling_check(table, 0, exterior_direct(enumerate_bases(table)))
+        full_rank_prefix(table)
 
 
 def test_ceiling_check_on_a_table_equals_the_check_on_its_bases():
     corpus = acceptance.build_corpus(acceptance.DEFAULT_SEED)
     for h in corpus.tables:
-        p = hypertree_polymatroid(h)
-        x = exterior_direct(p)
-        for k in range(h.num_edges + 1):
-            assert exterior_ceiling_check(rank_table(h), k, x) == exterior_ceiling_check(p, k, x)
+        assert full_rank_prefix(rank_table(h)) == full_rank_prefix(hypertree_polymatroid(h))
+
+
+def test_full_rank_prefix_meets_the_profile_and_the_ceiling_prefix():
+    # on connected hypergraphs the graph, rank and coefficient sides agree
+    rng = Random(28)
+    for _ in range(60):
+        h = random_hypergraph(rng, 6, 6)
+        table = rank_table(h)
+        expected = ceiling_prefix(exterior_dc(table), h.num_vertices - 1, h.num_edges)
+        assert connectivity_profile(h) == full_rank_prefix(table) == expected, h
 
 
 def test_ceiling_profile():
@@ -252,24 +264,28 @@ def test_compare_subset_instance():
 
 def test_search_finds_pair_polymatroid():
     target = parse("x^2 + 2*x*y + y^2 - x - y")
-    matches = search_by_tutte([target], max_n=2, max_rank=2)
-    found = {m.polymatroid for m in matches}
+    (found,) = search_by_tutte([target], max_n=2, max_rank=2)
     assert Polymatroid([(1, 0), (0, 1)]) in found
 
 
 def test_search_singletons():
-    matches = search_by_tutte([parse("x + y - 1")], max_n=1, max_rank=3)
-    assert {m.polymatroid.bases for m in matches} == {
-        ((c,),) for c in range(4)
-    }
+    (found,) = search_by_tutte([parse("x + y - 1")], max_n=1, max_rank=3)
+    assert {p.bases for p in found} == {((c,),) for c in range(4)}
 
 
 def test_search_match_count_by_evaluation():
     # any match for an 11-basis target must itself have 11 bases
     target = parse("x^3 + 3*x^2*y + 3*x*y^2 + y^3 + 2*x^2 + 3*x*y + y^2 - x - 2")
     assert target.evaluate(1, 1) == 11
-    for m in search_by_tutte([target], max_n=3, max_rank=3):
-        assert len(m.polymatroid) == 11
+    (found,) = search_by_tutte([target], max_n=3, max_rank=3)
+    for p in found:
+        assert len(p) == 11
+
+
+def test_search_scans_ten_elements():
+    # the generator backtracks in a loop: 2^10 masks do not nest 2^10 calls
+    (found,) = search_by_tutte([X_PLUS_Y_MINUS_1 ** 10], max_n=10, max_rank=0)
+    assert [p.bases for p in found] == [((0,) * 10,)]
 
 
 # -- random corpus generators ----------------------------------------------------------------
