@@ -53,10 +53,9 @@ from __future__ import annotations
 import itertools
 import time
 import traceback
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .activity import TransferRelation, direct_polynomials, tight_sets, tutte_direct
 from .bipoly import BiPoly, parse
@@ -116,8 +115,7 @@ COUNTEREXAMPLE_TARGETS = {
 }
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: str
     label: str
     passed: bool
@@ -138,8 +136,7 @@ class CriterionResult:
         }
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     """Shared deterministic test corpus, built once per seed.
 
     It holds inputs only, each hypergraph with its rank table, built once;

@@ -36,7 +36,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from . import acceptance, bipoly
@@ -77,15 +76,24 @@ EXIT_CODES = (
 )
 
 
-@dataclass
 class LoadedInput:
     """A parsed input: its rank table, and its basis set on first access."""
 
-    kind: str                      # "bases" | "rank" | "hypergraph"
-    table: RankTable
-    max_bases: int
-    hypergraph: Hypergraph | None = None
-    bases: Polymatroid | None = None   # given by a basis file, else enumerated
+    __slots__ = ("kind", "table", "max_bases", "hypergraph", "bases")
+
+    def __init__(
+        self,
+        kind: str,                     # "bases" | "rank" | "hypergraph"
+        table: RankTable,
+        max_bases: int,
+        hypergraph: Hypergraph | None = None,
+        bases: Polymatroid | None = None,  # given by a basis file, else enumerated
+    ):
+        self.kind = kind
+        self.table = table
+        self.max_bases = max_bases
+        self.hypergraph = hypergraph
+        self.bases = bases
 
     @property
     def polymatroid(self) -> Polymatroid:
@@ -334,12 +342,15 @@ def cmd_connectivity(args) -> int:
     data = _read_json(args.input)
     h = Hypergraph.from_json(data)
     _check_size(max(h.num_edges, 1), args.max_n)
+    # the table refuses a ground set past MAX_GROUND_SET before the profile
+    # walks its 2^E removal sets
+    table = rank_table(h) if h.num_edges >= 1 else None
     k_max = connectivity_profile(h)
     payload: dict = {"k_max": k_max, "vertices": h.num_vertices, "hyperedges": h.num_edges}
     lines = [f"k_max = {k_max}" + (" (incidence graph disconnected)" if k_max < 0 else "")]
     code = EXIT_OK
-    if h.num_edges >= 1:
-        x = exterior_dc(rank_table(h))
+    if table is not None:
+        x = exterior_dc(table)
         rows = []
         for i in range(max(k_max, 0) + 1):
             ceiling = binomial(h.num_vertices + i - 2, i)

@@ -825,18 +825,21 @@ def enumerate_bases(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Pol
     return Polymatroid._trusted(rows, table.n, table)
 
 
-def _enumerate(f: Sequence[int], n: int, limit: int) -> list[Vector]:
+def _enumerate(f: Sequence[int], n: int, limit: int, suffix: Vector = ()) -> list[Vector]:
+    """The bases of f, each followed by ``suffix``, the levels already
+    chosen for the coordinates above n; a leaf builds each basis once."""
     if n == 1:
-        return [(f[1],)]
+        return [(f[1],) + suffix]
     if n == 2:  # (a, f(E) - a) for a from alpha_1 = f(E) - f({2}) to beta_1 = f({1})
-        acc = [(a, f[3] - a) for a in range(f[3] - f[2], f[1] + 1)]
+        top = f[3]
+        acc = [(a, top - a) + suffix for a in range(top - f[2], f[1] + 1)]
         if len(acc) > limit:
             raise SizeLimitExceeded(limit)
         return acc
     tbit = 1 << (n - 1)
     acc = []
     for j in range(f[-1] - f[-1 - tbit], f[tbit] + 1):
-        acc += [v + (j,) for v in _enumerate(_slice_table(f, n, n, j), n - 1, limit)]
+        acc += _enumerate(_slice_table(f, n, n, j), n - 1, limit, (j,) + suffix)
         if len(acc) > limit:
             raise SizeLimitExceeded(limit)
     return acc

@@ -32,9 +32,8 @@ minors).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bipoly import BiPoly
 from .core import (
@@ -140,8 +139,7 @@ def _second_band(table: RankTable, shift: int) -> tuple[int, int]:
 # -- coefficient report ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
+class CoefficientRow(NamedTuple):
     """One predicted-vs-extracted comparison."""
 
     formula: str
@@ -247,8 +245,7 @@ def ceiling_prefix(x: BiPoly, m: int, n: int) -> int:
 # -- coefficientwise comparison ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of a coefficientwise p <= q test."""
 
     holds: bool

@@ -21,6 +21,12 @@ Also provided: the connectivity profile (largest k such that removing any k
 hyperedge vertices keeps the incidence graph connected, V-side isolated
 vertices counting as components), a 4-cycle count, and seeded random
 generators used by the verification corpus.
+
+Connectivity is tested by a flood over vertex bitmasks: one component grows
+from a kept hyperedge by absorbing every hyperedge that meets it.
+``hypergraph_rank`` keeps a union-find over the incidence graph
+(``forest_size``), so the one-pass ``rank_table`` has an independent side
+to be tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import itertools
 from random import Random
 from typing import Iterable, Sequence
 
-from .core import Polymatroid, RankTable, _mask_of, enumerate_bases, json_list
+from .core import Polymatroid, RankTable, _check_ground_size, _mask_of, enumerate_bases, json_list
 from .errors import ParseError, ValidationError
 
 
@@ -144,19 +150,22 @@ def forest_size(num_nodes: int, edges: Iterable[tuple[int, int]]) -> int:
     return merged
 
 
-def _incidence_forest(h: Hypergraph, edge_mask: int) -> int:
-    """Spanning-forest size of the incidence graph restricted to the chosen
-    hyperedges (hyperedge k is node k, vertex v is node |E| + v)."""
-    n = h.num_edges
-    pairs = [(k, n + v) for k in range(n) if edge_mask >> k & 1 for v in h.hyperedges[k]]
-    return forest_size(n + h.num_vertices, pairs)
-
-
 def hypergraph_rank(h: Hypergraph, edges: Iterable[int]) -> int:
-    """Covered-vertex count minus incidence components, for 1-based indices."""
-    mask = _mask_of(edges, h.num_edges)
+    """Covered-vertex count minus incidence components, for 1-based indices.
+
+    One union-find over the incidence graph restricted to the chosen
+    hyperedges: hyperedge k is node k, vertex v is node |E| + v.
+    """
+    n = h.num_edges
+    mask = _mask_of(edges, n)
+    pairs = [(k, n + v) for k in range(n) if mask >> k & 1 for v in h.hyperedges[k]]
     # covered - components = covered - (chosen + covered - forest edges)
-    return _incidence_forest(h, mask) - bin(mask).count("1")
+    return forest_size(n + h.num_vertices, pairs) - mask.bit_count()
+
+
+def _edge_bits(h: Hypergraph) -> list[int]:
+    """Each hyperedge as a bitmask of its vertices."""
+    return [sum(1 << v for v in e) for e in h.hyperedges]
 
 
 def rank_table(h: Hypergraph) -> RankTable:
@@ -170,7 +179,8 @@ def rank_table(h: Hypergraph) -> RankTable:
     n = h.num_edges
     if n < 1:
         raise ValidationError("need at least one hyperedge for a polymatroid")
-    edge_bits = [sum(1 << v for v in e) for e in h.hyperedges]
+    _check_ground_size(n)  # before the 2^n masks, not after them
+    edge_bits = _edge_bits(h)
     components: list[tuple[int, ...]] = [()]
     values = [0]
     for mask in range(1, 1 << n):
@@ -196,29 +206,58 @@ def hypertree_polymatroid(h: Hypergraph) -> Polymatroid:
     return enumerate_bases(rank_table(h))
 
 
+def _connected(kept: Sequence[int], every: int) -> bool:
+    """Is the incidence graph of the kept hyperedges, given as vertex
+    bitmasks, connected once every vertex of ``every`` is in it?
+
+    With nothing kept only the vertices remain: connected exactly when there
+    is one.  Otherwise one component grows from the first kept hyperedge,
+    absorbing each hyperedge that meets it, until a pass absorbs nothing.
+    """
+    if not kept:
+        return every == 1
+    component, rest = kept[0], kept[1:]
+    while rest:
+        left = []
+        for bits in rest:
+            if bits & component:
+                component |= bits
+            else:
+                left.append(bits)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return component == every
+
+
 def is_connected(h: Hypergraph, removed_edges: Iterable[int] = ()) -> bool:
     """Connectivity of the incidence graph after removing hyperedge vertices.
 
     All V-side vertices remain; a vertex isolated by the removal makes the
     graph disconnected.  A graph with no vertices at all counts as
-    disconnected, one with a single vertex as connected.
+    disconnected, one with a single vertex as connected.  The test is a
+    flood over vertex bitmasks (``_connected``).
     """
-    mask = ((1 << h.num_edges) - 1) & ~_mask_of(removed_edges, h.num_edges)
-    total_nodes = bin(mask).count("1") + h.num_vertices
-    if total_nodes == 0:
-        return False
-    return total_nodes - _incidence_forest(h, mask) == 1
+    removed = _mask_of(removed_edges, h.num_edges)
+    kept = [bits for k, bits in enumerate(_edge_bits(h)) if not removed >> k & 1]
+    return _connected(kept, (1 << h.num_vertices) - 1)
 
 
 def connectivity_profile(h: Hypergraph) -> int:
     """Largest k such that removing ANY k hyperedge vertices leaves the
-    incidence graph connected; -1 when it is disconnected to begin with."""
-    if not is_connected(h):
+    incidence graph connected; -1 when it is disconnected to begin with.
+
+    Walks the kept (n - k)-sets for k = 1, 2, ...; the first k with a
+    disconnected one decides, so the order within each k does not matter.
+    """
+    bits = _edge_bits(h)
+    every = (1 << h.num_vertices) - 1
+    if not _connected(bits, every):
         return -1
-    n = h.num_edges
+    n = len(bits)
     for k in range(1, n + 1):
-        for removed in itertools.combinations(range(1, n + 1), k):
-            if not is_connected(h, removed):
+        for kept in itertools.combinations(bits, n - k):
+            if not _connected(kept, every):
                 return k - 1
     return n
 

@@ -1,7 +1,8 @@
 """Independent checks that tests compare polytutte with: the axioms of
 rank tables and basis sets, subset-wise maxima of basis vectors, basis
-enumeration by an exchange closure, and the activity of one basis, from its
-transfers or from its tight sets.
+enumeration by an exchange closure and by slice levels that append one
+coordinate per level, incidence-graph connectivity by a union-find, and the
+activity of one basis, from its transfers or from its tight sets.
 
 These are the definitions themselves, with no shortcut, so they cost what
 the definitions cost; tests run them on small inputs only.
@@ -17,9 +18,11 @@ from polytutte.core import (
     RankTable,
     Vector,
     _exchange_witness,
+    _mask_of,
+    _slice_table,
 )
 from polytutte.errors import NotABasis, SizeLimitExceeded, ValidationError
-from polytutte.hypergraph import forest_size
+from polytutte.hypergraph import Hypergraph, forest_size
 
 
 def submodularity_failure(f) -> tuple[int, int] | None:
@@ -156,6 +159,39 @@ def exchange_closure(table: RankTable, max_bases: int = DEFAULT_MAX_BASES) -> Po
                     if len(seen) > max_bases:
                         raise SizeLimitExceeded(max_bases)
     return Polymatroid(seen, validate=False)
+
+
+def enumerate_by_levels(f, n: int, limit: int) -> list[Vector]:
+    """The bases of a table in ``enumerate_bases``'s order, raising
+    SizeLimitExceeded at the same points: for each level j of the last
+    coordinate, the slice table's bases with j appended, copying every
+    basis once per level above it."""
+    if n == 1:
+        return [(f[1],)]
+    if n == 2:
+        acc = [(a, f[3] - a) for a in range(f[3] - f[2], f[1] + 1)]
+        if len(acc) > limit:
+            raise SizeLimitExceeded(limit)
+        return acc
+    tbit = 1 << (n - 1)
+    acc = []
+    for j in range(f[-1] - f[-1 - tbit], f[tbit] + 1):
+        acc += [v + (j,) for v in enumerate_by_levels(_slice_table(f, n, n, j), n - 1, limit)]
+        if len(acc) > limit:
+            raise SizeLimitExceeded(limit)
+    return acc
+
+
+def incidence_connected(h: Hypergraph, removed_edges=()) -> bool:
+    """Is the incidence graph connected once the given 1-based hyperedges
+    are removed?  One union-find over its (hyperedge, vertex) pairs, with
+    hyperedge k as node k and vertex v as node |E| + v; no nodes at all
+    count as disconnected."""
+    n = h.num_edges
+    mask = ((1 << n) - 1) & ~_mask_of(removed_edges, n)
+    pairs = [(k, n + v) for k in range(n) if mask >> k & 1 for v in h.hyperedges[k]]
+    total_nodes = bin(mask).count("1") + h.num_vertices
+    return total_nodes > 0 and total_nodes - forest_size(n + h.num_vertices, pairs) == 1
 
 
 def transfers(p: Polymatroid, a: Vector) -> list[tuple[int, int]]:

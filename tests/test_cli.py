@@ -292,6 +292,20 @@ def test_ground_set_cap_keeps_its_category(files, capsys):
     assert "category=GroundSetTooLarge" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "connectivity"])
+@pytest.mark.parametrize("edges", [17, 26])
+def test_a_hypergraph_past_the_ground_set_cap_is_refused_at_once(files, capsys, command, edges):
+    # --max-n lets E through; the rank table refuses it before its 2^E
+    # masks, and connectivity builds the table before its 2^E removal sets
+    path = files["dir"] / f"parallel{edges}.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "hyperedges": [["a", "b", "c"]] * edges}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--max-n", "26", command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"error: category=GroundSetTooLarge: n = {edges} exceeds the maximum 16\n"
+
+
 NON_INTEGER_INPUTS = {
     "float_rank": {"n": 2, "f": [0, 1.5, 1, 1]},
     "bool_rank": {"n": 2, "f": [0, True, 1, 1]},

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    enumerate_by_levels,
     exchange_closure,
     greedy_basis,
     in_polytope,
@@ -45,6 +46,7 @@ from polytutte.errors import (
     ValidationError,
 )
 from polytutte.formulas import random_rank_table
+from polytutte.hypergraph import random_hypergraph, rank_table
 from polytutte.recursion import graphic_matroid, uniform_matroid
 
 
@@ -820,6 +822,26 @@ def test_exchange_closure_matches_enumeration():
         assert exchange_closure(f) == enumerate_bases(f)
     for f in itertools.islice(all_small_tables(3, 2), 0, None, 7):
         assert exchange_closure(f) == enumerate_bases(f)
+
+
+def test_enumeration_matches_the_level_by_level_oracle():
+    # the suffix-passing enumeration against one that appends a coordinate
+    # per level: the same vectors in the same order, and a cap one below
+    # the count refused by both
+    corpus = build_corpus()
+    rng = Random(17)
+    tables = [p.rank_table() for p in corpus.members()]
+    tables += list(corpus.tables.values())
+    tables += [rank_table(random_hypergraph(rng, 6, 8, connected=False)) for _ in range(40)]
+    for t in tables:
+        expected = enumerate_by_levels(t.f, t.n, core.DEFAULT_MAX_BASES)
+        assert core._enumerate(t.f, t.n, len(expected)) == expected, t
+        assert enumerate_bases(t, len(expected)).bases == tuple(sorted(expected)), t
+        if t.n > 1:  # a one-element table has one basis and no cap check
+            with pytest.raises(SizeLimitExceeded):
+                enumerate_bases(t, len(expected) - 1)
+            with pytest.raises(SizeLimitExceeded):
+                enumerate_by_levels(t.f, t.n, len(expected) - 1)
 
 
 def test_in_polytope():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
+from oracles import incidence_connected
 
 from polytutte.core import Polymatroid, RankTable
 from polytutte.errors import ValidationError
@@ -151,6 +153,54 @@ def test_connectivity_single_vertex_star():
 def test_is_connected_removal():
     assert is_connected(K22, [1])
     assert not is_connected(K22, [1, 2])
+
+
+def _profile_by_union_find(h: Hypergraph) -> int:
+    """The largest k such that every removal of k hyperedges leaves the
+    incidence graph connected by the union-find oracle, -1 if it is not."""
+    labels = range(1, h.num_edges + 1)
+    best = -1
+    for k in range(h.num_edges + 1):
+        if not all(incidence_connected(h, r) for r in itertools.combinations(labels, k)):
+            break
+        best = k
+    return best
+
+
+def _removal_sets(h: Hypergraph):
+    n = h.num_edges
+    return ([k + 1 for k in range(n) if mask >> k & 1] for mask in range(1 << n))
+
+
+CONNECTIVITY_CASES = {
+    "no vertices": (Hypergraph([], []), -1),
+    "one bare vertex": (Hypergraph(["a"], []), 0),
+    "an uncovered vertex": (Hypergraph(["a", "b", "c"], [["a", "b"], ["a", "b"]]), -1),
+    "parallel hyperedges": (Hypergraph(["a", "b", "c"], [["a", "b", "c"]] * 4), 3),
+    "a bridge": (Hypergraph(["a", "b"], [["a"], ["a", "b"], ["b"]]), 0),
+    "the 16-cycle": (
+        Hypergraph([f"v{k}" for k in range(16)], [[f"v{k}", f"v{(k + 1) % 16}"] for k in range(16)]),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+def test_connectivity_edge_cases_match_the_union_find(name):
+    h, expected = CONNECTIVITY_CASES[name]
+    for removed in _removal_sets(h):
+        assert is_connected(h, removed) == incidence_connected(h, removed), removed
+    assert connectivity_profile(h) == _profile_by_union_find(h) == expected
+
+
+def test_connectivity_matches_the_union_find_on_random_hypergraphs():
+    # the bitmask flood against the union-find on every removal set
+    rng = Random(29)
+    for _ in range(500):
+        h = random_hypergraph(rng, 7, 7, connected=False)
+        for removed in _removal_sets(h):
+            assert is_connected(h, removed) == incidence_connected(h, removed), (h, removed)
+        assert connectivity_profile(h) == _profile_by_union_find(h), h
 
 
 @pytest.mark.parametrize("index", [0, 3])
