@@ -29,10 +29,13 @@ keys moved by w_j - w_i.  An order's inactive counts are sums of ORs of
 these integers.  A count is at most n - 1 <= 15, since the first index is
 never inactive, so one byte holds it without a carry into the next lane:
 the counts are decoded once with to_bytes, and the bases are summed in
-groups of equal counts, not one by one.  direct_polynomials returns all
-three polynomials from the one pass that tutte_direct makes, and
-interior_direct and exterior_direct build only their side's pairs.  The
-relation takes at most n(n - 1) |B| bytes, 3.1 MB for the 12,870 bases of
+groups of equal counts, not one by one.  Each basis contributes one
+monomial, so T, I and X depend only on n and the group set: _of_groups
+decodes all three at once, memoized in an lru_cache of _GROUPS_MEMO_SIZE
+group sets that threads share.  tutte_direct, direct_polynomials and each
+order of TransferRelation.tutte read that decode; interior_direct and
+exterior_direct build only their side's pairs.  The relation takes at most
+n(n - 1) |B| bytes, 3.1 MB for the 12,870 bases of
 U(8,16): one byte per basis and pair, where a collection of inactive keys
 would take a pointer and an integer object per entry.
 
@@ -50,6 +53,7 @@ of the order in which bases or groups are summed.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import compress
 from operator import eq, le, mul
 from typing import Iterable, Sequence
@@ -57,6 +61,8 @@ from typing import Iterable, Sequence
 from .bipoly import X_PLUS_Y_MINUS_1, BiPoly, add_scaled_into, cached_power, from_dict
 from .core import Polymatroid, Vector, _subset_sums
 from .errors import NotABasis
+
+_GROUPS_MEMO_SIZE = 128  # group sets kept decoded, about 6.4 KB each
 
 
 def tight_sets(p: Polymatroid, a: Vector) -> tuple[int, ...]:
@@ -99,7 +105,7 @@ class TransferRelation(dict):
     keys moved by w_j - w_i, and kept.  ``every`` has a 1 in each lane.
     """
 
-    __slots__ = ("n", "every", "_keys", "_weights", "_member", "_last")
+    __slots__ = ("n", "every", "_keys", "_weights", "_member")
 
     def __init__(self, p: Polymatroid):
         super().__init__()
@@ -109,7 +115,6 @@ class TransferRelation(dict):
         self._keys = keys
         self._weights = weights
         self._member = frozenset(keys).__contains__
-        self._last = (None, None)  # the groups of the last tutte call and their T
 
     def __missing__(self, pair: tuple[int, int]) -> int:
         i, j = pair
@@ -155,39 +160,40 @@ class TransferRelation(dict):
         size = len(self._keys)
         return ci.to_bytes(size, "little"), ce.to_bytes(size, "little"), cb.to_bytes(size, "little")
 
-    def groups(self, order: Sequence[int]) -> Counter:
+    def groups(self, order: Sequence[int]) -> tuple:
         """How many bases share each triple (ci, ce, cb) of inactive counts
-        (internal, external, both) in ``order``."""
-        return Counter(zip(*self.counts(order)))
+        (internal, external, both) in ``order``, as sorted (triple, count) pairs."""
+        return tuple(sorted(Counter(zip(*self.counts(order))).items()))
 
     def tutte(self, order: Sequence[int]) -> BiPoly:
         """The direct Tutte polynomial with the ground set read in ``order``:
-        tutte_direct of the polymatroid permuted to that order.  An order
-        whose groups equal the last call's returns that call's polynomial
-        without expanding it again; many orders of one polymatroid share
-        the natural order's groups."""
-        groups = self.groups(order)
-        last, poly = self._last
-        if groups != last:
-            poly = _tutte_of_groups(groups, self.n)
-            self._last = (groups, poly)
-        return poly
+        tutte_direct of the polymatroid permuted to that order."""
+        return _of_groups(self.groups(order), self.n)[0]
 
 
-def _tutte_of_groups(groups: Counter, n: int) -> BiPoly:
-    """Sum of x^oi y^oe (x+y-1)^ie over the groups: with ci, ce, cb the
-    inactive counts of a basis, oi = ce - cb, oe = ci - cb and
-    ie = n - (ci + ce - cb)."""
+@lru_cache(maxsize=_GROUPS_MEMO_SIZE)
+def _of_groups(groups: tuple, n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """(T, I, X) of the groups: T sums x^oi y^oe (x+y-1)^ie, where with ci,
+    ce, cb the inactive counts of a basis, oi = ce - cb, oe = ci - cb and
+    ie = n - (ci + ce - cb); I counts the bases by ci and X by ce."""
     acc: dict[tuple[int, int], int] = {}
+    interior: Counter = Counter()
+    exterior: Counter = Counter()
     xy1 = X_PLUS_Y_MINUS_1
-    for (ci, ce, cb), count in groups.items():
+    for (ci, ce, cb), count in groups:
         add_scaled_into(acc, cached_power(xy1, n - ci - ce + cb), count, ce - cb, ci - cb)
-    return from_dict(acc)
+        interior[ci] += count
+        exterior[ce] += count
+    return (
+        from_dict(acc),
+        from_dict({(e, 0): c for e, c in interior.items()}),
+        from_dict({(0, e): c for e, c in exterior.items()}),
+    )
 
 
 def tutte_direct(p: Polymatroid) -> BiPoly:
     """Sum of x^oi y^oe (x+y-1)^ie over all bases, exactly."""
-    return TransferRelation(p).tutte(range(p.n))
+    return direct_polynomials(p)[0]
 
 
 def interior_direct(p: Polymatroid) -> BiPoly:
@@ -207,14 +213,4 @@ def direct_polynomials(p: Polymatroid) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_direct(p), interior_direct(p), exterior_direct(p)) from one
     pass: n - |Int(a)| and n - |Ext(a)| are the internal and external
     inactive counts that the Tutte groups already hold."""
-    groups = TransferRelation(p).groups(range(p.n))
-    interior: Counter = Counter()
-    exterior: Counter = Counter()
-    for (ci, ce, _), count in groups.items():
-        interior[ci] += count
-        exterior[ce] += count
-    return (
-        _tutte_of_groups(groups, p.n),
-        from_dict({(e, 0): c for e, c in interior.items()}),
-        from_dict({(0, e): c for e, c in exterior.items()}),
-    )
+    return _of_groups(TransferRelation(p).groups(range(p.n)), p.n)

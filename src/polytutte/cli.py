@@ -134,12 +134,12 @@ def load_input(path: str, args: argparse.Namespace) -> LoadedInput:
     data = _read_json(path)
     kind = args.as_kind or _detect_kind(data)
     if kind == "bases":
-        _check_declared_size(data, args.max_n)
+        _check_size(data.get("n"), args.max_n)
         p = Polymatroid.from_json(data)
         _check_printable(p.rank_table().full_rank())
         return LoadedInput("bases", p.rank_table(), args.max_bases, bases=p)
     if kind == "rank":
-        _check_declared_size(data, args.max_n)
+        _check_size(data.get("n"), args.max_n)
         return LoadedInput("rank", RankTable.from_json(data), args.max_bases)
     if kind == "hypergraph":
         h = Hypergraph.from_json(data)
@@ -148,8 +148,12 @@ def load_input(path: str, args: argparse.Namespace) -> LoadedInput:
     raise InputError(f"unknown input kind {kind!r}")
 
 
-def _check_size(n: int, max_n: int) -> None:
-    if n > max_n:
+def _check_size(n, max_n: int) -> None:
+    """Apply --max-n to a ground set size before any axiom check.  A
+    missing or malformed n is left to the parser, and one above
+    MAX_GROUND_SET to the parser or ``rank_table``, which refuse it with
+    GroundSetTooLarge under any --max-n, also before any 2^n work."""
+    if type(n) is int and max_n < n <= MAX_GROUND_SET:
         raise ValidationError(f"ground set size {n} exceeds --max-n {max_n}")
 
 
@@ -160,17 +164,6 @@ def _check_printable(total: int) -> None:
     # 2^(3 limit) < 10^limit: a shorter sum needs no power of ten
     if limit and total.bit_length() > 3 * limit and abs(total) >= 10 ** limit:
         raise ParseError(f"coordinate sum has more than {limit} digits")
-
-
-def _check_declared_size(data: dict, max_n: int) -> None:
-    """Apply --max-n to the declared n before the parser checks any axiom.
-
-    A missing or malformed n, or one above MAX_GROUND_SET, is left to the
-    parser, which rejects it before any axiom check with its own category.
-    """
-    n = data.get("n")
-    if type(n) is int and n <= MAX_GROUND_SET:
-        _check_size(n, max_n)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:

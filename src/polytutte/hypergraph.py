@@ -102,15 +102,15 @@ class Hypergraph:
         if "hyperedges" in data:
             edges = json_list(data["hyperedges"], "'hyperedges'")
             return Hypergraph(
-                _json_names(data.get("vertices"), "'vertices'"),
+                _names_at(data, "vertices"),
                 [_json_names(e, "a hyperedge") for e in edges],
             )
         if "edges" in data:
             # explicit bipartite form: {"E": [...], "V": [...], "edges": [[e, v], ...]}
-            e_names = _json_names(data.get("E"), "'E'")
+            e_names = _names_at(data, "E")
             if len(set(e_names)) != len(e_names):
                 raise ValidationError("duplicate hyperedge names")
-            v_names = _json_names(data.get("V"), "'V'")
+            v_names = _names_at(data, "V")
             incident: dict[str, list[str]] = {e: [] for e in e_names}
             for pair in json_list(data["edges"], "'edges'"):
                 pair = _json_names(pair, "an incidence")
@@ -119,6 +119,13 @@ class Hypergraph:
                 incident[pair[0]].append(pair[1])
             return Hypergraph(v_names, [incident[e] for e in e_names])
         raise ParseError("hypergraph JSON needs 'hyperedges' or 'edges'")
+
+
+def _names_at(data: dict, key: str) -> list[str]:
+    """The names under ``key``: a parse error if it is missing."""
+    if key not in data:
+        raise ParseError(f"hypergraph JSON needs {key!r}")
+    return _json_names(data[key], repr(key))
 
 
 def _json_names(value, what: str) -> list[str]:

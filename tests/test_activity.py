@@ -317,25 +317,20 @@ def test_every_order_of_the_small_corpus_members():
     assert orders > 10000
 
 
-def test_an_order_with_the_last_groups_is_not_expanded_again(monkeypatch):
-    # every order's polynomial equals a fresh expansion of its groups, and
-    # an order whose groups equal the previous order's expands nothing
-    expansions = []
-    real = activity._tutte_of_groups
-    monkeypatch.setattr(
-        activity, "_tutte_of_groups", lambda groups, n: expansions.append(groups) or real(groups, n)
-    )
-    orders = changes = 0
+def test_the_group_memo_decodes_each_group_set_once_while_kept():
+    # every order's polynomial equals an unmemoized expansion of its groups,
+    # and from a cleared memo the n <= 4 order certificate decodes far fewer
+    # group sets than it has orders
+    activity._of_groups.cache_clear()
+    orders = 0
     for p in build_corpus().members():
         if p.n > 4:
             continue
         relation = TransferRelation(p)
-        last = None
         for w in itertools.permutations(range(p.n)):
-            groups = relation.groups(w)
-            assert relation.tutte(w) == real(groups, p.n), (p, w)
-            changes += groups != last
-            last = groups
+            expanded = activity._of_groups.__wrapped__(relation.groups(w), p.n)
+            assert relation.tutte(w) == expanded[0], (p, w)
             orders += 1
-    # 9,580 expansions for the 17,866 orders in permutation order
-    assert len(expansions) == changes < orders * 0.6 and orders > 10000
+    # 610 misses for the 17,866 orders (339 distinct group sets) at 128 entries
+    misses = activity._of_groups.cache_info().misses
+    assert misses < orders * 0.1 and orders > 10000

@@ -56,6 +56,9 @@ def files(tmp_path):
         ),
         "bad_sums": write("bad.json", {"n": 2, "bases": [[1, 0], [0, 2]]}),
         "bad_shape": write("shape.json", {"something": 1}),
+        "no_vertices": write("no_vertices.json", {"hyperedges": [["a"]]}),
+        "no_E": write("no_E.json", {"V": ["a"], "edges": [["e", "a"]]}),
+        "no_V": write("no_V.json", {"E": ["e"], "edges": [["e", "a"]]}),
         "targets": write(
             "targets.json", {"targets": ["x^2 + 2*x*y + y^2 - x - y", "x^9"]}
         ),
@@ -139,9 +142,13 @@ def test_bad_shape_exit_code(files, capsys):
         (["validate", "--as", "rank"], "pair"),
         (["validate", "--as", "bases"], "k22"),
         (["validate"], "bad_shape"),
+        (["validate"], "no_vertices"),
+        (["validate"], "no_E"),
+        (["connectivity"], "no_V"),
     ],
     ids=["connectivity-on-rank", "hypergraph-on-rank", "rank-on-bases", "bases-on-hypergraph",
-         "no-known-key"],
+         "no-known-key", "hyperedges-without-vertices", "bipartite-without-E",
+         "bipartite-without-V"],
 )
 def test_a_file_missing_its_kind_keys_is_a_parse_error(files, capsys, argv, name):
     code, out, err = run(capsys, *argv, files[name])
@@ -306,6 +313,17 @@ def test_a_hypergraph_past_the_ground_set_cap_is_refused_at_once(files, capsys, 
     assert err == f"error: category=GroundSetTooLarge: n = {edges} exceeds the maximum 16\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "connectivity"])
+def test_a_hypergraph_past_the_ground_set_cap_keeps_its_category(files, capsys, command):
+    # at the default --max-n, 17 hyperedges report the category of a rank
+    # file with n = 17, not a --max-n ValidationError
+    path = files["dir"] / "parallel17.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "hyperedges": [["a", "b", "c"]] * 17}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == "error: category=GroundSetTooLarge: n = 17 exceeds the maximum 16\n"
+
+
 NON_INTEGER_INPUTS = {
     "float_rank": {"n": 2, "f": [0, 1.5, 1, 1]},
     "bool_rank": {"n": 2, "f": [0, True, 1, 1]},
@@ -317,6 +335,8 @@ NON_INTEGER_INPUTS = {
     "string_hyperedges": {"vertices": ["a"], "hyperedges": "a"},
     "string_hyperedge": {"vertices": ["ab", "a", "b"], "hyperedges": ["ab"]},
     "float_vertex": {"vertices": [1.5], "hyperedges": [[1.5]]},
+    "string_vertices": {"vertices": "a", "hyperedges": [["a"]]},
+    "null_V": {"E": ["e"], "V": None, "edges": [["e", "a"]]},
 }
 
 
