@@ -290,6 +290,8 @@ def _parse_elements(text: str | None) -> tuple[int, ...]:
 
 
 def cmd_monotone(args) -> int:
+    if args.relation == "subset" and (args.delete, args.contract) != (None, None):
+        raise InputError("--delete and --contract need --relation minor")
     big = load_input(args.input, args).polymatroid
     if args.relation == "subset":
         if not args.other:

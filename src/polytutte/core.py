@@ -664,20 +664,17 @@ def _pack_table(values: Sequence[int], n: int, size: int) -> int:
     return int.from_bytes(data, "little")
 
 
-_STRIDE = MAX_GROUND_SET + 1  # x^i y^j sits in polynomial lane i * _STRIDE + j
+@lru_cache(maxsize=128)  # a run uses n + 1 powers per pair of shifts
+def _packed_power(xs: int, ys: int, k: int) -> int:
+    """(x + y - 1)^k at x = 2^xs, y = 2^ys."""
+    return ((1 << xs) + (1 << ys) - 1) ** k
 
 
-@lru_cache(maxsize=None)
-def _packed_power(pl: int, k: int) -> int:
-    """(x + y - 1)^k packed in lanes of ``pl`` bits."""
-    return ((1 << _STRIDE * pl) + (1 << pl) - 1) ** k
-
-
-def _engine(table: RankTable, pl: int, cap: int | float) -> int:
-    """``_node`` on the normalized values that validate() checked and kept
-    as ``table._key``: the one entry into the slice engine, which validates
-    a table that has not passed validate(), so the engine walks only
-    polymatroids' tables."""
+def _engine(table: RankTable, xs: int, ys: int, cap: int | float) -> int:
+    """T(2^xs, 2^ys) by ``_node`` on the normalized values that validate()
+    checked and kept as ``table._key``: the one entry into the slice
+    engine, which validates a table that has not passed validate(), so the
+    engine walks only polymatroids' tables."""
     key = getattr(table, "_key", None)
     if key is None:
         key = table.validate()._key
@@ -686,17 +683,17 @@ def _engine(table: RankTable, pl: int, cap: int | float) -> int:
         return cap
     size = _lane_size(key[-1].bit_length() + 1)  # f(E) below the guard
     packed = _pack_table(key, n, size)
-    return _node(packed, n, size, pl, {}, cap) if packed else _packed_power(pl, n)
+    return _node(packed, n, size, xs, ys, {}, cap) if packed else _packed_power(xs, ys, n)
 
 
-def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) -> int:
-    """The packed T of a packed normalized table on n >= 2 elements (see the
-    recursion module), or ``cap`` once a running total reaches it: the
+def _node(table: int, n: int, size: int, xs: int, ys: int, memo: dict, cap: int | float) -> int:
+    """T(2^xs, 2^ys) of a packed normalized table on n >= 2 elements (see
+    the recursion module), or ``cap`` once a running total reaches it: the
     weighted sum over the slices of the top coordinate t = n, each child
     looked up in ``memo``, the call's node dict keyed by the packed table,
-    and computed and stored there on a miss.  At PL = 0 the packed T is
-    T(1, 1), the number of bases, which count_bases caps; the Tutte
-    polynomial takes an infinite cap."""
+    and computed and stored there on a miss.  At (0, 0) it is T(1, 1), the
+    number of bases, which count_bases caps; the Tutte polynomial takes an
+    infinite cap."""
     m = n - 1
     bits = size << 3
     lane = (1 << bits) - 1
@@ -704,7 +701,7 @@ def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) 
     without = table ^ (with_ << (bits << m))
     width = with_ & lane  # f({t})
     if m == 1:  # lanes 0, c, c, c, so T = (x + y + c - 1)(x + y - 1)
-        return _packed_power(pl, 2) + width * _packed_power(pl, 1)
+        return _packed_power(xs, ys, 2) + width * _packed_power(xs, ys, 1)
     if width >= cap:  # width + 1 levels, each with a basis
         return cap
     pairs = []  # (gamma_s, IND_s) for every positive gamma_s
@@ -725,21 +722,21 @@ def _node(table: int, n: int, size: int, pl: int, memo: dict, cap: int | float) 
         if pairs:
             g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)
         if not g:  # a single basis
-            value = _packed_power(pl, m)
+            value = _packed_power(xs, ys, m)
         else:
             value = memo.get(g)
             if value is None:
-                value = memo[g] = _node(g, m, size, pl, memo, cap)
+                value = memo[g] = _node(g, m, size, xs, ys, memo, cap)
         if not j:
-            total = value << _STRIDE * pl  # x * lo
+            total = value << xs  # x * lo
         elif j < width:
             total += value
         else:
-            total += value << pl  # y * hi
+            total += value << ys  # y * hi
         if total >= cap:
             return cap
     if not width:  # a single level takes x + y - 1, as shifts
-        total += (value << pl) - value
+        total += (value << ys) - value
     return total
 
 
@@ -849,14 +846,14 @@ def count_bases(table: RankTable, cap: int) -> int:
     """The number of bases of a polymatroid's table (validated if it is
     not yet), or ``cap`` (at least 1) once that number reaches ``cap``.
 
-    T(1, 1) is the number of bases, so this is the slice engine at PL = 0.
+    T(1, 1) is the number of bases, so this is the slice engine at (0, 0).
     Every level has a basis, so a node returns ``cap`` before it builds a
     lane when its top coordinate has ``cap`` levels or more, and as soon as
     its running total reaches ``cap``: uncapped, two bases 10^6 apart would
     cost 10^6 levels.
     """
     # min: a two-element root takes its closed form whatever the cap
-    return min(_engine(table, 0, cap), cap)
+    return min(_engine(table, 0, 0, cap), cap)
 
 
 def _normalized(f: Sequence[int], n: int) -> tuple[int, ...]:

@@ -54,40 +54,43 @@ The engine's one entry, ``core._engine``, walks the normalized table that
 ``validate()`` checked and kept, and validates any table not yet validated,
 so every node it walks is a polymatroid's.
 
-Polynomials as lanes.  Below the root a polynomial is one integer: the
-coefficient of x^i y^j sits in lane i * 17 + j (17 = MAX_GROUND_SET + 1) of
-PL bits, so the weights x and y are shifts by 17 * PL and PL bits, and the
-powers (x + y - 1)^k are cached packed.  Packing is evaluation
-at x = 2^(17 PL), y = 2^PL, a ring homomorphism, so sums and products of
-packed values are exact whatever the coefficients.  The lanes are signed and
+Polynomials as lanes.  The engine evaluates T at x = 2^xs, y = 2^ys, so the
+weights x and y are shifts by xs and ys bits, and the powers (x + y - 1)^k
+are cached per pair of shifts.  Evaluation is a ring homomorphism, so sums
+and products of the values are exact whatever the coefficients.
+``dc_polynomials`` alone picks the layout T is read from: lanes of PL bits
+at stride n + 1, x = 2^((n + 1) PL) and y = 2^PL, so the coefficient of
+x^i y^j (i + j <= n) sits in lane i * (n + 1) + j.  The lanes are signed and
 are decoded once, at the root, by adding 2^(PL - 1) to every lane.  That is
 exact when every coefficient of the root's polynomial has absolute value
 below 2^(PL - 1).  T is a sum over the bases of a monomial times
 (x + y - 1)^m with m <= n, whose coefficients sum to at most 3^n in absolute
 value, and a normalized polymatroid has at most prod_t (f({t}) + 1) bases;
-so PL is the smallest multiple of 64 above the bit length of
-3^n * prod_t (f({t}) + 1), which bounds every coefficient of T.
-Coefficients of the polynomials below the root may exceed it; they are never
-decoded.  At PL = 0 packing is evaluation at x = y = 1, where T is the
-number of bases: ``core.count_bases`` runs the engine at PL = 0 with a
-finite cap, which a node returns once its running total reaches it, or at
-once if its top coordinate has that many levels.  T takes an infinite cap.
+so PL is the smallest multiple of 8 above the bit length of
+3^n * prod_t (f({t}) + 1), which bounds every coefficient of T in whole
+bytes.  Coefficients of the polynomials below the root may exceed it; they
+are never decoded.  The count is the point (0, 0), x = y = 1, where T is the
+number of bases: ``core.count_bases`` runs the engine there with a finite
+cap, which a node returns once its running total reaches it, or at once if
+its top coordinate has that many levels.  T takes an infinite cap.
 
 Memo.  Each ``dc_polynomials`` call memoizes the nodes below its root in a
-plain dict of its own, keyed by the packed table alone (L and PL are fixed
-within the call, and a packed table's bit length fixes its number of
-elements), so no node outlives its call.  ``_node`` looks each child up
+plain dict of its own, keyed by the packed table alone (L and the two shifts
+are fixed within the call, and a packed table's bit length fixes its number
+of elements), so no node outlives its call.  ``_node`` looks each child up
 inline; an empty child is the cached power, with no entry.  The module-wide
 cache holds roots only: the root of a call is stored under its
 ``core._normalized`` table, a tuple, so translates of a polymatroid share
 it, and maps to the decoded (T, I, X).  A call takes one lookup there and,
-on a miss, one store.  The cache is a plain dict with no order and no
-lock: a store into a dict that already holds ``DEFAULT_MEMO_CAPACITY`` roots
-empties it first, and ``clear_caches`` empties it.  Each lookup and store is
-one dict call, atomic in CPython, so threads may share it; a store lost to a
-race costs a recomputation, never a wrong result.  The
-direct evaluation in ``activity`` stays on basis activities, and this
-module imports nothing from it, so the two routes remain independent.
+on a miss, one store.  The cache is a plain dict with no order and no lock,
+bounded by the table values its keys hold, 2^n per root: a store that would
+take them past ``MEMO_BUDGET`` (2^22, 64 roots on 16 elements) empties it
+first, and ``clear_caches`` empties it.  Each lookup and store is one dict
+call, atomic in CPython, so threads may share it; a store lost to a race
+costs a recomputation, and a lost update of the running total lets the memo
+pass its budget by one key until the next clear, never a wrong result.  The
+direct evaluation in ``activity`` stays on basis activities, and this module
+imports nothing from it, so the two routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -108,23 +111,27 @@ from collections import Counter
 from typing import Sequence
 
 from .bipoly import BiPoly, X, Y, add_scaled_into, cached_power, from_dict
-from .core import _STRIDE, Polymatroid, RankTable, _engine, _normalized
+from .core import Polymatroid, RankTable, _engine, _normalized
 from .errors import DegreeExceedsN, NotAMatroid, ValidationError
 from .hypergraph import Hypergraph, rank_table
 
-DEFAULT_MEMO_CAPACITY = 1 << 20
+MEMO_BUDGET = 1 << 22  # table values, summed over the root memo's keys
 _cache: dict = {}
+_held = 0  # the table values that _cache's keys hold
 
 
 def clear_caches() -> None:
+    global _held
     _cache.clear()
+    _held = 0
 
 
 def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     """Decode a packed T of total degree at most n into (T, I, X): the
     coefficient c of x^i y^j adds c to the x^(n-i) term of I and to the
     y^(n-j) term of X."""
-    count = n * _STRIDE + 1  # x^n, at lane n * _STRIDE, is the highest term
+    stride = n + 1
+    count = n * stride + 1  # x^n, at lane n * stride, is the highest term
     step = pl >> 3
     half = 1 << (pl - 1)
     bias = int.from_bytes(half.to_bytes(step, "little") * count, "little")
@@ -134,7 +141,7 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     exterior = [0] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            at = (i * _STRIDE + j) * step
+            at = (i * stride + j) * step
             c = int.from_bytes(data[at:at + step], "little") - half
             if c:
                 terms[i, j] = c
@@ -158,6 +165,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     has not passed it, which is validated on a cache miss and raises its
     error if it fails: a hit's key is the normalized table of one that passed.
     """
+    global _held
     table = p.rank_table()
     key = getattr(table, "_key", None)
     if key is None:
@@ -169,11 +177,12 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     bound = 3 ** n
     for t in range(n):
         bound *= key[1 << t] + 1
-    pl = (bound.bit_length() // 64 + 1) * 64
-    result = _unpack_poly(_engine(table, pl, math.inf), n, pl)
-    if len(_cache) >= DEFAULT_MEMO_CAPACITY:
-        _cache.clear()
+    pl = (bound.bit_length() // 8 + 1) * 8
+    result = _unpack_poly(_engine(table, (n + 1) * pl, pl, math.inf), n, pl)
+    if _held + len(key) > MEMO_BUDGET:
+        clear_caches()
     _cache[key] = result
+    _held += len(key)
     return result
 
 

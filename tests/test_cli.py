@@ -498,6 +498,14 @@ def test_monotone_subset_rejects_non_subset(files, capsys):
     assert "not a subset" in out
 
 
+def test_monotone_subset_refuses_minor_flags(files, capsys):
+    # under the subset relation a minor's elements would be ignored
+    for flag in ("--delete", "--contract"):
+        code, out, err = run(capsys, "monotone", files["pair"], files["single"], flag, "1")
+        assert code == EXIT_INPUT and out == ""
+        assert "category=InputError: --delete and --contract need --relation minor" in err
+
+
 def test_monotone_minor(files, capsys):
     code, out, _ = run(
         capsys, "monotone", files["scaled"], "--relation", "minor", "--delete", "2"

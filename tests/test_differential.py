@@ -75,7 +75,7 @@ def _scaled_rank_one(c, n):
 
 def test_direct_equals_dc_on_five_times_u1_16(monkeypatch):
     # 15,504 bases on the full ground set; the root's coefficient bound
-    # 3^16 * 6^16 has 67 bits, so the packed polynomials need 128-bit lanes
+    # 3^16 * 6^16 has 67 bits, so the packed polynomials take 72-bit lanes
     widths = []
     real = recursion._unpack_poly
     monkeypatch.setattr(
@@ -84,7 +84,7 @@ def test_direct_equals_dc_on_five_times_u1_16(monkeypatch):
     table = _scaled_rank_one(5, 16)
     clear_caches()
     polys = (tutte_dc(table), interior_dc(table), exterior_dc(table))
-    assert widths == [128]  # one decode serves all three
+    assert widths == [72]  # one decode serves all three
     assert polys == direct_polynomials(enumerate_bases(table))
     assert [q.evaluate(1, 1) for q in polys] == [binomial(20, 15)] * 3
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -220,15 +221,57 @@ def test_an_unvalidated_table_is_validated_once(monkeypatch):
 
 def test_decode_is_exact_up_to_the_lane_bound():
     # a packed coefficient decodes exactly while its absolute value is below
-    # 2^(PL - 1), the bound every root's lane width is chosen for; I and X
-    # collect the coefficients by n - i and n - j
-    for pl in (64, 128):
+    # 2^(PL - 1), the bound every root's lane width is chosen for; x^i y^j
+    # sits in lane i * (n + 1) + j, and I and X collect the coefficients by
+    # n - i and n - j
+    for pl in (8, 16, 56, 72):
         edge = (1 << (pl - 1)) - 1
         terms = {(2, 0): edge, (1, 1): -edge, (1, 0): -edge, (0, 2): 1, (0, 0): -1}
-        value = sum(c << (i * recursion._STRIDE + j) * pl for (i, j), c in terms.items())
+        value = sum(c << (i * 3 + j) * pl for (i, j), c in terms.items())
         interior = BiPoly({(0, 0): edge, (1, 0): -2 * edge})
         exterior = BiPoly({(0, 2): -1, (0, 1): -edge, (0, 0): 1})
         assert recursion._unpack_poly(value, 2, pl) == (BiPoly(terms), interior, exterior)
+
+
+def _dual_table(table: RankTable) -> RankTable:
+    """f*(S) = f(E - S) - f(E), the table of the negated bases."""
+    top = table.f[-1]
+    return RankTable(table.n, [v - top for v in reversed(table.f)])
+
+
+def test_swapped_shifts_evaluate_t_with_x_and_y_exchanged(monkeypatch):
+    # the engine evaluates T at x = 2^xs, y = 2^ys, so the shifts that
+    # dc_polynomials picks, swapped, decode to T(y, x), the Tutte
+    # polynomial of the dual; the shifts are (n + 1) PL and PL, with PL the
+    # smallest multiple of 8 above the bit length of the coefficient bound
+    shifts = []
+    real = core._engine
+    monkeypatch.setattr(
+        recursion, "_engine", lambda table, *args: shifts.append(args) or real(table, *args)
+    )
+    tables = [p.rank_table() for p in small_corpus()]
+    tables += [
+        random_rank_table(Random(n), n, size_budget=10**7, allow_translation=False)
+        for n in range(8, 13)
+    ]
+    for table in tables:
+        clear_caches()
+        t = tutte_dc(table)
+        (xs, ys, cap), = shifts
+        key = core._normalized(table.f, table.n)
+        bound = 3 ** table.n * math.prod(key[1 << t] + 1 for t in range(table.n))
+        assert xs == (table.n + 1) * ys and ys % 8 == 0
+        assert ys - 8 <= bound.bit_length() < ys
+        swapped = recursion._unpack_poly(real(table, ys, xs, cap), table.n, ys)[0]
+        assert swapped == t.swap_vars() == tutte_dc(_dual_table(table))
+        shifts.clear()
+
+
+def test_the_engine_at_zero_shifts_counts_the_bases():
+    # x = y = 1: T(1, 1) of U(d, n) is its number of bases, C(n, d)
+    for n in range(1, 17):
+        for d in range(n + 1):
+            assert core._engine(uniform_matroid(d, n), 0, 0, math.inf) == math.comb(n, d)
 
 
 def test_table_lanes_follow_the_rank_from_bases_layout():
@@ -315,7 +358,9 @@ def test_decoded_interior_and_exterior_are_reversals_of_t():
 
 
 def test_a_full_root_memo_is_emptied_before_a_store(monkeypatch):
-    monkeypatch.setattr(recursion, "DEFAULT_MEMO_CAPACITY", 2)
+    # the budget counts table values, 2^n per root: 16 holds two roots on
+    # three elements, and a third root on four elements empties it
+    monkeypatch.setattr(recursion, "MEMO_BUDGET", 16)
     clear_caches()
     first = tutte_dc(uniform_matroid(1, 3))
     tutte_dc(uniform_matroid(2, 3))
@@ -323,9 +368,19 @@ def test_a_full_root_memo_is_emptied_before_a_store(monkeypatch):
     third = uniform_matroid(1, 4)
     tutte_dc(third)
     assert list(recursion._cache) == [core._normalized(third.f, 4)]
-    # an emptied root is recomputed, exactly
+    # an emptied root is recomputed, exactly, and 16 + 8 values empty it again
     assert tutte_dc(uniform_matroid(1, 3)) == first
-    assert len(recursion._cache) == 2
+    assert len(recursion._cache) == 1
+    # a root on 16 elements holds 2^16 values: two fill a budget of 2^17,
+    # and a root on three elements then empties it
+    monkeypatch.setattr(recursion, "MEMO_BUDGET", 1 << 17)
+    clear_caches()
+    wide = [uniform_matroid(1, 16), uniform_matroid(15, 16)]
+    for table in wide:
+        tutte_dc(table)
+    assert list(recursion._cache) == [core._normalized(t.f, 16) for t in wide]
+    tutte_dc(uniform_matroid(1, 3))
+    assert len(recursion._cache) == 1
 
 
 # -- the node kernel against the list route -----------------------------------------
