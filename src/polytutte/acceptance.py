@@ -140,8 +140,9 @@ class Corpus(NamedTuple):
     """Shared deterministic test corpus, built once per seed.
 
     It holds inputs only, each hypergraph with its rank table, built once;
-    the criteria read polynomials from ``dc_polynomials`` and its indexers
-    ``tutte_dc``, ``interior_dc`` and ``exterior_dc``, whose memo keeps them.
+    the criteria read polynomials from ``dc_polynomials`` and ``tutte_dc``,
+    whose memo keeps them, and from ``interior_dc`` and ``exterior_dc``,
+    which run the engine at one variable on every call.
     """
 
     seed: int
@@ -263,8 +264,10 @@ def invariance_violations(
     order is read off one ``TransferRelation`` of p, and the first is also
     run through ``tutte_direct(p.permute(w))``, which re-keys a permuted
     copy.  Duality covers T and both the interior and exterior polynomials.
-    Reversal compares I and X with T's reversals; on the output of
-    ``dc_polynomials`` it checks the decode that reads I and X off T.
+    Reversal compares I and X with T's reversals: ``check`` passes the
+    one-variable runs ``interior_dc`` and ``exterior_dc``, so it compares
+    two engine runs, and on the output of ``dc_polynomials`` (criterion 3)
+    it checks the decode that reads I and X off T.
     Returns each violated property with its witness ("" for the properties
     that have none).
     """

@@ -333,8 +333,11 @@ class Polymatroid:
         for v in rows[1:]:
             if sum(v) != total:
                 raise UnequalSums(rows[0], v)
-        if all(max(col) - min(col) < len(rows) for col in zip(*rows)):
-            g = rank_from_bases(self)
+        columns = list(zip(*rows))
+        lows = list(map(min, columns))
+        span = max(map(sub, map(max, columns), lows))
+        if span < len(rows):
+            g = _rank_from_rows(rows, self.n, lows, span)
             try:
                 if count_bases(g, len(rows) + 1) == len(rows):
                     _set_rank(self, g)
@@ -604,9 +607,15 @@ def rank_from_bases(p: Polymatroid) -> RankTable:
     value between their extremes, so its span is below the number of bases.
     """
     rows = p.bases
-    n = p.n
     lows = list(map(min, zip(*rows)))
-    width = (n * max(map(sub, map(max, zip(*rows)), lows))).bit_length() + 1
+    return _rank_from_rows(rows, p.n, lows, max(map(sub, map(max, zip(*rows)), lows)))
+
+
+def _rank_from_rows(rows: Sequence[Vector], n: int, lows: list[int], span: int) -> RankTable:
+    """``rank_from_bases`` of the basis rows, given each coordinate's
+    minimum ``lows`` and the widest max - min, ``span``, which
+    ``Polymatroid._validate`` has already scanned the columns for."""
+    width = (n * span).bit_length() + 1
     if width > 64:
         best = _subset_sums(rows[0])
         for v in rows[1:]:
@@ -646,6 +655,19 @@ def _lanes(n: int, size: int) -> tuple[int, int, tuple[int, ...], Struct | None]
 
 
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}  # standard sizes under "<"
+
+
+@lru_cache(maxsize=None)
+def _gamma_lanes(n: int, size: int) -> tuple[int, int]:
+    """The mask of the lanes E - s, s = 1..n, among 2^n lanes of ``size``
+    bytes, and SPREAD, with a 1 in each of those lanes: a packed table
+    has f(E - s) = f(E) for every s exactly when its bits under the mask
+    equal f(E) * SPREAD.  Cached per key of ``_lanes`` that ``_node``
+    uses, two integers beside its n + 2."""
+    bits = 8 * size
+    full = (1 << n) - 1
+    spread = sum(1 << bits * (full ^ 1 << s) for s in range(n))
+    return spread * ((1 << bits) - 1), spread
 
 
 def _lane_size(bits: int) -> int:
@@ -693,7 +715,13 @@ def _node(table: int, n: int, size: int, xs: int, ys: int, memo: dict, cap: int 
     looked up in ``memo``, the call's node dict keyed by the packed table,
     and computed and stored there on a miss.  At (0, 0) it is T(1, 1), the
     number of bases, which count_bases caps; the Tutte polynomial takes an
-    infinite cap."""
+    infinite cap.
+
+    The gammas gamma_s = f(E - t) - f(E - t - s) of the low half are read
+    lane by lane only when one masked compare finds one that is not 0: its
+    lanes E - t - s under ``_gamma_lanes``' mask differ from f(E - t) times
+    SPREAD.  Most nodes have none, and a negative gamma, which no
+    polymatroid's normalized table has, would also take the scan."""
     m = n - 1
     bits = size << 3
     lane = (1 << bits) - 1
@@ -709,15 +737,18 @@ def _node(table: int, n: int, size: int, xs: int, ys: int, memo: dict, cap: int 
         ones, guard, indicators, _ = _lanes(m, size)
         full = (1 << m) - 1
         top = without >> bits * full  # f(E - t) = f(E)
-        gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
-        pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
+        mask, spread = _gamma_lanes(m, size)
+        if without & mask != top * spread:  # some gamma_s is not 0
+            gammas = (top - (without >> bits * (full ^ 1 << s) & lane) for s in range(m))
+            pairs = [(gamma, ind) for gamma, ind in zip(gammas, indicators) if gamma > 0]
+        high = without | guard
     for j in range(width + 1):
         if not j:
             g = without
         else:
             g = with_ - j * ones
             if j < width:
-                sel = ((without | guard) - g) & guard  # the guards of the lanes where without >= g
+                sel = (high - g) & guard  # the guards of the lanes where without >= g
                 g = without ^ ((without ^ g) & (sel - (sel >> bits - 1)))
         if pairs:
             g -= sum((gamma - j) * ind for gamma, ind in pairs if gamma > j)

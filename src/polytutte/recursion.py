@@ -11,17 +11,24 @@ weight w(j) is x at the lowest level alpha (the deletion end), y at the
 highest level beta (the contraction end) and 1 at every level between; a
 single level (alpha = beta) takes x + y - 1 alone.  The base case, one
 basis, is (x + y - 1)^n.  The engine, the one node function ``core._node``
-behind the one entry ``core._engine``, runs this recursion once per table,
-for T here and for the basis count in ``core.count_bases``.
+behind the one entry ``core._engine``, runs this recursion once per table
+and point: for T, T(x, 1) and T(1, y) here, and for the basis count in
+``core.count_bases``.
 
 The interior and exterior polynomials are specializations of T,
 
     I(x) = x^n T(1/x, 1),   X(y) = y^n T(1, 1/y),
 
-so they are read off T where it is decoded, at the root, which visits every
+which the module computes two ways.  ``dc_polynomials`` returns (T, I, X),
+I and X read off T where it is decoded, at the root, which visits every
 coefficient: a coefficient c of x^i y^j in T adds c to the x^(n-i) term of
-I and to the y^(n-j) term of X.  ``dc_polynomials`` returns (T, I, X), and
-``tutte_dc``, ``interior_dc`` and ``exterior_dc`` each pick one of them.
+I and to the y^(n-j) term of X.  ``tutte_dc`` picks T from it.
+``interior_dc`` and ``exterior_dc`` run the engine at one variable instead,
+T(x, 1) and T(1, y), and reverse it: they never build the two-variable T,
+and never read or write the root memo, so they are a route independent of
+T's decode.  The acceptance suite's criterion 1 checks that decode against
+the direct route, and ``check --properties reversal`` compares the
+one-variable runs with T's reversals.
 
 Tables as lanes.  A normalized table is one integer with 2^n lanes of L bits,
 lane S holding f(S), in the layout of ``core.rank_from_bases``, packed by
@@ -43,11 +50,13 @@ subtracting with the guards set borrows from a lane's guard exactly where
 place as the lanes at E - t and E - t - s of ``without`` (a shift and a mask
 each), the slice at level j has alpha_s = max(0, gamma_s - j), so
 normalizing it subtracts the sum of alpha_s * IND_s over the nonzero gammas;
-most nodes have none and skip it.  A top coordinate of width 0 is dropped: the
-node is x + y - 1 times the polynomial of the low half.  The result
-does not depend on the pivot order (the tests sum the formula at every
-pivot, outside the engine).  Each node costs a few big-integer operations
-over 2^n lanes per level, run in C, however many bases the polymatroid has.
+most nodes have none, which one masked compare of those lanes against
+f(E - t) finds, and skip reading them one by one.  A top coordinate of
+width 0 is dropped: the node is x + y - 1 times the polynomial of the low
+half.  The result does not depend on the pivot order (the tests sum the
+formula at every pivot, outside the engine).  Each node costs a few
+big-integer operations over 2^n lanes per level, run in C, however many
+bases the polymatroid has.
 A two-element node takes a closed form: a normalized polymatroid's table on
 two elements has lanes 0, c, c, c, and its T is (x + y + c - 1)(x + y - 1).
 The engine's one entry, ``core._engine``, walks the normalized table that
@@ -69,28 +78,35 @@ value, and a normalized polymatroid has at most prod_t (f({t}) + 1) bases;
 so PL is the smallest multiple of 8 above the bit length of
 3^n * prod_t (f({t}) + 1), which bounds every coefficient of T in whole
 bytes.  Coefficients of the polynomials below the root may exceed it; they
-are never decoded.  The count is the point (0, 0), x = y = 1, where T is the
-number of bases: ``core.count_bases`` runs the engine there with a finite
-cap, which a node returns once its running total reaches it, or at once if
-its top coordinate has that many levels.  T takes an infinite cap.
+are never decoded.  ``interior_dc`` takes the point (PL, 0), x = 2^PL and
+y = 1, with a PL of its own, and ``exterior_dc`` the point (0, PL).  At
+y = 1 each basis adds one monomial x^k to T, so every coefficient of
+T(x, 1) is nonnegative and they sum to the number of bases, at most
+prod_t (f({t}) + 1): PL is the smallest multiple of 8 at or above that
+product's bit length, and the n + 1 lanes are read with no bias.  The
+count is the point (0, 0), x = y = 1, where T is the number of bases:
+``core.count_bases`` runs the engine there with a finite cap, which a node
+returns once its running total reaches it, or at once if its top
+coordinate has that many levels.  T takes an infinite cap.
 
-Memo.  Each ``dc_polynomials`` call memoizes the nodes below its root in a
-plain dict of its own, keyed by the packed table alone (L and the two shifts
-are fixed within the call, and a packed table's bit length fixes its number
-of elements), so no node outlives its call.  ``_node`` looks each child up
+Memo.  Each engine run memoizes the nodes below its root in a plain dict of
+its own, keyed by the packed table alone (L and the two shifts are fixed
+within the run, and a packed table's bit length fixes its number of
+elements), so no node outlives its run.  ``_node`` looks each child up
 inline; an empty child is the cached power, with no entry.  The module-wide
-cache holds roots only: the root of a call is stored under its
-``core._normalized`` table, a tuple, so translates of a polymatroid share
-it, and maps to the decoded (T, I, X).  A call takes one lookup there and,
-on a miss, one store.  The cache is a plain dict with no order and no lock,
-bounded by the table values its keys hold, 2^n per root: a store that would
-take them past ``MEMO_BUDGET`` (2^22, 64 roots on 16 elements) empties it
-first, and ``clear_caches`` empties it.  Each lookup and store is one dict
-call, atomic in CPython, so threads may share it; a store lost to a race
-costs a recomputation, and a lost update of the running total lets the memo
-pass its budget by one key until the next clear, never a wrong result.  The
-direct evaluation in ``activity`` stays on basis activities, and this module
-imports nothing from it, so the two routes remain independent.
+cache holds the roots of ``dc_polynomials`` only: the root of a call is
+stored under its ``core._normalized`` table, a tuple, so translates of a
+polymatroid share it, and maps to the decoded (T, I, X).  A call takes
+one lookup there and, on a miss, one store.  The cache is a plain dict with
+no order and no lock, bounded by the table values its keys hold, 2^n per
+root: a store that would take them past ``MEMO_BUDGET`` (2^22, 64 roots on
+16 elements) empties it first, and ``clear_caches`` empties it.  Each
+lookup and store is one dict call, atomic in CPython, so threads may share
+it; a store lost to a race costs a recomputation, and a lost update of the
+running total lets the memo pass its budget by one key until the next
+clear, never a wrong result.  The direct evaluation in ``activity`` stays
+on basis activities, and this module imports nothing from it, so the two
+routes remain independent.
 
 The bridge to matroids: for a rank-d matroid M on [n] with 0/1 basis
 indicator vectors P(M), the classical Tutte polynomial equals the
@@ -154,6 +170,12 @@ def _unpack_poly(value: int, n: int, pl: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     )
 
 
+def _bases_bound(key: Sequence[int], n: int) -> int:
+    """prod_t (f({t}) + 1) of a normalized table, at least its number of
+    bases."""
+    return math.prod(key[1 << t] + 1 for t in range(n))
+
+
 def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     """(tutte_dc(p), interior_dc(p), exterior_dc(p)) from one run of the
     slice recursion: I and X are read off T's decode at the root.  The
@@ -174,10 +196,7 @@ def dc_polynomials(p: Polymatroid | RankTable) -> tuple[BiPoly, BiPoly, BiPoly]:
     if hit is not None:
         return hit
     n = table.n
-    bound = 3 ** n
-    for t in range(n):
-        bound *= key[1 << t] + 1
-    pl = (bound.bit_length() // 8 + 1) * 8
+    pl = ((3 ** n * _bases_bound(key, n)).bit_length() // 8 + 1) * 8
     result = _unpack_poly(_engine(table, (n + 1) * pl, pl, math.inf), n, pl)
     if _held + len(key) > MEMO_BUDGET:
         clear_caches()
@@ -191,14 +210,33 @@ def tutte_dc(p: Polymatroid | RankTable) -> BiPoly:
     return dc_polynomials(p)[0]
 
 
+def _reversed_run(p: Polymatroid | RankTable, interior: bool) -> BiPoly:
+    """x^n T(1/x, 1) from one engine run at (PL, 0), or y^n T(1, 1/y) from
+    one at (0, PL): the n + 1 unsigned lanes of PL bits, reversed.  The
+    table is validated if it is not yet; the root memo is not used."""
+    table = p.rank_table()
+    key = getattr(table, "_key", None)
+    if key is None:
+        key = table.validate()._key
+    n = table.n
+    step = -(-_bases_bound(key, n).bit_length() // 8)
+    shifts = (step * 8, 0) if interior else (0, step * 8)
+    data = _engine(table, *shifts, math.inf).to_bytes((n + 1) * step, "little")
+    terms = {}
+    for k in range(n + 1):
+        e = (n - k, 0) if interior else (0, n - k)
+        terms[e] = int.from_bytes(data[k * step:(k + 1) * step], "little")
+    return from_dict(terms)
+
+
 def interior_dc(p: Polymatroid | RankTable) -> BiPoly:
-    """Interior polynomial x^n T(1/x, 1), read off ``tutte_dc``'s decode."""
-    return dc_polynomials(p)[1]
+    """Interior polynomial x^n T(1/x, 1), from one engine run at y = 1."""
+    return _reversed_run(p, True)
 
 
 def exterior_dc(p: Polymatroid | RankTable) -> BiPoly:
-    """Exterior polynomial y^n T(1, 1/y), read off ``tutte_dc``'s decode."""
-    return dc_polynomials(p)[2]
+    """Exterior polynomial y^n T(1, 1/y), from one engine run at x = 1."""
+    return _reversed_run(p, False)
 
 
 # -- classical matroid bridge ---------------------------------------------------

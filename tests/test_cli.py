@@ -467,6 +467,18 @@ def test_check_properties(files, capsys):
         assert f"{prop}: OK" in out
 
 
+def test_check_reversal_compares_the_one_variable_runs_with_t(files, capsys, monkeypatch):
+    # check reads I and X from their own engine runs, so reversal compares
+    # them with T's reversals; an exterior run passed off as the interior
+    # polynomial must fail it
+    for name in ("u13_rank", "scaled"):
+        code, out, _ = run(capsys, "check", files[name], "--properties", "reversal")
+        assert code == EXIT_OK and out == "reversal: OK\n"
+    monkeypatch.setattr(cli, "interior_dc", lambda p: recursion.exterior_dc(p).swap_vars())
+    code, out, _ = run(capsys, "check", files["u13_rank"], "--properties", "reversal")
+    assert code == EXIT_VIOLATION and out.split() == ["reversal:", "VIOLATED"]
+
+
 def test_check_permutation_stays_small(files, capsys):
     # drawing permutations must not materialize all n! of them
     path = files["dir"] / "one_basis9.json"
@@ -597,9 +609,10 @@ def test_coeffs_on_hypergraph_reads_the_enumerated_table(files, capsys, monkeypa
 
 
 def test_basis_input_derives_its_table_once(files, capsys, monkeypatch):
+    # validation and rank_from_bases both derive the table by _rank_from_rows
     calls = []
-    real = core.rank_from_bases
-    monkeypatch.setattr(core, "rank_from_bases", lambda p: calls.append(p) or real(p))
+    real = core._rank_from_rows
+    monkeypatch.setattr(core, "_rank_from_rows", lambda *args: calls.append(args) or real(*args))
     for argv in (["coeffs", files["scaled"]], ["check", files["scaled"]]):
         calls.clear()
         code, out, _ = run(capsys, *argv)

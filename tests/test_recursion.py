@@ -21,6 +21,7 @@ from polytutte import core, recursion
 from oracles import is_matroid_rank, spanning_forest_rank
 from polytutte.errors import DegreeExceedsN, NotAMatroid, SubmodularityFailure, ValidationError
 from polytutte.formulas import random_rank_table
+from polytutte.hypergraph import Hypergraph, is_connected, rank_table
 from polytutte.recursion import (
     classical_tutte,
     clear_caches,
@@ -357,6 +358,52 @@ def test_decoded_interior_and_exterior_are_reversals_of_t():
         assert exterior == t.substitute_one("x").reversed_in("y", table.n)
 
 
+def _wide_transpose(n: int, edges: int, seed: int) -> RankTable:
+    """The rank table of the transpose of a random connected hypergraph on
+    n vertices, each vertex in each of ``edges`` hyperedges with
+    probability 0.4, redrawn until every hyperedge is nonempty, every vertex
+    covered and the hypergraph connected: the ground set is the n vertices,
+    and the engine's nodes are wide."""
+    rng = Random(seed)
+    while True:
+        rows = [[v for v in range(n) if rng.random() < 0.4] for _ in range(edges)]
+        if all(rows) and set().union(*rows) == set(range(n)):
+            h = Hypergraph(range(n), rows)
+            if is_connected(h):
+                break
+    return rank_table(Hypergraph(range(edges), [[k for k, row in enumerate(rows) if v in row] for v in range(n)]))
+
+
+def _one_variable_cases() -> list[RankTable]:
+    """The small corpus, random_rank_table(Random(n), n) for n = 8..12,
+    and two seeded wide transposes with n = 12 (their interior polynomials
+    have coefficients of 9 and 20 bits, in lanes of 16 and 32)."""
+    tables = [p.rank_table() for p in small_corpus()]
+    tables += [random_rank_table(Random(n), n, size_budget=10**7) for n in range(8, 13)]
+    tables += [_wide_transpose(12, edges, 1) for edges in (8, 16)]
+    return tables
+
+
+def test_one_variable_runs_equal_the_decode_of_t():
+    # interior_dc runs the engine at y = 1 and exterior_dc at x = 1; both
+    # must give what dc_polynomials reads off the two-variable T
+    for table in _one_variable_cases():
+        clear_caches()
+        _, interior, exterior = dc_polynomials(table)
+        assert interior_dc(table) == interior, table
+        assert exterior_dc(table) == exterior, table
+
+
+def test_one_variable_runs_leave_the_root_memo_alone():
+    clear_caches()
+    table = _wide_transpose(12, 8, 1)
+    interior, exterior = interior_dc(table), exterior_dc(table)
+    assert recursion._cache == {}
+    assert (interior, exterior) == dc_polynomials(table)[1:]
+    assert len(recursion._cache) == 1
+    assert interior.evaluate(1, 1) == exterior.evaluate(1, 1) == len(enumerate_bases(table))
+
+
 def test_a_full_root_memo_is_emptied_before_a_store(monkeypatch):
     # the budget counts table values, 2^n per root: 16 holds two roots on
     # three elements, and a third root on four elements empties it
@@ -465,6 +512,40 @@ def test_node_children_match_the_list_route(monkeypatch):
         assert set(nodes) == expected, table
         sizes.add(size)
     assert sizes == {1, 2}
+
+
+def test_masked_compare_finds_exactly_the_nodes_with_a_positive_gamma(monkeypatch):
+    # on every node of seeded tables, _node's one masked compare says some
+    # gamma_s = f(E - t) - f(E - t - s) is not 0 exactly when the lane by
+    # lane scan finds a positive one
+    tables = [random_rank_table(Random(n), n, size_budget=10**7) for n in range(8, 12)]
+    tables += [_rank_files_table(), _wide_transpose(12, 8, 1)]
+    tables += [_with_wide_pair(p.rank_table()) for p in small_corpus()[::10]]
+    calls = []
+    node = core._node
+
+    def recording(packed, n, size, *args):
+        calls.append((packed, n, size))
+        return node(packed, n, size, *args)
+
+    for table in tables:
+        clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_node", recording)
+            dc_polynomials(table)
+    outcomes = []
+    for packed, n, size in calls:
+        m = n - 1
+        bits = 8 * size
+        lane = (1 << bits) - 1
+        full = (1 << m) - 1
+        without = packed & (1 << (bits << m)) - 1
+        top = without >> bits * full
+        scan = any(top - (without >> bits * (full ^ 1 << s) & lane) > 0 for s in range(m))
+        mask, spread = core._gamma_lanes(m, size)
+        assert (without & mask != top * spread) == scan, (packed, n, size)
+        outcomes.append(scan)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 NODE_COUNTS = {  # _node calls of one cold dc_polynomials, the root included
